@@ -1,20 +1,14 @@
 """Sparse approximate matrix multiply (SpAMM) for matrices with decay.
 
-Matrices are stored as quadtrees of 16x16 single-precision blocks carrying
-hierarchical Frobenius norms.  A multiply first runs a symbolic phase that
-sorts leaf keys and prunes block products whose norm product falls below a
-tolerance tau, then a numeric phase that executes the surviving products
-with 4x4x4 micro kernels, optionally gated by 4x4 sub-block norms.
+Matrices are stored as columnar quadtrees: a stack of 16x16 single-precision
+leaf blocks plus per-tier arrays of hierarchical Frobenius norms.  A multiply
+first runs a symbolic phase that sorts leaf keys and prunes block products
+whose norm product falls below a tolerance tau, then a numeric phase that
+executes the surviving products with 4x4x4 micro kernels, optionally gated
+by 4x4 sub-block norms.
 """
 
-from .core import (
-    DenseMatrix,
-    LeafBlock,
-    QuadtreeMatrix,
-    TreeNode,
-    drop_tolerance,
-    tree_depth,
-)
+from .core import DenseMatrix, QuadtreeMatrix, tree_depth
 from .generators import KINDS, GeneratorSpec, envelope, generate
 from .io import (
     MatrixFormatError,
@@ -35,7 +29,6 @@ from .numeric import (
 )
 from .reference import (
     ErrorReport,
-    PerfModel,
     dense_multiply_double,
     dense_multiply_single,
     effective_performance,
@@ -43,19 +36,6 @@ from .reference import (
     max_norm_error,
     recursive_spamm,
 )
-from .symbolic import (
-    IndexEntry,
-    KBlock,
-    MultiplyPlan,
-    PlanStats,
-    ProductTask,
-    build_plan,
-    convolve,
-    extract_entries,
-    plan_dump,
-    plan_stats,
-    sort_by_k,
-    sort_kblocks_by_norm,
-)
+from .symbolic import MultiplyPlan, PlanStats, ProductTask, build_plan, plan_dump
 
 __version__ = "0.1.0"

@@ -7,7 +7,8 @@
     spamm sweep-tau  bisect tau against an error target, tau table out
 
 Exit codes: 0 on success, 1 when a verify limit is exceeded, 2 for bad
-arguments, 3 for I/O and file format problems.
+arguments and for values or products that overflow float32, 3 for I/O and
+file format problems.
 """
 
 from __future__ import annotations
@@ -311,7 +312,7 @@ def main(argv=None) -> int:
     except (OSError, MatrixFormatError) as exc:
         print(f"spamm: {exc}", file=sys.stderr)
         return 3
-    except ValueError as exc:
+    except (ValueError, OverflowError) as exc:
         print(f"spamm: {exc}", file=sys.stderr)
         return 2
 

@@ -2,27 +2,27 @@
 
 A QuadtreeMatrix stores an m x n single-precision matrix padded up to
 n_b * 2^depth and decomposed into n_b x n_b leaf blocks.  The tree is
-linkless: nodes live in a dict keyed by (tier, linear index) and child
-lookup is pure key arithmetic, so an absent entry means an exactly zero
-submatrix.  Every node carries the Frobenius norm of its subtree and every
-leaf additionally carries a grid of 4x4 sub-block norms; those norms are
-what the multiply phases prune against.
+columnar: the stored leaves form one stack in ascending Morton key order,
+and every tier 0..depth is one sorted pair of (key, norm) arrays.  Child
+lookup is pure key arithmetic and an absent key means an exactly zero
+submatrix.  Every leaf additionally carries a grid of 4x4 sub-block norms;
+those norms are what the multiply phases prune against.  All norms are
+rebuilt from the leaf stack whenever it changes, so they are never stale.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
-from .morton import decode, encode, encode_array
+from .morton import decode, decode_array, encode, encode_array
 
 DEFAULT_BLOCK = 16
 
-# Block rows processed per pass when scanning a dense matrix, keeps the
-# float64 scratch bounded for large n.
-_SCAN_ROWS = 64
+# Leaves squared per pass when computing norms, keeps the float64 scratch
+# bounded for large trees.
+_SCAN_LEAVES = 4096
 
 
 def _validate_block_size(n_b: int) -> None:
@@ -37,18 +37,6 @@ def tree_depth(m: int, n: int, n_b: int = DEFAULT_BLOCK) -> int:
         raise ValueError(f"matrix dimensions must be positive, got {m} x {n}")
     q = -(-max(m, n) // n_b)
     return (q - 1).bit_length()
-
-
-def drop_tolerance(tau: float, norm_a: float, norm_b: float) -> float:
-    """Element-wise drop threshold matching a product tolerance tau."""
-    if not tau >= 0:
-        raise ValueError(f"tau must be nonnegative, got {tau}")
-    if norm_a < 0 or norm_b < 0:
-        raise ValueError("operand norms must be nonnegative")
-    top = max(norm_a, norm_b)
-    if top == 0:
-        raise ValueError("both operand norms are zero, drop tolerance undefined")
-    return tau / top
 
 
 class DenseMatrix:
@@ -105,52 +93,21 @@ class DenseMatrix:
         return f"DenseMatrix({self.m}x{self.n}, {self.precision})"
 
 
-def _sub_norms(values: np.ndarray) -> tuple[np.ndarray, float, float]:
-    """Sub-block norms, block norm, and the exact float64 square sum."""
-    nb = values.shape[0]
-    s = nb // 4 if nb % 4 == 0 else 1
-    w = nb // s
-    sq = values.astype(np.float64)
-    sq = (sq * sq).reshape(s, w, s, w).sum(axis=(1, 3))
-    total = float(sq.sum())
-    return np.sqrt(sq).astype(np.float32), float(np.float32(math.sqrt(total))), total
-
-
-@dataclass(slots=True)
-class LeafBlock:
-    """n_b x n_b single-precision payload plus its 4x4 sub-block norms."""
-
-    values: np.ndarray      # (n_b, n_b) float32, row-major
-    subnorms: np.ndarray    # (n_b/4, n_b/4) float32; 1x1 when 4 does not divide n_b
-    blocknorm: float
-
-    @classmethod
-    def from_values(cls, values: np.ndarray) -> LeafBlock:
-        subnorms, blocknorm, _ = _sub_norms(values)
-        return cls(values, subnorms, blocknorm)
-
-    def refresh_norms(self) -> float:
-        """Recompute norms from values; returns the exact float64 square sum."""
-        self.subnorms, self.blocknorm, total = _sub_norms(self.values)
-        return total
-
-
-@dataclass(slots=True)
-class TreeNode:
-    tier: int
-    index: int
-    norm: float
-    leaf: LeafBlock | None = None
-
-
 class QuadtreeMatrix:
     """Quadtree of n_b x n_b single-precision blocks with per-node norms.
 
     Leaves sit at tier == depth, the root at tier 0 (for depth 0 the root is
     the leaf).  Logical size is m x n; indices past that are padding and are
-    rejected by element access.  Mutating operations (set_element, sparsify,
-    put_leaf) invalidate the packed leaf cache used by the numeric phase;
-    the tree must not be mutated while a multiply is running.
+    rejected by element access.  Storage:
+
+        keys      (L,) uint64, ascending leaf keys
+        values    (L, n_b, n_b) float32 leaf stack, row-major blocks
+        subnorms  (L, s, s) float32, s = n_b/4 (1 when 4 does not divide n_b)
+        tiers     per tier t = 0..depth a (keys, norms) pair, keys ascending
+                  uint64, norms float32; tiers[depth] holds the leaf norms
+
+    Mutations (set_element, sparsify) replace the arrays; the tree must not
+    be mutated while a multiply is running.
     """
 
     def __init__(self, m: int, n: int, n_b: int = DEFAULT_BLOCK):
@@ -162,35 +119,22 @@ class QuadtreeMatrix:
         self.n_b = int(n_b)
         self.depth = tree_depth(m, n, n_b)
         self.padded = n_b << self.depth
-        self._nodes: dict[tuple[int, int], TreeNode] = {}
-        self._rev = 0
-        self._packed = None
+        self._store(np.empty(0, np.uint64), np.empty((0, n_b, n_b), np.float32))
 
     # -- basic queries ---------------------------------------------------
 
     @property
     def norm(self) -> float:
-        root = self._nodes.get((0, 0))
-        return root.norm if root is not None else 0.0
-
-    def leaf_items(self) -> list[tuple[int, TreeNode]]:
-        """Stored leaves as (key, node), ascending key order."""
-        d = self.depth
-        out = [(key, nd) for (t, key), nd in self._nodes.items() if t == d]
-        out.sort(key=lambda kv: kv[0])
-        return out
+        norms = self.tiers[0][1]
+        return float(norms[0]) if norms.size else 0.0
 
     @property
     def leaf_count(self) -> int:
-        d = self.depth
-        return sum(1 for (t, _) in self._nodes if t == d)
+        return self.keys.size
 
     @property
     def node_count(self) -> int:
-        return len(self._nodes)
-
-    def node(self, tier: int, index: int) -> TreeNode | None:
-        return self._nodes.get((tier, index))
+        return sum(keys.size for keys, _ in self.tiers)
 
     def _check_index(self, i: int, j: int) -> tuple[int, int]:
         i = int(i)
@@ -199,14 +143,17 @@ class QuadtreeMatrix:
             raise IndexError(f"element ({i}, {j}) outside {self.m} x {self.n}")
         return i, j
 
+    def _slot(self, key: int) -> tuple[int, bool]:
+        """Position of `key` in the leaf stack, and whether it is stored."""
+        slot = int(np.searchsorted(self.keys, key))
+        return slot, slot < self.keys.size and int(self.keys[slot]) == key
+
     def get_element(self, i: int, j: int) -> float:
         """Stored value at (i, j); 0.0 where the leaf path is absent."""
         i, j = self._check_index(i, j)
         nb = self.n_b
-        node = self._nodes.get((self.depth, encode(i // nb, j // nb)))
-        if node is None:
-            return 0.0
-        return float(node.leaf.values[i % nb, j % nb])
+        slot, found = self._slot(encode(i // nb, j // nb))
+        return float(self.values[slot, i % nb, j % nb]) if found else 0.0
 
     # -- construction ----------------------------------------------------
 
@@ -216,138 +163,124 @@ class QuadtreeMatrix:
         if isinstance(dense, np.ndarray):
             dense = DenseMatrix(dense)
         q = cls(dense.m, dense.n, n_b)
-        data = dense.data.astype(np.float32, copy=False)
         br = -(-q.m // n_b)
         bc = -(-q.n // n_b)
         padded = np.zeros((br * n_b, bc * n_b), np.float32)
-        padded[: q.m, : q.n] = data
-
-        s = n_b // 4 if n_b % 4 == 0 else 1
-        w = n_b // s
-        subsq = np.empty((br, s, bc, s), np.float64)
-        for r0 in range(0, br, _SCAN_ROWS):
-            r1 = min(br, r0 + _SCAN_ROWS)
-            seg = padded[r0 * n_b : r1 * n_b].astype(np.float64)
-            seg *= seg
-            subsq[r0:r1] = seg.reshape(r1 - r0, s, w, bc, s, w).sum(axis=(2, 5))
-        blocksq = subsq.sum(axis=(1, 3))
-
-        bi, bj = np.nonzero(blocksq)
-        keys = encode_array(bi.astype(np.uint64), bj.astype(np.uint64))
+        padded[: q.m, : q.n] = dense.data
+        blocks = padded.reshape(br, n_b, bc, n_b).transpose(0, 2, 1, 3)
+        bi, bj = np.nonzero(blocks.any(axis=(2, 3)))
+        keys = encode_array(bi, bj)
         order = np.argsort(keys)
-        d = q.depth
-        for idx in order.tolist():
-            r, c = int(bi[idx]), int(bj[idx])
-            key = int(keys[idx])
-            vals = padded[r * n_b : (r + 1) * n_b, c * n_b : (c + 1) * n_b].copy()
-            leaf = LeafBlock(
-                vals,
-                np.sqrt(subsq[r, :, c, :]).astype(np.float32),
-                float(np.float32(math.sqrt(blocksq[r, c]))),
-            )
-            q._nodes[(d, key)] = TreeNode(d, key, leaf.blocknorm, leaf)
-        q._build_interior(keys[order], blocksq[bi, bj][order])
+        q._store(keys[order], blocks[bi[order], bj[order]])
         return q
 
-    def _build_interior(self, leaf_keys: np.ndarray, leaf_sq: np.ndarray) -> None:
-        """Create interior nodes above the given leaves (keys ascending)."""
-        keys = leaf_keys.astype(np.uint64)
-        sq = leaf_sq.astype(np.float64)
-        if keys.size == 0:
-            return
-        for t in range(self.depth, 0, -1):
-            pk = keys >> np.uint64(2)
-            starts = np.flatnonzero(np.r_[True, pk[1:] != pk[:-1]])
-            keys = pk[starts]
+    @classmethod
+    def from_leaves(
+        cls, m: int, n: int, keys, values, n_b: int = DEFAULT_BLOCK
+    ) -> QuadtreeMatrix:
+        """Build the tree from ascending leaf keys and their n_b x n_b blocks.
+
+        Keys must be unique, ascending and inside the block grid of an
+        m x n matrix; values are copied to float32.  All-zero leaves are
+        kept as given.
+        """
+        q = cls(m, n, n_b)
+        raw = np.asarray(keys)
+        if raw.ndim != 1 or (raw.size and raw.dtype.kind not in "iu"):
+            raise ValueError("leaf keys must be a 1-D array of integers")
+        if raw.size and raw.min() < 0:
+            raise ValueError(f"leaf key {raw.min()} is negative")
+        keys = raw.astype(np.uint64)
+        vals = np.array(values, np.float32)
+        if vals.shape != (keys.size, n_b, n_b):
+            raise ValueError(
+                f"leaf values must be {keys.size} x {n_b} x {n_b}, got {vals.shape}"
+            )
+        if np.any(keys[1:] <= keys[:-1]):
+            raise ValueError("leaf keys must be unique and ascending")
+        rows, cols = decode_array(keys)
+        outside = np.flatnonzero((rows >= -(-q.m // n_b)) | (cols >= -(-q.n // n_b)))
+        if outside.size:
+            key = int(keys[outside[0]])
+            raise ValueError(
+                f"leaf key {key} out of range: block {decode(key)} lies outside "
+                f"a {q.m} x {q.n} matrix at block size {n_b}"
+            )
+        q._store(keys, vals)
+        return q
+
+    def _store(self, keys: np.ndarray, values: np.ndarray) -> None:
+        """Install a leaf stack (keys ascending) and rebuild every norm from it.
+
+        Leaf sub-block and block norms come from exact float64 square sums,
+        interior norms from the summed square sums of their leaves; each is
+        rounded to float32 once.  A leaf whose square sum is not finite
+        (an overflowed or non-finite value) raises OverflowError and leaves
+        the tree as it was.
+        """
+        count = keys.size
+        nb = self.n_b
+        s = nb // 4 if nb % 4 == 0 else 1
+        w = nb // s
+        subsq = np.empty((count, s, s), np.float64)
+        for lo in range(0, count, _SCAN_LEAVES):
+            seg = values[lo : lo + _SCAN_LEAVES].astype(np.float64)
+            seg *= seg
+            subsq[lo : lo + _SCAN_LEAVES] = seg.reshape(-1, s, w, s, w).sum(axis=(2, 4))
+        sq = subsq.sum(axis=(1, 2))
+        bad = np.flatnonzero(~np.isfinite(sq))
+        if bad.size:
+            r, c = decode(int(keys[bad[0]]))
+            raise OverflowError(
+                f"leaf at block row {r}, column {c} is not finite in float32"
+            )
+        tiers = [(keys, np.sqrt(sq).astype(np.float32))]
+        for _ in range(self.depth):
+            parents = keys >> np.uint64(2)
+            first = np.ones(parents.size, bool)
+            first[1:] = parents[1:] != parents[:-1]
+            starts = np.flatnonzero(first)
+            keys = parents[starts]
             sq = np.add.reduceat(sq, starts)
-            for key, s2 in zip(keys.tolist(), sq.tolist()):
-                self._nodes[(t - 1, key)] = TreeNode(
-                    t - 1, key, float(np.float32(math.sqrt(s2)))
-                )
+            tiers.append((keys, np.sqrt(sq).astype(np.float32)))
+        self.keys = tiers[0][0]
+        self.values = values
+        self.subnorms = np.sqrt(subsq).astype(np.float32)
+        self.tiers = tiers[::-1]
 
     def to_dense(self) -> DenseMatrix:
         nb = self.n_b
         br = -(-self.m // nb)
         bc = -(-self.n // nb)
-        out = np.zeros((br * nb, bc * nb), np.float32)
-        for key, node in self.leaf_items():
-            r, c = decode(key)
-            out[r * nb : (r + 1) * nb, c * nb : (c + 1) * nb] = node.leaf.values
+        blocks = np.zeros((br, bc, nb, nb), np.float32)
+        rows, cols = decode_array(self.keys)
+        blocks[rows.astype(np.intp), cols.astype(np.intp)] = self.values
+        out = blocks.transpose(0, 2, 1, 3).reshape(br * nb, bc * nb)
         return DenseMatrix(np.ascontiguousarray(out[: self.m, : self.n]))
 
     # -- mutation --------------------------------------------------------
 
     def set_element(self, i: int, j: int, value: float) -> None:
-        """Set one element, refreshing leaf and ancestor norms."""
+        """Set one element, creating its leaf if absent; norms are rebuilt."""
         i, j = self._check_index(i, j)
         value = float(value)
         if not math.isfinite(value):
             raise ValueError(f"element value must be finite, got {value}")
         nb = self.n_b
-        d = self.depth
         key = encode(i // nb, j // nb)
-        node = self._nodes.get((d, key))
-        if node is None:
-            leaf = LeafBlock(np.zeros((nb, nb), np.float32), None, 0.0)
-            leaf.refresh_norms()
-            node = TreeNode(d, key, 0.0, leaf)
-            self._nodes[(d, key)] = node
-        node.leaf.values[i % nb, j % nb] = np.float32(value)
-        node.leaf.refresh_norms()
-        node.norm = node.leaf.blocknorm
-        k = key
-        for t in range(d - 1, -1, -1):
-            k >>= 2
-            s2 = 0.0
-            base = k << 2
-            for qd in range(4):
-                ch = self._nodes.get((t + 1, base | qd))
-                if ch is not None:
-                    s2 += ch.norm * ch.norm
-            pnode = self._nodes.get((t, k))
-            pnorm = float(np.float32(math.sqrt(s2)))
-            if pnode is None:
-                self._nodes[(t, k)] = TreeNode(t, k, pnorm)
-            else:
-                pnode.norm = pnorm
-        self._rev += 1
-
-    def put_leaf(self, key: int, values: np.ndarray) -> None:
-        """Store raw leaf values at a leaf key; norms stay stale until
-        compute_norms runs.  Tree surgery for the multiply and the loader."""
-        if values.shape != (self.n_b, self.n_b):
-            raise ValueError(f"leaf values must be {self.n_b} x {self.n_b}")
-        if key < 0 or key >> (2 * self.depth):
-            raise ValueError(f"leaf key {key} outside depth {self.depth}")
-        vals = np.ascontiguousarray(values, dtype=np.float32)
-        leaf = LeafBlock(vals, np.zeros((1, 1), np.float32), 0.0)
-        self._nodes[(self.depth, key)] = TreeNode(self.depth, key, 0.0, leaf)
-        self._rev += 1
-
-    def clear(self) -> None:
-        self._nodes.clear()
-        self._rev += 1
-
-    def compute_norms(self) -> None:
-        """Rebuild all norms bottom-up from leaf values."""
-        leaves = self.leaf_items()
-        self._nodes = {}
-        sqs = []
-        for key, node in leaves:
-            sqs.append(node.leaf.refresh_norms())
-            node.norm = node.leaf.blocknorm
-            self._nodes[(self.depth, key)] = node
-        if leaves:
-            self._build_interior(
-                np.fromiter((k for k, _ in leaves), np.uint64, len(leaves)),
-                np.array(sqs, np.float64),
-            )
-        self._rev += 1
+        slot, found = self._slot(key)
+        if found:
+            keys, values = self.keys, self.values.copy()
+        else:
+            keys = np.insert(self.keys, slot, np.uint64(key))
+            values = np.insert(self.values, slot, np.float32(0), axis=0)
+        values[slot, i % nb, j % nb] = value
+        self._store(keys, values)
 
     def sparsify(self, eps: float) -> int:
         """Zero every 4x4 sub-block with 0 < subnorm < eps.
 
-        Leaves left with zero norm are removed, interior norms are rebuilt.
+        Leaves left with zero norm are removed, all norms are rebuilt.
         Returns the number of sub-blocks whose content was dropped.
         eps = 0 is an exact no-op.
         """
@@ -355,54 +288,13 @@ class QuadtreeMatrix:
             raise ValueError(f"eps must be nonnegative, got {eps}")
         if eps == 0:
             return 0
-        dropped = 0
-        survivors = []
-        sqs = []
-        for key, node in self.leaf_items():
-            lb = node.leaf
-            drop = (lb.subnorms < eps) & (lb.subnorms > 0)
-            if drop.any():
-                dropped += int(drop.sum())
-                s = lb.subnorms.shape[0]
-                w = lb.values.shape[0] // s
-                lb.values[np.repeat(np.repeat(drop, w, 0), w, 1)] = 0.0
-                sq = lb.refresh_norms()
-            else:
-                sq = float(np.float64(lb.blocknorm) ** 2) if lb.blocknorm else 0.0
-            node.norm = lb.blocknorm
-            if lb.blocknorm > 0:
-                survivors.append((key, node))
-                sqs.append(sq)
-        self._nodes = {(self.depth, key): node for key, node in survivors}
-        if survivors:
-            self._build_interior(
-                np.fromiter((k for k, _ in survivors), np.uint64, len(survivors)),
-                np.array(sqs, np.float64),
-            )
-        self._rev += 1
-        return dropped
-
-    # -- packed leaf view for the numeric phase ---------------------------
-
-    def packed_leaves(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """(keys, values, subnorms) stacked over leaves in ascending key
-        order: uint64 (L,), float32 (L, n_b, n_b), float32 (L, s, s).
-        Cached until the next mutation."""
-        if self._packed is not None and self._packed[0] == self._rev:
-            return self._packed[1]
-        items = self.leaf_items()
-        nb = self.n_b
-        s = nb // 4 if nb % 4 == 0 else 1
-        if items:
-            keys = np.fromiter((k for k, _ in items), np.uint64, len(items))
-            vals = np.stack([nd.leaf.values for _, nd in items])
-            subs = np.stack([nd.leaf.subnorms for _, nd in items])
-        else:
-            keys = np.empty(0, np.uint64)
-            vals = np.empty((0, nb, nb), np.float32)
-            subs = np.empty((0, s, s), np.float32)
-        self._packed = (self._rev, (keys, vals, subs))
-        return self._packed[1]
+        drop = (self.subnorms < eps) & (self.subnorms > 0)
+        w = self.n_b // self.subnorms.shape[1]
+        mask = np.repeat(np.repeat(drop, w, 1), w, 2)
+        values = np.where(mask, np.float32(0), self.values)
+        live = values.any(axis=(1, 2))
+        self._store(self.keys[live], values[live])
+        return int(drop.sum())
 
     def __repr__(self) -> str:
         return (

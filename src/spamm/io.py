@@ -31,7 +31,6 @@ __all__ = [
 QUADTREE_MAGIC = b"SPAMMQT1"
 
 _HEADER = struct.Struct("<5Q")
-_KEY = struct.Struct("<Q")
 
 
 class MatrixFormatError(Exception):
@@ -96,15 +95,20 @@ def save_matrix(path, mat: DenseMatrix, layout: str = "array", symmetry=None) ->
         scipy.io.mmwrite(fh, out, field="real", precision=17, symmetry=symmetry)
 
 
+def _record_dtype(n_b: int) -> np.dtype:
+    """One leaf record: u64 key, then n_b*n_b float32 values row-major."""
+    return np.dtype([("key", "<u8"), ("values", "<f4", (n_b, n_b))])
+
+
 def save_quadtree(path, tree: QuadtreeMatrix) -> None:
     """Write the binary leaf dump for `tree`."""
-    leaves = tree.leaf_items()
+    records = np.empty(tree.leaf_count, _record_dtype(tree.n_b))
+    records["key"] = tree.keys
+    records["values"] = tree.values
     with open(path, "wb") as fh:
         fh.write(QUADTREE_MAGIC)
-        fh.write(_HEADER.pack(tree.m, tree.n, tree.n_b, tree.depth, len(leaves)))
-        for key, node in leaves:
-            fh.write(_KEY.pack(key))
-            fh.write(np.ascontiguousarray(node.leaf.values, "<f4").tobytes())
+        fh.write(_HEADER.pack(tree.m, tree.n, tree.n_b, tree.depth, tree.leaf_count))
+        fh.write(records.tobytes())
 
 
 def load_quadtree(path) -> QuadtreeMatrix:
@@ -117,33 +121,38 @@ def load_quadtree(path) -> QuadtreeMatrix:
         raise MatrixFormatError(f"{path}: bad magic {raw[:8]!r}")
     m, n, n_b, depth, count = _HEADER.unpack_from(raw, len(QUADTREE_MAGIC))
     try:
-        tree = QuadtreeMatrix(m, n, n_b)
+        actual = tree_depth(m, n, n_b)
     except ValueError as exc:
         raise MatrixFormatError(f"{path}: bad header: {exc}") from exc
-    if tree.depth != depth:
+    if actual != depth:
         raise MatrixFormatError(
-            f"{path}: header depth {depth} does not match {tree_depth(m, n, n_b)} "
+            f"{path}: header depth {depth} does not match {actual} "
             f"for a {m}x{n} matrix at block size {n_b}"
         )
     body = len(QUADTREE_MAGIC) + _HEADER.size
-    record = _KEY.size + n_b * n_b * 4
-    if len(raw) != body + count * record:
+    rec = _record_dtype(n_b)
+    if len(raw) != body + count * rec.itemsize:
         raise MatrixFormatError(
             f"{path}: expected {count} leaf records "
-            f"({body + count * record} bytes), file has {len(raw)}"
+            f"({body + count * rec.itemsize} bytes), file has {len(raw)}"
         )
-    last = -1
-    for r in range(count):
-        off = body + r * record
-        (key,) = _KEY.unpack_from(raw, off)
-        if key <= last:
+    records = np.frombuffer(raw, rec, count, body)
+    keys = records["key"]
+    unordered = np.zeros(count, bool)
+    unordered[1:] = keys[1:] <= keys[:-1]
+    far = keys >= 4**depth
+    nonfinite = ~np.isfinite(records["values"]).all(axis=(1, 2))
+    bad = np.flatnonzero(unordered | far | nonfinite)
+    if bad.size:  # report the first bad record, as a record-by-record reader would
+        r = bad[0]
+        if unordered[r]:
             raise MatrixFormatError(f"{path}: leaf keys not strictly ascending at record {r}")
-        last = key
-        if key >= 4**depth:
-            raise MatrixFormatError(f"{path}: leaf key {key} out of range for depth {depth}")
-        vals = np.frombuffer(raw, "<f4", n_b * n_b, off + _KEY.size).reshape(n_b, n_b)
-        if not np.isfinite(vals).all():
-            raise MatrixFormatError(f"{path}: non-finite values in leaf {key}")
-        tree.put_leaf(key, vals.astype(np.float32))
-    tree.compute_norms()
-    return tree
+        if far[r]:
+            raise MatrixFormatError(
+                f"{path}: leaf key {keys[r]} out of range for depth {depth}"
+            )
+        raise MatrixFormatError(f"{path}: non-finite values in leaf {keys[r]}")
+    try:
+        return QuadtreeMatrix.from_leaves(m, n, keys, records["values"], n_b)
+    except ValueError as exc:
+        raise MatrixFormatError(f"{path}: {exc}") from exc

@@ -90,11 +90,6 @@ def k_of_b(key: int) -> int:
     return key & EVEN_MASK
 
 
-def k_match(key_a: int, key_b: int) -> bool:
-    """True when the A column lane and the B row lane hold the same k."""
-    return k_of_b(key_b) >> 1 == k_of_a(key_a)
-
-
 def c_index(key_a: int, key_b: int) -> int:
     """Product block key: row lane of A combined with column lane of B."""
     return (key_a & EVEN_MASK) | (key_b & ODD_MASK)

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import LeafBlock, QuadtreeMatrix
+from .core import QuadtreeMatrix
 from .symbolic import MultiplyPlan, build_plan
 
 GRANULARITIES = ("fine4", "coarse16")
@@ -82,30 +82,36 @@ def micro_kernel_4(a4: np.ndarray, b4: np.ndarray, c4: np.ndarray) -> np.ndarray
 
 
 def block_multiply_16(
-    a: LeafBlock, b: LeafBlock, c: LeafBlock, cfg: MultiplyConfig
+    a: np.ndarray,
+    a_sub: np.ndarray,
+    b: np.ndarray,
+    b_sub: np.ndarray,
+    c: np.ndarray,
+    cfg: MultiplyConfig,
 ) -> ExecCounters:
-    """Accumulate one block product into c.values.
+    """Accumulate one block product a b into the float32 block c in place.
 
-    fine4 skips micro products whose sub-norm product is below cfg.tau and
-    leaves the skipped region of c untouched; coarse16 runs all of them.
-    c norms are not refreshed here, the caller recomputes them once per pass.
+    a_sub and b_sub are the 4x4 sub-block norms of a and b.  fine4 skips
+    micro products whose sub-norm product is below cfg.tau and leaves the
+    skipped region of c untouched; coarse16 runs all of them.  This is the
+    sequential reference the batched executor is checked against.
     """
-    nb = a.values.shape[0]
-    if b.values.shape[0] != nb or c.values.shape[0] != nb:
+    nb = a.shape[0]
+    if b.shape[0] != nb or c.shape[0] != nb:
         raise ValueError("block sizes of a, b, c differ")
     if nb % 4:
         raise ValueError(f"numeric phase needs 4 | n_b, got n_b = {nb}")
     s = nb // 4
     counters = ExecCounters()
-    a4 = a.values.reshape(s, 4, s, 4).transpose(0, 2, 1, 3)  # [p, r, ii, kk]
-    b4 = b.values.reshape(s, 4, s, 4).transpose(0, 2, 1, 3)  # [r, q, kk, jj]
-    c4 = c.values.reshape(s, 4, s, 4).transpose(0, 2, 1, 3)  # [p, q, ii, jj]
+    a4 = a.reshape(s, 4, s, 4).transpose(0, 2, 1, 3)  # [p, r, ii, kk]
+    b4 = b.reshape(s, 4, s, 4).transpose(0, 2, 1, 3)  # [r, q, kk, jj]
+    c4 = c.reshape(s, 4, s, 4).transpose(0, 2, 1, 3)  # [p, q, ii, jj]
     fine = cfg.granularity == "fine4"
     for r in range(s):
         if fine:
             pn = (
-                a.subnorms[:, r].astype(np.float64)[:, None]
-                * b.subnorms[r, :].astype(np.float64)[None, :]
+                a_sub[:, r].astype(np.float64)[:, None]
+                * b_sub[r, :].astype(np.float64)[None, :]
             )
             mask = pn >= cfg.tau
             nexec = int(mask.sum())
@@ -125,12 +131,12 @@ def block_multiply_16(
     return counters
 
 
-def _gather_slots(keys: np.ndarray, packed_keys: np.ndarray, side: str) -> np.ndarray:
-    if packed_keys.size == 0:
+def _gather_slots(keys: np.ndarray, stored: np.ndarray, side: str) -> np.ndarray:
+    if stored.size == 0:
         raise ValueError(f"plan references leaves but {side} has none (stale handles)")
-    slots = np.searchsorted(packed_keys, keys)
-    slots_c = np.minimum(slots, packed_keys.size - 1)
-    if not np.array_equal(packed_keys[slots_c], keys):
+    slots = np.searchsorted(stored, keys)
+    slots_c = np.minimum(slots, stored.size - 1)
+    if not np.array_equal(stored[slots_c], keys):
         raise ValueError(f"plan references leaves not stored in {side} (stale handles)")
     return slots_c
 
@@ -145,8 +151,10 @@ def execute_plan(
     """Run the numeric phase: C = alpha * (planned products) + beta * C.
 
     C leaves are allocated on demand and zero initialized; C norms are
-    recomputed once after the pass.  With alpha = 0 the product pass is
-    skipped outright (counters stay zero) and C = beta * C_before exactly.
+    recomputed once after the pass.  A C leaf that overflows float32
+    raises OverflowError naming its block row and column, and c is left
+    as it was.  With alpha = 0 the product pass is skipped outright
+    (counters stay zero) and C = beta * C_before exactly.
     """
     return _execute(plan, a, b, c, cfg, dense_kernel=False)
 
@@ -170,19 +178,18 @@ def _execute(plan, a, b, c, cfg, dense_kernel):
             f"product needs {a.m}x{b.n} (n_b={nb})"
         )
     counters = ExecCounters()
-    produced = (
-        _run_batched(plan.tasks, a, b, cfg, counters, dense_kernel)
-        if plan.tasks and cfg.alpha != 0
-        else {}
-    )
-    _compose(c, produced, cfg.alpha, cfg.beta)
-    c.compute_norms()
+    if plan.tasks and cfg.alpha != 0:
+        keys, stack = _run_batched(plan.tasks, a, b, cfg, counters, dense_kernel)
+    else:
+        keys, stack = np.empty(0, np.uint64), np.empty((0, nb, nb), np.float32)
+    c._store(*_compose(c, keys, stack, cfg.alpha, cfg.beta))
     counters.seconds = time.perf_counter() - t0
     return c, counters
 
 
 def _run_batched(tasks, a, b, cfg, counters, dense_kernel):
-    """Accumulate all tasks into per-c_key float32 blocks.
+    """Accumulate all tasks into per-c_key float32 blocks; returns the
+    ascending product keys and their (G, n_b, n_b) block stack.
 
     Tasks are grouped by c_key (stable, so plan order survives inside each
     group) and walked by in-group position; each pass updates at most one
@@ -195,10 +202,10 @@ def _run_batched(tasks, a, b, cfg, counters, dense_kernel):
     akeys = np.fromiter((t.a for t in tasks), np.uint64, T)
     bkeys = np.fromiter((t.b for t in tasks), np.uint64, T)
     ckeys = np.fromiter((t.c_key for t in tasks), np.uint64, T)
-    ka, va, sa = a.packed_leaves()
-    kb, vb, sb = b.packed_leaves()
-    a_slot = _gather_slots(akeys, ka, "A")
-    b_slot = _gather_slots(bkeys, kb, "B")
+    va, sa = a.values, a.subnorms
+    vb, sb = b.values, b.subnorms
+    a_slot = _gather_slots(akeys, a.keys, "A")
+    b_slot = _gather_slots(bkeys, b.keys, "B")
 
     order = np.argsort(ckeys, kind="stable")
     ck_s = ckeys[order]
@@ -259,29 +266,29 @@ def _run_batched(tasks, a, b, cfg, counters, dense_kernel):
                 local += prod
         acc[rows] = local
 
-    produced = {}
-    for gi, key in enumerate(group_keys.tolist()):
-        produced[int(key)] = acc[gi].transpose(0, 2, 1, 3).reshape(nb, nb)
-    return produced
+    return group_keys, acc.transpose(0, 1, 3, 2, 4).reshape(starts.size, nb, nb)
 
 
-def _compose(c: QuadtreeMatrix, produced: dict, alpha: float, beta: float) -> None:
-    """C leaves := alpha * produced + beta * old, exact scaling in float32."""
-    alpha32 = np.float32(alpha)
-    beta32 = np.float32(beta)
+def _compose(c: QuadtreeMatrix, keys: np.ndarray, stack: np.ndarray,
+             alpha: float, beta: float) -> tuple[np.ndarray, np.ndarray]:
+    """New C leaves alpha * stack + beta * old, exact scaling in float32.
+
+    Returns ascending keys and their blocks.  A leaf present on one side
+    only is that side's scaled block, with no added zero.
+    """
+    if alpha != 1:
+        stack = np.float32(alpha) * stack
     if beta == 0:
-        c.clear()
-        for key in sorted(produced):
-            c.put_leaf(key, alpha32 * produced[key] if alpha != 1 else produced[key])
-        return
-    for key, node in c.leaf_items():
-        scaled = node.leaf.values * beta32 if beta != 1 else node.leaf.values
-        block = produced.pop(key, None)
-        if block is not None:
-            scaled = (alpha32 * block if alpha != 1 else block) + scaled
-        node.leaf.values = np.ascontiguousarray(scaled)
-    for key in sorted(produced):
-        c.put_leaf(key, alpha32 * produced[key] if alpha != 1 else produced[key])
+        return keys, stack
+    old = c.values * np.float32(beta) if beta != 1 else c.values
+    merged = np.union1d(c.keys, keys)
+    out = np.empty((merged.size,) + stack.shape[1:], np.float32)
+    out[np.searchsorted(merged, c.keys)] = old
+    slots = np.searchsorted(merged, keys)
+    shared = np.isin(keys, c.keys)
+    out[slots[~shared]] = stack[~shared]
+    out[slots[shared]] = stack[shared] + out[slots[shared]]
+    return merged, out
 
 
 def execute_plan_dense_leaf(

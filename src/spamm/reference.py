@@ -19,14 +19,12 @@ from .morton import c_index
 
 __all__ = [
     "ErrorReport",
-    "PerfModel",
     "dense_multiply_double",
     "dense_multiply_single",
     "recursive_spamm",
     "max_norm_error",
     "flop_model",
     "effective_performance",
-    "perf_model",
 ]
 
 
@@ -90,11 +88,12 @@ def recursive_spamm(
         raise ValueError(f"mismatched depths: {a.depth} vs {b.depth}")
     nb = a.n_b
     d = a.depth
-    c = QuadtreeMatrix(a.m, b.n, nb)
     visits: set[tuple[int, int]] = set()
     out: dict[int, np.ndarray] = {}
-    a_nodes = a._nodes
-    b_nodes = b._nodes
+    a_norm = [dict(zip(k.tolist(), v.tolist())) for k, v in a.tiers]
+    b_norm = [dict(zip(k.tolist(), v.tolist())) for k, v in b.tiers]
+    a_leaf = dict(zip(a.keys.tolist(), a.values))
+    b_leaf = dict(zip(b.keys.tolist(), b.values))
 
     def walk(la: int, lb: int, t: int) -> None:
         if t == d:
@@ -104,29 +103,26 @@ def recursive_spamm(
             if buf is None:
                 buf = np.zeros((nb, nb), np.float32)
                 out[ck] = buf
-            buf += np.matmul(a_nodes[(t, la)].leaf.values, b_nodes[(t, lb)].leaf.values)
+            buf += np.matmul(a_leaf[la], b_leaf[lb])
             return
         for i in (0, 1):
             for j in (0, 1):
                 for k in (0, 1):
-                    ca = a_nodes.get((t + 1, (la << 2) | (i << 1) | k))
-                    if ca is None:
+                    ca = (la << 2) | (i << 1) | k
+                    cb = (lb << 2) | (k << 1) | j
+                    norm_a = a_norm[t + 1].get(ca)
+                    norm_b = b_norm[t + 1].get(cb)
+                    if norm_a is None or norm_b is None or norm_a * norm_b < tau:
                         continue
-                    cb = b_nodes.get((t + 1, (lb << 2) | (k << 1) | j))
-                    if cb is None:
-                        continue
-                    if ca.norm * cb.norm < tau:
-                        continue
-                    walk((la << 2) | (i << 1) | k, (lb << 2) | (k << 1) | j, t + 1)
+                    walk(ca, cb, t + 1)
 
-    ra = a_nodes.get((0, 0))
-    rb = b_nodes.get((0, 0))
-    if ra is not None and rb is not None and not (ra.norm * rb.norm < tau):
+    ra = a_norm[0].get(0)
+    rb = b_norm[0].get(0)
+    if ra is not None and rb is not None and not (ra * rb < tau):
         walk(0, 0, 0)
-    for key in sorted(out):
-        c.put_leaf(key, out[key])
-    c.compute_norms()
-    return c, visits
+    keys = sorted(out)
+    values = np.array([out[k] for k in keys], np.float32).reshape(-1, nb, nb)
+    return QuadtreeMatrix.from_leaves(a.m, b.n, keys, values, nb), visits
 
 
 @dataclass
@@ -165,18 +161,3 @@ def effective_performance(flops: int, seconds: float) -> float:
     if not seconds > 0:
         raise ValueError(f"seconds must be positive, got {seconds}")
     return flops / seconds
-
-
-@dataclass
-class PerfModel:
-    m: int
-    k: int
-    n: int
-    flops: int
-    seconds: float
-    rate: float
-
-
-def perf_model(m: int, k: int, n: int, seconds: float) -> PerfModel:
-    f = flop_model(m, k, n)
-    return PerfModel(m, k, n, f, seconds, effective_performance(f, seconds))

@@ -1,35 +1,22 @@
-"""Symbolic multiply phase: index extraction, sorting, pruned convolution.
+"""Symbolic multiply phase: lane ordering and pruned convolution.
 
-The plan is built from flat leaf-tier index lists.  Entries are sorted by
-the contraction lane of their keys (stable), grouped per k value, sorted
-inside each group by descending norm, and convolved pairwise.  Descending
-norm order makes the two early loop exits lossless: once a norm product
-falls below tau nothing later in that loop can reach it again.
+The plan is built from the leaf tier's key and norm arrays.  Each operand's
+leaves are ordered with one lexsort: by the contraction lane k of their
+keys, then by descending norm, ties on ascending key.  Leaves sharing a k
+form a k block, and matching k blocks of A and B are convolved pairwise.
+Descending norm order makes the two early loop exits lossless: once a norm
+product falls below tau nothing later in that loop can reach it again.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from itertools import groupby
 
-from .core import LeafBlock, QuadtreeMatrix
+import numpy as np
+
+from .core import QuadtreeMatrix
 from .morton import c_index, k_of_a, k_of_b
-
-
-@dataclass(slots=True)
-class IndexEntry:
-    key: int                # leaf linear index
-    norm: float             # the leaf's block norm
-    leaf: LeafBlock         # payload handle
-
-
-@dataclass(slots=True)
-class KBlock:
-    """Entries sharing one masked contraction lane, descending norm."""
-
-    k: int
-    entries: list[IndexEntry]
 
 
 @dataclass(slots=True)
@@ -56,84 +43,18 @@ class MultiplyPlan:
     stats: PlanStats = field(default_factory=PlanStats)
 
 
-def _k_fn(role: str):
-    if role == "A":
-        return k_of_a
-    if role == "B":
-        return k_of_b
-    raise ValueError(f"role must be 'A' or 'B', got {role!r}")
-
-
-def extract_entries(q: QuadtreeMatrix, role: str) -> list[IndexEntry]:
-    """One entry per stored leaf, ascending key order."""
-    _k_fn(role)
-    return [IndexEntry(key, node.norm, node.leaf) for key, node in q.leaf_items()]
-
-
-def sort_by_k(entries: list[IndexEntry], role: str) -> list[IndexEntry]:
-    """Stable sort on the masked contraction lane of each key."""
-    kf = _k_fn(role)
-    return sorted(entries, key=lambda e: kf(e.key))
-
-
-def sort_kblocks_by_norm(entries: list[IndexEntry], role: str) -> list[KBlock]:
-    """Group k-sorted entries into KBlocks, each by descending norm.
-
-    Ties break on ascending key, so the result is unique for a given
-    entry set regardless of input order.
-    """
-    kf = _k_fn(role)
-    return [
-        KBlock(k, sorted(grp, key=lambda e: (-e.norm, e.key)))
-        for k, grp in groupby(entries, key=lambda e: kf(e.key))
-    ]
-
-
-def convolve(a_blocks: list[KBlock], b_blocks: list[KBlock], tau: float) -> MultiplyPlan:
-    """Merge matching k blocks, emitting tasks with norm product >= tau.
-
-    The inner loop breaks at the first product below tau; when the first B
-    entry of a block already falls below, no later A entry of that block
-    can emit and the whole block pair is abandoned.
-    """
-    if math.isnan(tau) or tau < 0:
-        raise ValueError(f"tau must be nonnegative, got {tau}")
-    tasks: list[ProductTask] = []
-    stats = PlanStats()
-    ia = ib = 0
-    while ia < len(a_blocks) and ib < len(b_blocks):
-        ka = a_blocks[ia].k
-        kb = b_blocks[ib].k >> 1
-        if ka < kb:
-            ia += 1
-            continue
-        if kb < ka:
-            ib += 1
-            continue
-        b_entries = b_blocks[ib].entries
-        for ea in a_blocks[ia].entries:
-            na = ea.norm
-            hit = False
-            for eb in b_entries:
-                p = na * eb.norm
-                stats.examined += 1
-                if p < tau:
-                    stats.pruned += 1
-                    break
-                tasks.append(
-                    ProductTask(ea.key, eb.key, c_index(ea.key, eb.key), p)
-                )
-                hit = True
-            if not hit:
-                break
-        ia += 1
-        ib += 1
-    stats.emitted = len(tasks)
-    return MultiplyPlan(tasks, float(tau), stats)
-
-
-def plan_stats(plan: MultiplyPlan) -> PlanStats:
-    return plan.stats
+def _k_blocks(lanes: np.ndarray, q: QuadtreeMatrix):
+    """Leaf keys and norms as plain lists in (k, -norm, key) order, plus
+    one (k, start, stop) range per k block, ascending k."""
+    keys, norms = q.tiers[q.depth]
+    order = np.lexsort((keys, -norms, lanes))
+    lanes = lanes[order]
+    first = np.ones(lanes.size, bool)
+    first[1:] = lanes[1:] != lanes[:-1]
+    starts = np.flatnonzero(first)
+    blocks = list(zip(lanes[starts].tolist(), starts.tolist(),
+                      starts[1:].tolist() + [lanes.size]))
+    return keys[order].tolist(), norms[order].tolist(), blocks
 
 
 def plan_dump(plan: MultiplyPlan) -> str:
@@ -149,11 +70,48 @@ def plan_dump(plan: MultiplyPlan) -> str:
 
 
 def build_plan(a: QuadtreeMatrix, b: QuadtreeMatrix, tau: float) -> MultiplyPlan:
-    """Full symbolic pipeline for C = A B."""
+    """Full symbolic pipeline for C = A B: tasks with norm product >= tau.
+
+    Matching k blocks are merged; the inner loop breaks at the first product
+    below tau, and when the first B entry of a block already falls below, no
+    later A entry of that block can emit and the whole block pair is
+    abandoned.  Norm products are float64 products of the float32 norms.
+    """
     if a.n_b != b.n_b:
         raise ValueError(f"block sizes differ: {a.n_b} vs {b.n_b}")
     if a.n != b.m:
         raise ValueError(f"inner dimensions differ: {a.m}x{a.n} times {b.m}x{b.n}")
-    a_blocks = sort_kblocks_by_norm(sort_by_k(extract_entries(a, "A"), "A"), "A")
-    b_blocks = sort_kblocks_by_norm(sort_by_k(extract_entries(b, "B"), "B"), "B")
-    return convolve(a_blocks, b_blocks, tau)
+    if math.isnan(tau) or tau < 0:
+        raise ValueError(f"tau must be nonnegative, got {tau}")
+    a_key, a_norm, a_blocks = _k_blocks(k_of_a(a.keys), a)
+    b_key, b_norm, b_blocks = _k_blocks(k_of_b(b.keys) >> np.uint64(1), b)
+    tasks: list[ProductTask] = []
+    stats = PlanStats()
+    ia = ib = 0
+    while ia < len(a_blocks) and ib < len(b_blocks):
+        ka, a0, a1 = a_blocks[ia]
+        kb, b0, b1 = b_blocks[ib]
+        if ka < kb:
+            ia += 1
+            continue
+        if kb < ka:
+            ib += 1
+            continue
+        for i in range(a0, a1):
+            key_a = a_key[i]
+            na = a_norm[i]
+            hit = False
+            for j in range(b0, b1):
+                p = na * b_norm[j]
+                stats.examined += 1
+                if p < tau:
+                    stats.pruned += 1
+                    break
+                tasks.append(ProductTask(key_a, b_key[j], c_index(key_a, b_key[j]), p))
+                hit = True
+            if not hit:
+                break
+        ia += 1
+        ib += 1
+    stats.emitted = len(tasks)
+    return MultiplyPlan(tasks, float(tau), stats)

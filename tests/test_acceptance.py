@@ -15,7 +15,7 @@ import time
 
 import numpy as np
 
-from conftest import assert_norm_invariant, decay_matrix
+from helpers import assert_norm_invariant, decay_matrix
 from spamm.bench import calibrate_tau, fitted_slope, ratio_table, run_scenario, sweep
 from spamm.core import DenseMatrix, QuadtreeMatrix
 from spamm.generators import KINDS, GeneratorSpec, generate
@@ -72,9 +72,8 @@ def _all_pairs_oracle(tree: QuadtreeMatrix, tau: float) -> set:
     Every leaf pair whose contraction lanes agree and whose float64 norm
     product is not below tau.
     """
-    items = tree.leaf_items()
-    keys = np.array([k for k, _ in items], dtype=np.uint64)
-    norms = np.array([nd.norm for _, nd in items], dtype=np.float64)
+    keys, norms = tree.tiers[tree.depth]
+    norms = norms.astype(np.float64)
     k_a = keys & _U(ODD_MASK)
     k_b = (keys & _U(EVEN_MASK)) >> _U(1)
     keep = (k_a[:, None] == k_b[None, :]) & ~(norms[:, None] * norms[None, :] < tau)
@@ -195,11 +194,8 @@ def test_criterion_05_norm_invariant_everywhere(tmp_path):
         a = decay_matrix(160, seed=20 + idx, kind=kind, **extra)
         trees[kind] = QuadtreeMatrix.from_dense(a.data)
     trees["identity"] = QuadtreeMatrix.from_dense(np.eye(64, dtype=np.float32))
-    built = QuadtreeMatrix(64, 64, 16)
-    for key in (0, 3, 9, 14):
-        built.put_leaf(key, rng.random((16, 16), dtype=np.float32))
-    built.compute_norms()
-    trees["put_leaf"] = built
+    trees["from_leaves"] = QuadtreeMatrix.from_leaves(
+        64, 64, [0, 3, 9, 14], rng.random((4, 16, 16), dtype=np.float32), 16)
     edited = QuadtreeMatrix.from_dense(decay_matrix(96, seed=30).data)
     for _ in range(25):
         i, j = rng.integers(0, 96, 2)
@@ -335,11 +331,8 @@ def test_criterion_11_round_trips_bit_exact(tmp_path):
         loaded = load_quadtree(qt_path)
         assert (loaded.m, loaded.n, loaded.n_b, loaded.depth) == \
             (tree.m, tree.n, tree.n_b, tree.depth)
-        got = loaded.leaf_items()
-        want = tree.leaf_items()
-        assert [k for k, _ in got] == [k for k, _ in want]
-        for (_, lg), (_, lw) in zip(got, want):
-            assert np.array_equal(lg.leaf.values, lw.leaf.values)
+        assert np.array_equal(loaded.keys, tree.keys)
+        assert np.array_equal(loaded.values, tree.values)
         assert loaded.norm == tree.norm
         mm_path = tmp_path / f"m{idx}.mtx"
         save_matrix(mm_path, DenseMatrix(x))

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from conftest import decay_matrix
+from helpers import decay_matrix
 from spamm.bench import (
     CSV_HEADER,
     RATIO_HEADER,

@@ -5,7 +5,7 @@ import pytest
 
 from spamm.bench import CSV_HEADER, RATIO_HEADER
 from spamm.cli import CALIBRATION_HEADER, main
-from spamm.core import QuadtreeMatrix
+from spamm.core import DenseMatrix, QuadtreeMatrix
 from spamm.generators import GeneratorSpec, generate
 from spamm.io import load_matrix, load_quadtree, save_matrix
 from spamm.reference import dense_multiply_double, max_norm_error
@@ -77,6 +77,15 @@ def test_multiply_beta_without_accumulator_exits_2(tmp_path, capsys):
     a = _gen(tmp_path)
     assert main(["multiply", str(a), "--beta", "0.5"]) == 2
     assert "c-in" in capsys.readouterr().err
+
+
+def test_multiply_float32_overflow_exits_2(tmp_path, capsys):
+    p = tmp_path / "big.mtx"
+    save_matrix(p, DenseMatrix(np.eye(32) * 1e30))  # product 1e60 overflows
+    assert main(["multiply", str(p), "--scenario", "spamm4"]) == 2
+    assert "block row 0, column 0" in capsys.readouterr().err
+    save_matrix(p, DenseMatrix(np.eye(32) * 1e39))  # operand overflows on load
+    assert main(["multiply", str(p), "--scenario", "spamm4"]) == 2
 
 
 def test_multiply_missing_file_exits_3(tmp_path, capsys):

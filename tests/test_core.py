@@ -1,22 +1,16 @@
-"""Dense wrapper, depth and drop-tolerance arithmetic, quadtree storage."""
+"""Dense wrapper, depth arithmetic, columnar quadtree storage."""
 
 import math
 
 import numpy as np
 import pytest
 
-from conftest import assert_norm_invariant, decay_matrix, rng_matrix
-from spamm.core import (
-    DenseMatrix,
-    LeafBlock,
-    QuadtreeMatrix,
-    drop_tolerance,
-    tree_depth,
-)
+from helpers import assert_norm_invariant, decay_matrix, rng_matrix
+from spamm.core import DenseMatrix, QuadtreeMatrix, tree_depth
 from spamm.morton import encode
 
 
-# -- tree_depth and drop_tolerance ----------------------------------------
+# -- tree_depth --------------------------------------------------------------
 
 def test_tree_depth_pinned_values():
     assert tree_depth(7500, 7500, 16) == 9
@@ -44,21 +38,6 @@ def test_tree_depth_validation():
         tree_depth(4, 4, 0)
     with pytest.raises(ValueError):
         tree_depth(4, 4, 12)
-
-
-def test_drop_tolerance_pinned_values():
-    assert drop_tolerance(1e-8, 100.0, 10.0) == 1e-10
-    assert drop_tolerance(1e-6, 2.0, 2.0) == 5e-7
-    assert drop_tolerance(0.0, 1.0, 1.0) == 0.0
-
-
-def test_drop_tolerance_validation():
-    with pytest.raises(ValueError):
-        drop_tolerance(-1e-9, 1.0, 1.0)
-    with pytest.raises(ValueError):
-        drop_tolerance(1e-9, -1.0, 1.0)
-    with pytest.raises(ValueError):
-        drop_tolerance(1e-9, 0.0, 0.0)
 
 
 # -- DenseMatrix -----------------------------------------------------------
@@ -103,8 +82,7 @@ def test_from_dense_skips_zero_blocks():
     q = QuadtreeMatrix.from_dense(a)
     assert q.depth == 2
     assert q.leaf_count == 2
-    keys = [k for k, _ in q.leaf_items()]
-    assert keys == [encode(0, 0), encode(3, 3)]
+    assert q.keys.tolist() == [encode(0, 0), encode(3, 3)]
     assert_norm_invariant(q)
 
 
@@ -140,9 +118,9 @@ def test_scaling_by_two_scales_all_norms_exactly():
     q1 = QuadtreeMatrix.from_dense(a)
     q2 = QuadtreeMatrix.from_dense(2.0 * a)
     assert q1.node_count == q2.node_count
-    for (tk, key), node in q1._nodes.items():
-        other = q2.node(tk, key)
-        assert other.norm == 2.0 * node.norm
+    for (k1, n1), (k2, n2) in zip(q1.tiers, q2.tiers):
+        assert np.array_equal(k1, k2)
+        assert np.array_equal(n2.astype(np.float64), 2.0 * n1.astype(np.float64))
 
 
 def test_norm_invariant_on_generated_matrices():
@@ -207,33 +185,62 @@ def test_set_element_matches_from_dense():
         q.set_element(i, j, v)
     ref = QuadtreeMatrix.from_dense(a)
     assert np.array_equal(q.to_dense().data, a)
-    for (tk, key), node in ref._nodes.items():
-        assert q.node(tk, key) is not None
-        assert q.node(tk, key).norm == pytest.approx(node.norm, rel=1e-6)
+    for (rk, rn), (qk, qn) in zip(ref.tiers, q.tiers):
+        assert np.array_equal(qk, rk)
+        assert np.array_equal(qn, rn)
 
 
-def test_put_leaf_then_compute_norms_matches_from_dense():
+def test_set_element_leaves_tree_unchanged_on_overflow():
+    q = QuadtreeMatrix.from_dense(rng_matrix(32, 32, seed=8))
+    before = q.values.copy()
+    with pytest.raises(OverflowError, match="block row 1, column 0"):
+        q.set_element(20, 3, 1e39)  # finite float64, inf in float32
+    assert np.array_equal(q.values, before)
+    assert_norm_invariant(q)
+
+
+def test_from_leaves_matches_from_dense():
     a = rng_matrix(64, 64, seed=21)
     ref = QuadtreeMatrix.from_dense(a)
-    q = QuadtreeMatrix(64, 64)
-    for key, node in reversed(ref.leaf_items()):
-        q.put_leaf(key, node.leaf.values.copy())
-    q.compute_norms()
+    q = QuadtreeMatrix.from_leaves(64, 64, ref.keys, ref.values, 16)
+    assert q.values is not ref.values  # copied, not shared
     assert q.node_count == ref.node_count
-    for (tk, key), node in ref._nodes.items():
-        assert q.node(tk, key).norm == node.norm
+    for (rk, rn), (qk, qn) in zip(ref.tiers, q.tiers):
+        assert np.array_equal(qk, rk)
+        assert np.array_equal(qn, rn)
+    assert np.array_equal(q.subnorms, ref.subnorms)
     assert np.array_equal(q.to_dense().data, a)
     assert_norm_invariant(q)
 
 
-def test_put_leaf_validation():
-    q = QuadtreeMatrix(32, 32)
-    with pytest.raises(ValueError):
-        q.put_leaf(0, np.zeros((8, 8), np.float32))
-    with pytest.raises(ValueError):
-        q.put_leaf(4, np.zeros((16, 16), np.float32))  # depth 1 holds keys 0..3
-    with pytest.raises(ValueError):
-        q.put_leaf(-1, np.zeros((16, 16), np.float32))
+def test_from_leaves_validation():
+    leaf = np.zeros((1, 16, 16), np.float32)
+    two = np.zeros((2, 16, 16), np.float32)
+    with pytest.raises(ValueError, match="values"):
+        QuadtreeMatrix.from_leaves(32, 32, [0], np.zeros((1, 8, 8), np.float32), 16)
+    with pytest.raises(ValueError, match="values"):
+        QuadtreeMatrix.from_leaves(32, 32, [0, 1], leaf, 16)
+    with pytest.raises(ValueError, match="range"):
+        QuadtreeMatrix.from_leaves(32, 32, [4], leaf, 16)  # depth 1 holds keys 0..3
+    with pytest.raises(ValueError, match="range"):
+        # depth 2 holds keys 0..15, but block row 3 is padding in a 3 x 3 grid
+        QuadtreeMatrix.from_leaves(40, 40, [encode(3, 0)], leaf, 16)
+    assert QuadtreeMatrix.from_leaves(40, 40, [encode(2, 2)], leaf, 16).leaf_count == 1
+    with pytest.raises(ValueError, match="negative"):
+        QuadtreeMatrix.from_leaves(32, 32, [-1], leaf, 16)
+    with pytest.raises(ValueError, match="ascending"):
+        QuadtreeMatrix.from_leaves(32, 32, [1, 0], two, 16)
+    with pytest.raises(ValueError, match="unique"):
+        QuadtreeMatrix.from_leaves(32, 32, [2, 2], two, 16)
+    with pytest.raises(ValueError, match="integers"):
+        QuadtreeMatrix.from_leaves(32, 32, [0.0], leaf, 16)
+    empty = QuadtreeMatrix.from_leaves(32, 32, [], np.zeros((0, 16, 16)), 16)
+    assert empty.leaf_count == 0 and empty.node_count == 0
+
+
+def test_from_dense_rejects_float32_overflow():
+    with pytest.raises(OverflowError, match="block row 0, column 0"):
+        QuadtreeMatrix.from_dense(np.eye(32) * 1e39)
 
 
 # -- sparsify ---------------------------------------------------------------
@@ -286,9 +293,9 @@ def test_sparsify_removes_emptied_leaves():
 def test_sparsify_zero_eps_is_noop():
     a = rng_matrix(32, 32, seed=4, scale=1e-8)
     q = QuadtreeMatrix.from_dense(a)
-    nodes_before = dict(q._nodes)
+    before = (q.keys, q.values, q.subnorms, q.tiers)
     assert q.sparsify(0.0) == 0
-    assert q._nodes == nodes_before
+    assert (q.keys, q.values, q.subnorms, q.tiers) == before
 
 
 def test_sparsify_validation():
@@ -297,39 +304,24 @@ def test_sparsify_validation():
         q.sparsify(-1.0)
 
 
-# -- packed view and bookkeeping --------------------------------------------
+# -- stacks and bookkeeping --------------------------------------------------
 
-def test_packed_leaves_matches_leaf_items_and_invalidates():
-    a = rng_matrix(48, 48, seed=30)
-    q = QuadtreeMatrix.from_dense(a)
-    keys, vals, subs = q.packed_leaves()
-    items = q.leaf_items()
-    assert keys.tolist() == [k for k, _ in items]
-    for idx, (_, node) in enumerate(items):
-        assert np.array_equal(vals[idx], node.leaf.values)
-        assert np.array_equal(subs[idx], node.leaf.subnorms)
-    assert q.packed_leaves()[0] is keys  # cached
-    q.set_element(0, 0, 5.0)
-    keys2 = q.packed_leaves()[0]
-    assert keys2 is not keys
-
-
-def test_packed_leaves_empty_tree():
+def test_empty_tree_stacks():
     q = QuadtreeMatrix(32, 32)
-    keys, vals, subs = q.packed_leaves()
-    assert keys.size == 0 and vals.shape == (0, 16, 16) and subs.shape == (0, 4, 4)
-
-
-def test_clear_and_counts():
-    q = QuadtreeMatrix.from_dense(rng_matrix(32, 32, seed=1))
-    assert q.leaf_count == 4
-    assert q.node_count == 5
-    q.clear()
-    assert q.node_count == 0
+    assert q.keys.size == 0 and q.keys.dtype == np.uint64
+    assert q.values.shape == (0, 16, 16) and q.subnorms.shape == (0, 4, 4)
+    assert [keys.size for keys, _ in q.tiers] == [0, 0]
     assert q.norm == 0.0
 
 
+def test_counts():
+    q = QuadtreeMatrix.from_dense(rng_matrix(32, 32, seed=1))
+    assert q.leaf_count == 4
+    assert q.node_count == 5
+
+
 def test_leaf_block_from_values_small_block():
-    lb = LeafBlock.from_values(np.full((2, 2), 3.0, np.float32))
-    assert lb.subnorms.shape == (1, 1)
-    assert lb.blocknorm == 6.0
+    q = QuadtreeMatrix.from_dense(np.full((2, 2), 3.0, np.float32), n_b=2)
+    assert q.subnorms.shape == (1, 1, 1)
+    assert q.subnorms[0, 0, 0] == 6.0
+    assert q.norm == 6.0

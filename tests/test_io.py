@@ -5,7 +5,7 @@ import struct
 import numpy as np
 import pytest
 
-from conftest import decay_matrix, rng_matrix
+from helpers import decay_matrix, rng_matrix
 from spamm.core import DenseMatrix, QuadtreeMatrix
 from spamm.io import (
     QUADTREE_MAGIC,
@@ -123,13 +123,12 @@ def test_quadtree_round_trip_bit_exact(tmp_path):
     back = load_quadtree(p)
     assert (back.m, back.n, back.n_b, back.depth) == (q.m, q.n, q.n_b, q.depth)
     assert back.node_count == q.node_count
-    got = back.leaf_items()
-    want = q.leaf_items()
-    assert [k for k, _ in got] == [k for k, _ in want]
-    for (_, gn), (_, wn) in zip(got, want):
-        assert np.array_equal(gn.leaf.values, wn.leaf.values)
-        assert gn.norm == wn.norm
-        assert np.array_equal(gn.leaf.subnorms, wn.leaf.subnorms)
+    assert np.array_equal(back.keys, q.keys)
+    assert np.array_equal(back.values, q.values)
+    for (bk, bn), (qk, qn) in zip(back.tiers, q.tiers):
+        assert np.array_equal(bk, qk)
+        assert np.array_equal(bn, qn)
+    assert np.array_equal(back.subnorms, q.subnorms)
     assert np.array_equal(back.to_dense().data, q.to_dense().data)
 
 

@@ -14,7 +14,6 @@ from spamm.morton import (
     dilate_array,
     encode,
     encode_array,
-    k_match,
     k_of_a,
     k_of_b,
     parent,
@@ -93,12 +92,14 @@ def test_child_parent_algebra():
 
 
 def test_k_match_definition():
+    # the symbolic phase pairs an A leaf (i, k) with a B leaf (k', j)
+    # exactly when the A column lane equals the B row lane shifted down
     for i in range(8):
         for k in range(8):
             for j in range(8):
-                assert k_match(encode(i, k), encode(k, j))
-    assert not k_match(encode(0, 1), encode(2, 0))
-    assert not k_match(encode(3, 0), encode(1, 3))
+                assert k_of_b(encode(k, j)) >> 1 == k_of_a(encode(i, k))
+    assert k_of_b(encode(2, 0)) >> 1 != k_of_a(encode(0, 1))
+    assert k_of_b(encode(1, 3)) >> 1 != k_of_a(encode(3, 0))
 
 
 def test_c_index_small_exhaustive():

@@ -3,8 +3,8 @@
 import numpy as np
 import pytest
 
-from conftest import decay_matrix, rng_matrix
-from spamm.core import DenseMatrix, LeafBlock, QuadtreeMatrix
+from helpers import assert_norm_invariant, decay_matrix, rng_matrix, sub_norms
+from spamm.core import DenseMatrix, QuadtreeMatrix
 from spamm.numeric import (
     GRANULARITIES,
     MICRO_FLOPS,
@@ -20,12 +20,13 @@ from spamm.reference import dense_multiply_single, flop_model
 from spamm.symbolic import build_plan
 
 
-def _zero_leaf(nb: int = 16) -> LeafBlock:
-    return LeafBlock.from_values(np.zeros((nb, nb), np.float32))
+def _leaf(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(values, 4x4 sub-block norms) of one block, as block_multiply_16 takes them."""
+    return values, sub_norms(values)
 
 
-def _rand_leaf(seed: int, nb: int = 16, scale: float = 1.0) -> LeafBlock:
-    return LeafBlock.from_values(rng_matrix(nb, nb, seed=seed, scale=scale))
+def _rand_leaf(seed: int, nb: int = 16, scale: float = 1.0):
+    return _leaf(rng_matrix(nb, nb, seed=seed, scale=scale))
 
 
 # -- micro kernel ------------------------------------------------------------
@@ -71,19 +72,19 @@ def test_micro_kernel_shape_checks():
 
 def test_block_product_equals_naive_single_precision():
     a, b = _rand_leaf(2), _rand_leaf(3)
-    c = _zero_leaf()
-    counters = block_multiply_16(a, b, c, MultiplyConfig(tau=0.0))
-    want = dense_multiply_single(DenseMatrix(a.values), DenseMatrix(b.values))
-    assert np.array_equal(c.values, want.data)
+    c = np.zeros((16, 16), np.float32)
+    counters = block_multiply_16(*a, *b, c, MultiplyConfig(tau=0.0))
+    want = dense_multiply_single(DenseMatrix(a[0]), DenseMatrix(b[0]))
+    assert np.array_equal(c, want.data)
     assert counters.products4 == 64 and counters.skipped4 == 0
 
 
 def test_block_product_coarse_equals_fine_at_tau_zero():
     a, b = _rand_leaf(4), _rand_leaf(5)
-    c1, c2 = _zero_leaf(), _zero_leaf()
-    block_multiply_16(a, b, c1, MultiplyConfig(tau=0.0, granularity="fine4"))
-    block_multiply_16(a, b, c2, MultiplyConfig(tau=0.0, granularity="coarse16"))
-    assert np.array_equal(c1.values, c2.values)
+    c1, c2 = np.zeros((16, 16), np.float32), np.zeros((16, 16), np.float32)
+    block_multiply_16(*a, *b, c1, MultiplyConfig(tau=0.0, granularity="fine4"))
+    block_multiply_16(*a, *b, c2, MultiplyConfig(tau=0.0, granularity="coarse16"))
+    assert np.array_equal(c1, c2)
 
 
 def test_block_product_single_live_subblock():
@@ -91,45 +92,44 @@ def test_block_product_single_live_subblock():
     bv = np.zeros((16, 16), np.float32)
     av[:4, :4] = rng_matrix(4, 4, seed=6)
     bv[:4, :4] = rng_matrix(4, 4, seed=7)
-    a, b = LeafBlock.from_values(av), LeafBlock.from_values(bv)
-    c = _zero_leaf()
-    counters = block_multiply_16(a, b, c, MultiplyConfig(tau=1e-30))
+    c = np.zeros((16, 16), np.float32)
+    counters = block_multiply_16(*_leaf(av), *_leaf(bv), c, MultiplyConfig(tau=1e-30))
     assert counters.products4 == 1
     assert counters.skipped4 == 63
     want = av.astype(np.float64) @ bv.astype(np.float64)
-    assert np.abs(c.values - want).max() < 1e-5
+    assert np.abs(c - want).max() < 1e-5
 
 
 def test_block_product_gating_skips_small_work():
-    a = _rand_leaf(8)
+    av, a_sub = _rand_leaf(8)
     bv = rng_matrix(16, 16, seed=9)
     bv[8:, :] *= 1e-7  # bottom half of B nearly zero => k sub-blocks 2,3 tiny
-    b = LeafBlock.from_values(bv)
-    c = _zero_leaf()
+    b_sub = sub_norms(bv)
+    c = np.zeros((16, 16), np.float32)
     tau = 1e-4
-    counters = block_multiply_16(a, b, c, MultiplyConfig(tau=tau))
+    counters = block_multiply_16(av, a_sub, bv, b_sub, c, MultiplyConfig(tau=tau))
     assert counters.products4 + counters.skipped4 == 64
     assert counters.skipped4 >= 32
     # every executed or skipped decision must follow the norm product rule
     want = np.zeros((16, 16), np.float32)
     cw = want.reshape(4, 4, 4, 4).transpose(0, 2, 1, 3)
-    a4 = a.values.reshape(4, 4, 4, 4).transpose(0, 2, 1, 3)
-    b4 = b.values.reshape(4, 4, 4, 4).transpose(0, 2, 1, 3)
+    a4 = av.reshape(4, 4, 4, 4).transpose(0, 2, 1, 3)
+    b4 = bv.reshape(4, 4, 4, 4).transpose(0, 2, 1, 3)
     for r in range(4):
         for p in range(4):
             for q in range(4):
-                if float(a.subnorms[p, r]) * float(b.subnorms[r, q]) >= tau:
+                if float(a_sub[p, r]) * float(b_sub[r, q]) >= tau:
                     micro_kernel_4(a4[p, r], b4[r, q], cw[p, q])
-    assert np.array_equal(c.values, want)
+    assert np.array_equal(c, want)
 
 
 def test_block_multiply_shape_validation():
     with pytest.raises(ValueError):
-        block_multiply_16(_rand_leaf(0), _rand_leaf(1, nb=8), _zero_leaf(),
-                          MultiplyConfig())
-    bad = LeafBlock.from_values(np.zeros((2, 2), np.float32))
+        block_multiply_16(*_rand_leaf(0), *_rand_leaf(1, nb=8),
+                          np.zeros((16, 16), np.float32), MultiplyConfig())
+    bad = _leaf(np.zeros((2, 2), np.float32))
     with pytest.raises(ValueError):
-        block_multiply_16(bad, bad, bad, MultiplyConfig())
+        block_multiply_16(*bad, *bad, bad[0], MultiplyConfig())
 
 
 # -- config validation -------------------------------------------------------
@@ -160,18 +160,14 @@ def test_counters_accounting():
 
 def _sequential_execute(plan, a, b, cfg):
     """Reference executor: one block_multiply_16 per task, plan order."""
-    d = a.depth
-    a_leaves = {k: nd.leaf for k, nd in a.leaf_items()}
-    b_leaves = {k: nd.leaf for k, nd in b.leaf_items()}
-    out: dict[int, LeafBlock] = {}
+    a_leaves = {k: (a.values[i], a.subnorms[i]) for i, k in enumerate(a.keys.tolist())}
+    b_leaves = {k: (b.values[i], b.subnorms[i]) for i, k in enumerate(b.keys.tolist())}
+    out: dict[int, np.ndarray] = {}
     counters = ExecCounters()
     for t in plan.tasks:
-        lb = out.get(t.c_key)
-        if lb is None:
-            lb = _zero_leaf(a.n_b)
-            out[t.c_key] = lb
+        block = out.setdefault(t.c_key, np.zeros((a.n_b, a.n_b), np.float32))
         counters = counters.merge(
-            block_multiply_16(a_leaves[t.a], b_leaves[t.b], lb, cfg)
+            block_multiply_16(*a_leaves[t.a], *b_leaves[t.b], block, cfg)
         )
     return out, counters
 
@@ -188,10 +184,10 @@ def test_batched_matches_sequential_bitwise(tau, granularity):
     plan = build_plan(a, b, tau)
     c, counters = execute_plan(plan, a, b, None, cfg)
     want, want_counters = _sequential_execute(plan, a, b, cfg)
-    got = {k: nd.leaf.values for k, nd in c.leaf_items()}
+    got = dict(zip(c.keys.tolist(), c.values))
     assert set(got) == set(want)
     for key, vals in want.items():
-        assert np.array_equal(got[key], vals.values), f"c leaf {key} differs"
+        assert np.array_equal(got[key], vals), f"c leaf {key} differs"
     assert counters.products4 == want_counters.products4
     assert counters.skipped4 == want_counters.skipped4
 
@@ -231,8 +227,6 @@ def test_counter_conservation_under_gating():
 
 
 def test_result_norms_are_fresh():
-    from conftest import assert_norm_invariant
-
     a = QuadtreeMatrix.from_dense(decay_matrix(64, seed=18).data)
     c, _, _ = multiply(a, a, MultiplyConfig(tau=1e-7))
     assert_norm_invariant(c)
@@ -286,7 +280,7 @@ def test_beta_zero_discards_accumulator_content():
     wiped, _ = execute_plan(plan, a, a, dirty, MultiplyConfig())
     assert wiped is dirty
     assert np.array_equal(wiped.to_dense().data, fresh.to_dense().data)
-    assert [k for k, _ in wiped.leaf_items()] == [k for k, _ in fresh.leaf_items()]
+    assert np.array_equal(wiped.keys, fresh.keys)
 
 
 def test_beta_one_with_empty_plan_keeps_accumulator():
@@ -329,12 +323,12 @@ def test_dense_leaf_executor_matches_matmul_accumulation():
     c, counters = execute_plan_dense_leaf(plan, a, a, None)
     assert counters.products4 == 64 * len(plan.tasks)
     assert counters.skipped4 == 0
-    leaves = {k: nd.leaf.values for k, nd in a.leaf_items()}
+    leaves = dict(zip(a.keys.tolist(), a.values))
     want: dict[int, np.ndarray] = {}
     for t in plan.tasks:
         buf = want.setdefault(t.c_key, np.zeros((16, 16), np.float32))
         buf += np.matmul(leaves[t.a], leaves[t.b])
-    got = {k: nd.leaf.values for k, nd in c.leaf_items()}
+    got = dict(zip(c.keys.tolist(), c.values))
     assert set(got) == set(want)
     for key in want:
         assert np.array_equal(got[key], want[key])
@@ -347,3 +341,29 @@ def test_dense_leaf_close_to_gated_kernels():
     assert k1.products4 == k2.products4
     scale = float(np.abs(c1.to_dense().data).max())
     assert np.abs(c1.to_dense().data - c2.to_dense().data).max() <= 1e-5 * max(scale, 1.0)
+
+
+def test_leaves_built_by_key_multiply_like_from_dense():
+    # two 16x16 leaves placed by key in a 32x32 tree
+    vals = np.stack([rng_matrix(16, 16, seed=33), rng_matrix(16, 16, seed=34)])
+    built = QuadtreeMatrix.from_leaves(32, 32, [0, 3], vals, 16)
+    dense = np.zeros((32, 32), np.float32)
+    dense[:16, :16], dense[16:, 16:] = vals
+    ref = QuadtreeMatrix.from_dense(dense)
+    for tau in (0.0, 1e-2):
+        got, _, k_got = multiply(built, built, MultiplyConfig(tau=tau))
+        want, _, k_want = multiply(ref, ref, MultiplyConfig(tau=tau))
+        assert np.array_equal(got.keys, want.keys)
+        assert np.array_equal(got.values.view(np.uint32), want.values.view(np.uint32))
+        assert (k_got.products4, k_got.skipped4) == (k_want.products4, k_want.skipped4)
+
+
+def test_overflowing_product_names_the_leaf():
+    a = QuadtreeMatrix.from_dense(np.eye(32, dtype=np.float32) * 1e30)
+    c0 = QuadtreeMatrix.from_dense(rng_matrix(32, 32, seed=35))
+    before = c0.values.copy()
+    with pytest.raises(OverflowError, match="block row 0, column 0"):
+        multiply(a, a)
+    with pytest.raises(OverflowError, match="block row 0, column 0"):
+        multiply(a, a, MultiplyConfig(beta=1.0), c0)
+    assert np.array_equal(c0.values, before)  # accumulator untouched

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from conftest import decay_matrix, matched_pairs, rng_matrix
+from helpers import decay_matrix, matched_pairs, rng_matrix
 from spamm.core import DenseMatrix, QuadtreeMatrix
 from spamm.reference import (
     ErrorReport,
@@ -12,7 +12,6 @@ from spamm.reference import (
     effective_performance,
     flop_model,
     max_norm_error,
-    perf_model,
     recursive_spamm,
 )
 from spamm.symbolic import build_plan
@@ -65,12 +64,11 @@ def test_flop_model_pinned_values():
         flop_model(0, 1, 1)
 
 
-def test_effective_performance_and_perf_model():
+def test_effective_performance():
     assert effective_performance(100, 2.0) == 50.0
+    assert effective_performance(flop_model(16, 16, 16), 0.5) == 16384.0
     with pytest.raises(ValueError):
         effective_performance(100, 0.0)
-    pm = perf_model(16, 16, 16, 0.5)
-    assert (pm.flops, pm.rate) == (8192, 16384.0)
 
 
 def test_max_norm_error_location_first_tie():

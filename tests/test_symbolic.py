@@ -1,22 +1,12 @@
-"""Symbolic phase: extraction, sort order, pruned convolution, plan text."""
+"""Symbolic phase: lane and norm order, pruned convolution, plan text."""
 
 import numpy as np
 import pytest
 
-from conftest import decay_matrix, matched_pairs, rng_matrix
+from helpers import decay_matrix, leaf_norms, matched_pairs, rng_matrix
 from spamm.core import QuadtreeMatrix
-from spamm.morton import c_index, encode, k_of_a
-from spamm.symbolic import (
-    IndexEntry,
-    KBlock,
-    build_plan,
-    convolve,
-    extract_entries,
-    plan_dump,
-    plan_stats,
-    sort_by_k,
-    sort_kblocks_by_norm,
-)
+from spamm.morton import c_index, encode
+from spamm.symbolic import build_plan, plan_dump
 
 
 def _block_constant(layout: dict[tuple[int, int], float], n: int = 32) -> QuadtreeMatrix:
@@ -27,35 +17,23 @@ def _block_constant(layout: dict[tuple[int, int], float], n: int = 32) -> Quadtr
     return QuadtreeMatrix.from_dense(a)
 
 
-def test_extract_entries_ascending_keys_with_norms():
-    q = QuadtreeMatrix.from_dense(rng_matrix(64, 64, seed=0))
-    entries = extract_entries(q, "A")
-    assert len(entries) == 16
-    keys = [e.key for e in entries]
-    assert keys == sorted(keys)
-    for e in entries:
-        assert e.norm == q.node(q.depth, e.key).norm
-        assert e.leaf is q.node(q.depth, e.key).leaf
-    with pytest.raises(ValueError):
-        extract_entries(q, "X")
-
-
-def test_sort_by_k_is_stable_on_the_masked_lane():
-    # A-role contraction lane is the column; same column => original order kept
-    entries = [IndexEntry(encode(i, j), 1.0, None)
-               for i, j in [(1, 1), (0, 0), (1, 0), (0, 1), (2, 0)]]
-    out = sort_by_k(entries, "A")
-    assert [e.key for e in out] == [
-        encode(0, 0), encode(1, 0), encode(2, 0), encode(1, 1), encode(0, 1)
-    ]
+def _leaf_tree(norms: dict[tuple[int, int], float], n: int = 64, nb: int = 4):
+    """Tree whose leaf (i, j) holds one element, so its norm is exactly the
+    given value."""
+    a = np.zeros((n, n), np.float32)
+    for (bi, bj), v in norms.items():
+        a[nb * bi, nb * bj] = v
+    return QuadtreeMatrix.from_dense(a, nb)
 
 
 def test_kblocks_descending_norm_ties_on_key():
-    entries = [IndexEntry(8, 2.0, None), IndexEntry(2, 2.0, None),
-               IndexEntry(0, 5.0, None)]
-    blocks = sort_kblocks_by_norm(sort_by_k(entries, "A"), "A")
-    assert len(blocks) == 1 and blocks[0].k == k_of_a(0) == 0
-    assert [e.key for e in blocks[0].entries] == [0, 2, 8]
+    # one A lane (column 0) holding keys 0, 2, 8 with norms 5, 2, 2, then
+    # lane 1 (key 1); B has one leaf per lane
+    a = _leaf_tree({(2, 0): 2.0, (1, 0): 2.0, (0, 0): 5.0, (0, 1): 7.0})
+    b = _leaf_tree({(0, 0): 1.0, (1, 0): 1.0})
+    assert a.keys.tolist() == [0, 1, 2, 8]
+    plan = build_plan(a, b, 0.0)
+    assert [t.a for t in plan.tasks] == [0, 2, 8, 1]
 
 
 def test_dense_plan_is_complete():
@@ -63,7 +41,7 @@ def test_dense_plan_is_complete():
     b = QuadtreeMatrix.from_dense(rng_matrix(64, 64, seed=2))
     plan = build_plan(a, b, 0.0)
     assert len(plan.tasks) == 64  # 4^3 block triples
-    st = plan_stats(plan)
+    st = plan.stats
     assert (st.emitted, st.examined, st.pruned) == (64, 64, 0)
     assert {(t.a, t.b) for t in plan.tasks} == matched_pairs(a, b, 0.0)
     for t in plan.tasks:
@@ -74,7 +52,7 @@ def test_plan_order_and_dump_pinned():
     a = _block_constant({(0, 0): 0.25, (0, 1): 0.5, (1, 0): 1.0})
     b = _block_constant({(0, 0): 0.25, (1, 0): 0.125, (1, 1): 0.5})
     # constant blocks have exact norms: 16 * value
-    assert a.node(1, encode(1, 0)).norm == 16.0
+    assert leaf_norms(a)[encode(1, 0)] == 16.0
     plan = build_plan(a, b, 0.0)
     assert plan_dump(plan) == (
         "2 0 2 6.400000000e+01\n"
@@ -92,12 +70,10 @@ def test_plan_order_and_dump_pinned():
 
 
 def test_convolve_outer_break_loses_nothing():
-    # one k group; A norms descending [10, 1], B norms [5, 3]
-    a_blocks = [KBlock(0, [IndexEntry(encode(0, 0), 10.0, None),
-                           IndexEntry(encode(1, 0), 1.0, None)])]
-    b_blocks = [KBlock(0, [IndexEntry(encode(0, 0), 5.0, None),
-                           IndexEntry(encode(0, 1), 3.0, None)])]
-    plan = convolve(a_blocks, b_blocks, 20.0)
+    # one k block; A norms descending [10, 1], B norms [5, 3]
+    a = _leaf_tree({(0, 0): 10.0, (1, 0): 1.0})
+    b = _leaf_tree({(0, 0): 5.0, (0, 1): 3.0})
+    plan = build_plan(a, b, 20.0)
     assert [(t.a, t.b, t.norm_product) for t in plan.tasks] == [
         (encode(0, 0), encode(0, 0), 50.0),
         (encode(0, 0), encode(0, 1), 30.0),
@@ -107,10 +83,10 @@ def test_convolve_outer_break_loses_nothing():
 
 
 def test_tau_boundary_is_kept():
-    a_blocks = [KBlock(0, [IndexEntry(0, 2.0, None)])]
-    b_blocks = [KBlock(0, [IndexEntry(0, 3.0, None)])]
-    assert len(convolve(a_blocks, b_blocks, 6.0).tasks) == 1
-    assert len(convolve(a_blocks, b_blocks, 6.0 + 1e-12).tasks) == 0
+    a = _leaf_tree({(0, 0): 2.0})
+    b = _leaf_tree({(0, 0): 3.0})
+    assert len(build_plan(a, b, 6.0).tasks) == 1
+    assert len(build_plan(a, b, 6.0 + 1e-12).tasks) == 0
 
 
 def test_plan_equals_brute_force_on_random_sparse_trees():
@@ -143,11 +119,8 @@ def test_plan_deterministic_and_insertion_order_free():
     dump1 = plan_dump(build_plan(qa, qb, 1e-6))
     dump2 = plan_dump(build_plan(qa, qb, 1e-6))
     assert dump1 == dump2
-    # same leaves inserted in reverse order
-    qc = QuadtreeMatrix(128, 128)
-    for key, node in reversed(qa.leaf_items()):
-        qc.put_leaf(key, node.leaf.values.copy())
-    qc.compute_norms()
+    # the same leaves built through the bulk constructor
+    qc = QuadtreeMatrix.from_leaves(128, 128, qa.keys, qa.values, qa.n_b)
     assert plan_dump(build_plan(qc, qb, 1e-6)) == dump1
 
 
@@ -177,6 +150,6 @@ def test_norm_products_are_double_of_stored_singles():
     a = decay_matrix(64, seed=8)
     qa = QuadtreeMatrix.from_dense(a.data)
     plan = build_plan(qa, qa, 0.0)
-    norms = {k: nd.norm for k, nd in qa.leaf_items()}
+    norms = leaf_norms(qa)
     for t in plan.tasks:
         assert t.norm_product == norms[t.a] * norms[t.b]
