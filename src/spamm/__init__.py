@@ -4,8 +4,8 @@ Matrices are stored as columnar quadtrees: a stack of 16x16 single-precision
 leaf blocks plus per-tier arrays of hierarchical Frobenius norms.  A multiply
 first runs a symbolic phase that sorts leaf keys and prunes block products
 whose norm product falls below a tolerance tau, then a numeric phase that
-executes the surviving products with 4x4x4 micro kernels, optionally gated
-by 4x4 sub-block norms.
+executes the surviving products, gating each 4x4x4 micro product by its
+4x4 sub-block norms.
 """
 
 from .core import DenseMatrix, QuadtreeMatrix, tree_depth
@@ -24,7 +24,6 @@ from .numeric import (
     block_multiply_16,
     execute_plan,
     execute_plan_dense_leaf,
-    micro_kernel_4,
     multiply,
 )
 from .reference import (

@@ -28,7 +28,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Iterable, Sequence
 
 from .core import DenseMatrix, QuadtreeMatrix
-from .numeric import ExecCounters, MultiplyConfig, execute_plan, execute_plan_dense_leaf
+from .numeric import MultiplyConfig, execute_plan, execute_plan_dense_leaf
 from .reference import (
     dense_multiply_double,
     dense_multiply_single,
@@ -94,6 +94,20 @@ class RunReport:
         )
 
 
+def _tree_product(scenario, a, b, c, tau, alpha, beta):
+    """Plan and execute C = alpha A B + beta C on trees under a spamm scenario.
+
+    Returns (plan, C tree, counters); c is the accumulator tree or None.
+    """
+    plan = build_plan(a, b, tau)
+    if scenario == "spamm-dense-leaf":
+        c, counters = execute_plan_dense_leaf(plan, a, b, c, alpha, beta)
+    else:
+        cfg = MultiplyConfig(tau=tau, granularity=_GRAIN[scenario], alpha=alpha, beta=beta)
+        c, counters = execute_plan(plan, a, b, c, cfg)
+    return plan, c, counters
+
+
 def reports_to_csv(reports: Iterable[RunReport]) -> str:
     lines = [CSV_HEADER]
     lines.extend(r.csv_row() for r in reports)
@@ -129,23 +143,15 @@ def run_scenario(
         raise ValueError("dense-single supports only alpha=1, beta=0")
     n = a.n
     times = []
-    if scenario in ("spamm4", "spamm16", "spamm-dense-leaf"):
+    if scenario.startswith("spamm"):
         if tree is None:
             tree = QuadtreeMatrix.from_dense(a.data)
         for _ in range(repeats):
             t0 = time.perf_counter()
-            plan = build_plan(tree, tree, tau)
-            if scenario == "spamm-dense-leaf":
-                c, counters = execute_plan_dense_leaf(plan, tree, tree, None, alpha, beta)
-            else:
-                cfg = MultiplyConfig(
-                    tau=tau, granularity=_GRAIN[scenario], alpha=alpha, beta=beta
-                )
-                c, counters = execute_plan(plan, tree, tree, None, cfg)
+            _, c, counters = _tree_product(scenario, tree, tree, None, tau, alpha, beta)
             times.append(time.perf_counter() - t0)
         result = c.to_dense()
-        products4 = counters.products4
-        complexity = counters.complexity
+        products4 = complexity = counters.products4
     else:
         for _ in range(repeats):
             t0 = time.perf_counter()

@@ -20,6 +20,7 @@ from dataclasses import replace
 from . import __version__
 from .bench import (
     SCENARIOS,
+    _tree_product,
     calibrate_tau,
     ratio_table,
     ratios_to_csv,
@@ -29,16 +30,12 @@ from .bench import (
 from .core import DEFAULT_BLOCK, DenseMatrix, QuadtreeMatrix
 from .generators import KINDS, GeneratorSpec, generate
 from .io import MatrixFormatError, load_matrix, save_matrix, save_quadtree
-from .numeric import GRANULARITIES, MultiplyConfig, execute_plan, execute_plan_dense_leaf
+from .numeric import GRANULARITIES
 from .reference import dense_multiply_double, dense_multiply_single, max_norm_error
-from .symbolic import build_plan
 
 __all__ = ["main", "build_parser", "CALIBRATION_HEADER"]
 
 CALIBRATION_HEADER = "granularity,n,target,tau,error,converged"
-
-_TREE_SCENARIOS = ("spamm4", "spamm16", "spamm-dense-leaf")
-_TREE_GRAIN = {"spamm4": "fine4", "spamm16": "coarse16"}
 
 
 def _csv_ints(text: str) -> tuple[int, ...]:
@@ -189,18 +186,12 @@ def _run_product(args, alpha=1.0, beta=0.0, c_in=None):
     result tree or None, plan or None, counters or None).
     """
     scenario = args.scenario
-    if scenario in _TREE_SCENARIOS:
+    if scenario.startswith("spamm"):
         a, b = _load_pair(args)
         c_tree = None
         if c_in is not None:
             c_tree = QuadtreeMatrix.from_dense(c_in.data, args.block_size)
-        plan = build_plan(a, b, args.tau)
-        if scenario == "spamm-dense-leaf":
-            c, counters = execute_plan_dense_leaf(plan, a, b, c_tree, alpha, beta)
-        else:
-            cfg = MultiplyConfig(tau=args.tau, granularity=_TREE_GRAIN[scenario],
-                                 alpha=alpha, beta=beta)
-            c, counters = execute_plan(plan, a, b, c_tree, cfg)
+        plan, c, counters = _tree_product(scenario, a, b, c_tree, args.tau, alpha, beta)
         return c.to_dense(), c, plan, counters
     a = load_matrix(args.a)
     b = a if args.b is None else load_matrix(args.b)

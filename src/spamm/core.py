@@ -166,7 +166,8 @@ class QuadtreeMatrix:
         br = -(-q.m // n_b)
         bc = -(-q.n // n_b)
         padded = np.zeros((br * n_b, bc * n_b), np.float32)
-        padded[: q.m, : q.n] = dense.data
+        with np.errstate(over="ignore"):  # _store names an overflowed leaf
+            padded[: q.m, : q.n] = dense.data
         blocks = padded.reshape(br, n_b, bc, n_b).transpose(0, 2, 1, 3)
         bi, bj = np.nonzero(blocks.any(axis=(2, 3)))
         keys = encode_array(bi, bj)
@@ -274,7 +275,8 @@ class QuadtreeMatrix:
         else:
             keys = np.insert(self.keys, slot, np.uint64(key))
             values = np.insert(self.values, slot, np.float32(0), axis=0)
-        values[slot, i % nb, j % nb] = value
+        with np.errstate(over="ignore"):  # _store names an overflowed leaf
+            values[slot, i % nb, j % nb] = value
         self._store(keys, values)
 
     def sparsify(self, eps: float) -> int:

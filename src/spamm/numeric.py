@@ -1,16 +1,18 @@
-"""Numeric multiply phase: micro kernels and batched plan execution.
+"""Numeric multiply phase: gated block products and batched plan execution.
 
 Work is counted in 4x4x4 micro products; one full 16x16x16 block product is
-64 of them.  At fine4 granularity each micro product is gated by the float64
-product of the stored 4x4 sub-block norms against tau; at coarse16 every
-micro product of a planned block runs.
+64 of them.  Each micro product is gated by the float64 product of the
+stored 4x4 sub-block norms: it runs when that product is at least the gate
+threshold, which is tau at fine4 granularity and 0 at coarse16.  Norms are
+finite and nonnegative, so a gate of 0 runs every micro product of a
+planned block.
 
 Accumulation order is fixed for reproducibility: tasks accumulate into
-their product leaf in plan order, k sub-blocks ascend within a task, and
-the micro kernel adds rank-1 contributions in ascending k.  The batched
-executor reproduces that order bit for bit (it only vectorizes across
-distinct product leaves), so results match a sequential block_multiply_16
-loop exactly and are identical run to run.
+their product leaf in plan order, and each block product adds its rank-1
+terms in ascending k.  The batched executor keeps one (G, n_b, n_b) float32
+stack, one block per product leaf, and reproduces that order bit for bit
+(it only vectorizes across distinct product leaves), so results match a
+sequential block_multiply_16 loop exactly and are identical run to run.
 """
 
 from __future__ import annotations
@@ -24,9 +26,6 @@ from .core import QuadtreeMatrix
 from .symbolic import MultiplyPlan, build_plan
 
 GRANULARITIES = ("fine4", "coarse16")
-
-# Modeled flops of one 4x4x4 micro product: m*(k*(1+2n)-n) at m=k=n=4.
-MICRO_FLOPS = 128
 
 
 @dataclass
@@ -55,30 +54,10 @@ class ExecCounters:
     skipped4: int = 0
     seconds: float = 0.0
 
-    @property
-    def complexity(self) -> int:
-        # complexity unit == one 4x4x4 product
-        return self.products4
 
-    @property
-    def flops(self) -> int:
-        return self.products4 * MICRO_FLOPS
-
-    def merge(self, other: ExecCounters) -> ExecCounters:
-        return ExecCounters(
-            self.products4 + other.products4,
-            self.skipped4 + other.skipped4,
-            self.seconds + other.seconds,
-        )
-
-
-def micro_kernel_4(a4: np.ndarray, b4: np.ndarray, c4: np.ndarray) -> np.ndarray:
-    """c4 += a4 b4 as rank-1 updates in ascending k, element precision of c4."""
-    if a4.shape != (4, 4) or b4.shape != (4, 4) or c4.shape != (4, 4):
-        raise ValueError("micro kernel operands must be 4x4")
-    for k in range(4):
-        c4 += a4[:, k, np.newaxis] * b4[k, np.newaxis, :]
-    return c4
+def _gate(cfg: MultiplyConfig) -> float:
+    """Threshold a micro product's sub-norm product must reach to run."""
+    return cfg.tau if cfg.granularity == "fine4" else 0.0
 
 
 def block_multiply_16(
@@ -91,10 +70,11 @@ def block_multiply_16(
 ) -> ExecCounters:
     """Accumulate one block product a b into the float32 block c in place.
 
-    a_sub and b_sub are the 4x4 sub-block norms of a and b.  fine4 skips
-    micro products whose sub-norm product is below cfg.tau and leaves the
-    skipped region of c untouched; coarse16 runs all of them.  This is the
-    sequential reference the batched executor is checked against.
+    a_sub and b_sub are the 4x4 sub-block norms of a and b.  Micro
+    products whose sub-norm product is below the gate (cfg.tau at fine4,
+    0 at coarse16) are skipped and leave their region of c untouched.
+    This is the sequential reference the batched executor is checked
+    against.
     """
     nb = a.shape[0]
     if b.shape[0] != nb or c.shape[0] != nb:
@@ -106,23 +86,19 @@ def block_multiply_16(
     a4 = a.reshape(s, 4, s, 4).transpose(0, 2, 1, 3)  # [p, r, ii, kk]
     b4 = b.reshape(s, 4, s, 4).transpose(0, 2, 1, 3)  # [r, q, kk, jj]
     c4 = c.reshape(s, 4, s, 4).transpose(0, 2, 1, 3)  # [p, q, ii, jj]
-    fine = cfg.granularity == "fine4"
+    gate = _gate(cfg)
     for r in range(s):
-        if fine:
-            pn = (
-                a_sub[:, r].astype(np.float64)[:, None]
-                * b_sub[r, :].astype(np.float64)[None, :]
-            )
-            mask = pn >= cfg.tau
-            nexec = int(mask.sum())
-            counters.products4 += nexec
-            counters.skipped4 += mask.size - nexec
-            if nexec == 0:
-                continue
-            mf = None if nexec == mask.size else mask.astype(np.float32)[:, :, None, None]
-        else:
-            counters.products4 += s * s
-            mf = None
+        pn = (
+            a_sub[:, r].astype(np.float64)[:, None]
+            * b_sub[r, :].astype(np.float64)[None, :]
+        )
+        mask = pn >= gate
+        nexec = int(mask.sum())
+        counters.products4 += nexec
+        counters.skipped4 += mask.size - nexec
+        if nexec == 0:
+            continue
+        mf = None if nexec == mask.size else mask.astype(np.float32)[:, :, None, None]
         for k in range(4):
             prod = a4[:, r, :, k][:, None, :, None] * b4[r, :, k, :][None, :, None, :]
             if mf is not None:
@@ -178,11 +154,14 @@ def _execute(plan, a, b, c, cfg, dense_kernel):
             f"product needs {a.m}x{b.n} (n_b={nb})"
         )
     counters = ExecCounters()
-    if plan.tasks and cfg.alpha != 0:
-        keys, stack = _run_batched(plan.tasks, a, b, cfg, counters, dense_kernel)
-    else:
-        keys, stack = np.empty(0, np.uint64), np.empty((0, nb, nb), np.float32)
-    c._store(*_compose(c, keys, stack, cfg.alpha, cfg.beta))
+    # an overflowing product or sum is caught by _store, which names its leaf
+    with np.errstate(over="ignore", invalid="ignore"):
+        if plan.tasks and cfg.alpha != 0:
+            keys, stack = _run_batched(plan.tasks, a, b, cfg, counters, dense_kernel)
+        else:
+            keys, stack = np.empty(0, np.uint64), np.empty((0, nb, nb), np.float32)
+        leaves = _compose(c, keys, stack, cfg.alpha, cfg.beta)
+    c._store(*leaves)
     counters.seconds = time.perf_counter() - t0
     return c, counters
 
@@ -194,7 +173,9 @@ def _run_batched(tasks, a, b, cfg, counters, dense_kernel):
     Tasks are grouped by c_key (stable, so plan order survives inside each
     group) and walked by in-group position; each pass updates at most one
     task per group, which keeps every leaf's accumulation strictly in plan
-    order while the arithmetic runs batched across groups.
+    order while the arithmetic runs batched across groups.  A pass adds the
+    rank-1 terms of its block products in ascending k, each masked by the
+    4x4 gate of its k sub-block when that gate is only partly open.
     """
     nb = a.n_b
     s = nb // 4
@@ -202,8 +183,6 @@ def _run_batched(tasks, a, b, cfg, counters, dense_kernel):
     akeys = np.fromiter((t.a for t in tasks), np.uint64, T)
     bkeys = np.fromiter((t.b for t in tasks), np.uint64, T)
     ckeys = np.fromiter((t.c_key for t in tasks), np.uint64, T)
-    va, sa = a.values, a.subnorms
-    vb, sb = b.values, b.subnorms
     a_slot = _gather_slots(akeys, a.keys, "A")
     b_slot = _gather_slots(bkeys, b.keys, "B")
 
@@ -213,60 +192,43 @@ def _run_batched(tasks, a, b, cfg, counters, dense_kernel):
     bs_s = b_slot[order]
     new_group = np.r_[True, ck_s[1:] != ck_s[:-1]]
     starts = np.flatnonzero(new_group)
-    group_keys = ck_s[starts]
     gid = np.cumsum(new_group) - 1
     pos_in_group = np.arange(T, dtype=np.int64) - starts[gid]
     n_pass = int(pos_in_group.max()) + 1
 
-    fine = (not dense_kernel) and cfg.granularity == "fine4"
-    tau = cfg.tau
-    acc = np.zeros((starts.size, s, s, 4, 4), np.float32)  # [g, p, q, ii, jj]
+    gate = _gate(cfg)
+    acc = np.zeros((starts.size, nb, nb), np.float32)
     for sl in range(n_pass):
         sel = np.flatnonzero(pos_in_group == sl)
         rows = gid[sel]
-        g = sel.size
-        av = va[as_s[sel]]
-        bv = vb[bs_s[sel]]
+        av = a.values[as_s[sel]]
+        bv = b.values[bs_s[sel]]
         local = acc[rows]
         if dense_kernel:
-            res = np.matmul(av, bv)
-            local += res.reshape(g, s, 4, s, 4).transpose(0, 1, 3, 2, 4)
-            counters.products4 += g * s * s * s
+            local += np.matmul(av, bv)
+            counters.products4 += sel.size * s * s * s
             acc[rows] = local
             continue
-        av4 = av.reshape(g, s, 4, s, 4).transpose(0, 1, 3, 2, 4)  # [g,p,r,ii,kk]
-        bv4 = bv.reshape(g, s, 4, s, 4).transpose(0, 1, 3, 2, 4)  # [g,r,q,kk,jj]
-        if fine:
-            an = sa[as_s[sel]].astype(np.float64)  # [g, p, r]
-            bn = sb[bs_s[sel]].astype(np.float64)  # [g, r, q]
+        an = a.subnorms[as_s[sel]].astype(np.float64)  # [g, p, r]
+        bn = b.subnorms[bs_s[sel]].astype(np.float64)  # [g, r, q]
+        prod = np.empty_like(local)
         for r in range(s):
-            if fine:
-                pn = an[:, :, r][:, :, None] * bn[:, r, :][:, None, :]  # [g, p, q]
-                mask = pn >= tau
-                nexec = int(mask.sum())
-                counters.products4 += nexec
-                counters.skipped4 += mask.size - nexec
-                if nexec == 0:
-                    continue
-                mf = (
-                    None
-                    if nexec == mask.size
-                    else mask.astype(np.float32)[:, :, :, None, None]
-                )
-            else:
-                counters.products4 += g * s * s
-                mf = None
-            for k in range(4):
-                prod = (
-                    av4[:, :, r, :, k][:, :, None, :, None]
-                    * bv4[:, r, :, k, :][:, None, :, None, :]
-                )
+            mask = an[:, :, r, None] * bn[:, None, r, :] >= gate  # [g, p, q]
+            nexec = int(mask.sum())
+            counters.products4 += nexec
+            counters.skipped4 += mask.size - nexec
+            if nexec == 0:
+                continue
+            mf = None
+            if nexec < mask.size:
+                mf = np.repeat(np.repeat(mask.astype(np.float32), 4, 1), 4, 2)
+            for k in range(4 * r, 4 * r + 4):
+                np.multiply(av[:, :, k, None], bv[:, None, k, :], out=prod)
                 if mf is not None:
                     prod *= mf
                 local += prod
         acc[rows] = local
-
-    return group_keys, acc.transpose(0, 1, 3, 2, 4).reshape(starts.size, nb, nb)
+    return ck_s[starts], acc
 
 
 def _compose(c: QuadtreeMatrix, keys: np.ndarray, stack: np.ndarray,

@@ -12,6 +12,7 @@ import numpy as np
 from spamm.core import DenseMatrix, QuadtreeMatrix
 from spamm.generators import GeneratorSpec, generate
 from spamm.morton import k_of_a, k_of_b
+from spamm.numeric import ExecCounters, block_multiply_16
 
 
 def rng_matrix(m: int, n: int, seed: int, scale: float = 1.0) -> np.ndarray:
@@ -102,3 +103,20 @@ def matched_pairs(a: QuadtreeMatrix, b: QuadtreeMatrix, tau: float) -> set:
             if not (na * nb < tau):
                 out.add((ka, kb))
     return out
+
+
+def sequential_execute(plan, a: QuadtreeMatrix, b: QuadtreeMatrix, cfg):
+    """Reference executor: one block_multiply_16 per task, plan order.
+
+    Returns {c_key: block} and the summed counters.
+    """
+    a_leaves = {k: (a.values[i], a.subnorms[i]) for i, k in enumerate(a.keys.tolist())}
+    b_leaves = {k: (b.values[i], b.subnorms[i]) for i, k in enumerate(b.keys.tolist())}
+    out: dict[int, np.ndarray] = {}
+    counters = ExecCounters()
+    for t in plan.tasks:
+        block = out.setdefault(t.c_key, np.zeros((a.n_b, a.n_b), np.float32))
+        k = block_multiply_16(*a_leaves[t.a], *b_leaves[t.b], block, cfg)
+        counters.products4 += k.products4
+        counters.skipped4 += k.skipped4
+    return out, counters

@@ -79,6 +79,7 @@ def test_multiply_beta_without_accumulator_exits_2(tmp_path, capsys):
     assert "c-in" in capsys.readouterr().err
 
 
+@pytest.mark.filterwarnings("error")
 def test_multiply_float32_overflow_exits_2(tmp_path, capsys):
     p = tmp_path / "big.mtx"
     save_matrix(p, DenseMatrix(np.eye(32) * 1e30))  # product 1e60 overflows

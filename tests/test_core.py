@@ -190,6 +190,7 @@ def test_set_element_matches_from_dense():
         assert np.array_equal(qn, rn)
 
 
+@pytest.mark.filterwarnings("error")
 def test_set_element_leaves_tree_unchanged_on_overflow():
     q = QuadtreeMatrix.from_dense(rng_matrix(32, 32, seed=8))
     before = q.values.copy()
@@ -238,6 +239,7 @@ def test_from_leaves_validation():
     assert empty.leaf_count == 0 and empty.node_count == 0
 
 
+@pytest.mark.filterwarnings("error")
 def test_from_dense_rejects_float32_overflow():
     with pytest.raises(OverflowError, match="block row 0, column 0"):
         QuadtreeMatrix.from_dense(np.eye(32) * 1e39)

@@ -1,22 +1,26 @@
-"""Numeric phase: micro kernel, gating, batched executor, counters, scaling."""
+"""Numeric phase: block products, gating, batched executor, counters, scaling."""
 
 import numpy as np
 import pytest
 
-from helpers import assert_norm_invariant, decay_matrix, rng_matrix, sub_norms
+from helpers import (
+    assert_norm_invariant,
+    decay_matrix,
+    rng_matrix,
+    sequential_execute,
+    sub_norms,
+)
 from spamm.core import DenseMatrix, QuadtreeMatrix
 from spamm.numeric import (
     GRANULARITIES,
-    MICRO_FLOPS,
     ExecCounters,
     MultiplyConfig,
     block_multiply_16,
     execute_plan,
     execute_plan_dense_leaf,
-    micro_kernel_4,
     multiply,
 )
-from spamm.reference import dense_multiply_single, flop_model
+from spamm.reference import dense_multiply_single
 from spamm.symbolic import build_plan
 
 
@@ -27,45 +31,6 @@ def _leaf(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 def _rand_leaf(seed: int, nb: int = 16, scale: float = 1.0):
     return _leaf(rng_matrix(nb, nb, seed=seed, scale=scale))
-
-
-# -- micro kernel ------------------------------------------------------------
-
-def test_micro_kernel_matches_scalar_float32_chain():
-    rng = np.random.default_rng(0)
-    for _ in range(50):
-        a = rng.standard_normal((4, 4)).astype(np.float32)
-        b = rng.standard_normal((4, 4)).astype(np.float32)
-        c0 = rng.standard_normal((4, 4)).astype(np.float32)
-        got = micro_kernel_4(a, b, c0.copy())
-        want = c0.copy()
-        for i in range(4):
-            for j in range(4):
-                acc = want[i, j]
-                for k in range(4):
-                    acc = np.float32(acc + np.float32(a[i, k] * b[k, j]))
-                want[i, j] = acc
-        assert np.array_equal(got, want)
-
-
-def test_micro_kernel_error_bound():
-    rng = np.random.default_rng(1)
-    for _ in range(50):
-        a = rng.standard_normal((4, 4)).astype(np.float32)
-        b = rng.standard_normal((4, 4)).astype(np.float32)
-        got = micro_kernel_4(a, b, np.zeros((4, 4), np.float32))
-        exact = a.astype(np.float64) @ b.astype(np.float64)
-        bound = 4 * 2.0**-24 * 4 * np.abs(a).max() * np.abs(b).max()
-        assert np.abs(got - exact).max() <= 2 * bound
-
-
-def test_micro_kernel_shape_checks():
-    with pytest.raises(ValueError):
-        micro_kernel_4(np.zeros((4, 4), np.float32), np.zeros((4, 4), np.float32),
-                       np.zeros((4, 5), np.float32))
-    with pytest.raises(ValueError):
-        micro_kernel_4(np.zeros((3, 4), np.float32), np.zeros((4, 4), np.float32),
-                       np.zeros((4, 4), np.float32))
 
 
 # -- single block products -----------------------------------------------
@@ -119,7 +84,8 @@ def test_block_product_gating_skips_small_work():
         for p in range(4):
             for q in range(4):
                 if float(a_sub[p, r]) * float(b_sub[r, q]) >= tau:
-                    micro_kernel_4(a4[p, r], b4[r, q], cw[p, q])
+                    for k in range(4):  # rank-1 updates in ascending k
+                        cw[p, q] += a4[p, r][:, k, None] * b4[r, q][k, None, :]
     assert np.array_equal(c, want)
 
 
@@ -149,28 +115,15 @@ def test_multiply_config_validation():
 
 
 def test_counters_accounting():
-    c = ExecCounters(10, 5, 1.0).merge(ExecCounters(1, 2, 0.5))
-    assert (c.products4, c.skipped4, c.seconds) == (11, 7, 1.5)
-    assert c.complexity == 11
-    assert c.flops == 11 * MICRO_FLOPS
-    assert MICRO_FLOPS == flop_model(4, 4, 4)
+    assert ExecCounters() == ExecCounters(0, 0, 0.0)
+    a = QuadtreeMatrix.from_dense(decay_matrix(64, seed=10).data)
+    plan = build_plan(a, a, 1e-6)
+    _, counters = execute_plan(plan, a, a, None, MultiplyConfig(tau=1e-6))
+    assert counters.products4 + counters.skipped4 == 64 * len(plan.tasks)
+    assert counters.seconds > 0
 
 
 # -- plan execution ----------------------------------------------------------
-
-def _sequential_execute(plan, a, b, cfg):
-    """Reference executor: one block_multiply_16 per task, plan order."""
-    a_leaves = {k: (a.values[i], a.subnorms[i]) for i, k in enumerate(a.keys.tolist())}
-    b_leaves = {k: (b.values[i], b.subnorms[i]) for i, k in enumerate(b.keys.tolist())}
-    out: dict[int, np.ndarray] = {}
-    counters = ExecCounters()
-    for t in plan.tasks:
-        block = out.setdefault(t.c_key, np.zeros((a.n_b, a.n_b), np.float32))
-        counters = counters.merge(
-            block_multiply_16(*a_leaves[t.a], *b_leaves[t.b], block, cfg)
-        )
-    return out, counters
-
 
 @pytest.mark.parametrize("tau,granularity", [
     (0.0, "fine4"), (0.0, "coarse16"),
@@ -183,7 +136,7 @@ def test_batched_matches_sequential_bitwise(tau, granularity):
     cfg = MultiplyConfig(tau=tau, granularity=granularity)
     plan = build_plan(a, b, tau)
     c, counters = execute_plan(plan, a, b, None, cfg)
-    want, want_counters = _sequential_execute(plan, a, b, cfg)
+    want, want_counters = sequential_execute(plan, a, b, cfg)
     got = dict(zip(c.keys.tolist(), c.values))
     assert set(got) == set(want)
     for key, vals in want.items():
@@ -358,6 +311,7 @@ def test_leaves_built_by_key_multiply_like_from_dense():
         assert (k_got.products4, k_got.skipped4) == (k_want.products4, k_want.skipped4)
 
 
+@pytest.mark.filterwarnings("error")
 def test_overflowing_product_names_the_leaf():
     a = QuadtreeMatrix.from_dense(np.eye(32, dtype=np.float32) * 1e30)
     c0 = QuadtreeMatrix.from_dense(rng_matrix(32, 32, seed=35))
