@@ -17,7 +17,7 @@ from .io import (
     save_matrix,
     save_quadtree,
 )
-from .morton import c_index, child, decode, encode, k_of_a, k_of_b, parent
+from .morton import c_index, decode, encode, k_of_a, k_of_b
 from .numeric import (
     ExecCounters,
     MultiplyConfig,

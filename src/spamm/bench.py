@@ -28,7 +28,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Iterable, Sequence
 
 from .core import DenseMatrix, QuadtreeMatrix
-from .numeric import MultiplyConfig, execute_plan, execute_plan_dense_leaf
+from .numeric import MultiplyConfig, execute_plan, execute_plan_dense_leaf, multiply
 from .reference import (
     dense_multiply_double,
     dense_multiply_single,
@@ -94,7 +94,7 @@ class RunReport:
         )
 
 
-def _tree_product(scenario, a, b, c, tau, alpha, beta):
+def _tree_product(scenario, a, b, c, tau, alpha=1.0, beta=0.0):
     """Plan and execute C = alpha A B + beta C on trees under a spamm scenario.
 
     Returns (plan, C tree, counters); c is the accumulator tree or None.
@@ -118,20 +118,17 @@ def run_scenario(
     scenario: str,
     a: DenseMatrix,
     tau: float = 0.0,
-    alpha: float = 1.0,
-    beta: float = 0.0,
     repeats: int = 5,
     compute_error: bool = True,
     tree: QuadtreeMatrix | None = None,
     oracle: DenseMatrix | None = None,
 ) -> RunReport:
-    """Time one scenario on C = alpha A A (+ beta times an empty accumulator).
+    """Time one scenario on C = A A.
 
     `tree` and `oracle` let callers reuse the quadtree of A and the double
     precision product of A A across runs; both are derived from `a` when
     absent.  The dense baselines ignore tau (it is only recorded in the
-    report), and the accumulator starts empty for every run, so beta only
-    exercises the scaling code path.  dense-single has no alpha/beta form.
+    report).
     """
     if scenario not in SCENARIOS:
         raise ValueError(f"unknown scenario {scenario!r}")
@@ -139,8 +136,6 @@ def run_scenario(
         raise ValueError(f"benchmark squares its input, got {a.m}x{a.n}")
     if repeats < 1:
         raise ValueError(f"repeats must be positive, got {repeats}")
-    if scenario == "dense-single" and (alpha != 1.0 or beta != 0.0):
-        raise ValueError("dense-single supports only alpha=1, beta=0")
     n = a.n
     times = []
     if scenario.startswith("spamm"):
@@ -148,7 +143,7 @@ def run_scenario(
             tree = QuadtreeMatrix.from_dense(a.data)
         for _ in range(repeats):
             t0 = time.perf_counter()
-            _, c, counters = _tree_product(scenario, tree, tree, None, tau, alpha, beta)
+            _, c, counters = _tree_product(scenario, tree, tree, None, tau)
             times.append(time.perf_counter() - t0)
         result = c.to_dense()
         products4 = complexity = counters.products4
@@ -158,7 +153,7 @@ def run_scenario(
             if scenario == "dense-single":
                 result = dense_multiply_single(a, a)
             else:
-                result = dense_multiply_double(a, a, alpha=alpha)
+                result = dense_multiply_double(a, a)
             times.append(time.perf_counter() - t0)
         # classical work, expressed in the same 4x4x4 product unit
         products4 = (n * n * n) // 64
@@ -168,8 +163,7 @@ def run_scenario(
     if compute_error:
         if oracle is None:
             oracle = dense_multiply_double(a, a)
-        ref = oracle if alpha == 1.0 else DenseMatrix(oracle.data * alpha)
-        err = max_norm_error(result, ref).delta
+        err = max_norm_error(result, oracle).delta
     flops = flop_model(n, n, n)
     return RunReport(
         scenario=scenario,
@@ -190,8 +184,6 @@ def sweep(
     ns: Sequence[int],
     taus: Sequence[float],
     scenarios: Sequence[str] = ("spamm4", "spamm16"),
-    alpha: float = 1.0,
-    beta: float = 0.0,
     repeats: int = 3,
     compute_error: bool = True,
 ) -> list[RunReport]:
@@ -213,7 +205,7 @@ def sweep(
             for s in scenarios:
                 reports.append(
                     run_scenario(
-                        s, a, tau=tau, alpha=alpha, beta=beta, repeats=repeats,
+                        s, a, tau=tau, repeats=repeats,
                         compute_error=compute_error, tree=tree, oracle=oracle,
                     )
                 )
@@ -299,9 +291,7 @@ def calibrate_tau(
         raise ValueError(f"iters must be positive, got {iters}")
 
     def err_at(tau: float) -> float:
-        plan = build_plan(tree, tree, tau)
-        cfg = MultiplyConfig(tau=tau, granularity=granularity)
-        c, _ = execute_plan(plan, tree, tree, None, cfg)
+        c, _, _ = multiply(tree, tree, MultiplyConfig(tau=tau, granularity=granularity))
         return max_norm_error(c.to_dense(), oracle).delta
 
     trace = []

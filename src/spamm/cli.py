@@ -27,7 +27,7 @@ from .bench import (
     reports_to_csv,
     sweep,
 )
-from .core import DEFAULT_BLOCK, DenseMatrix, QuadtreeMatrix
+from .core import DEFAULT_BLOCK, QuadtreeMatrix
 from .generators import KINDS, GeneratorSpec, generate
 from .io import MatrixFormatError, load_matrix, save_matrix, save_quadtree
 from .numeric import GRANULARITIES
@@ -38,36 +38,21 @@ __all__ = ["main", "build_parser", "CALIBRATION_HEADER"]
 CALIBRATION_HEADER = "granularity,n,target,tau,error,converged"
 
 
-def _csv_ints(text: str) -> tuple[int, ...]:
-    try:
-        vals = tuple(int(p) for p in text.split(",") if p.strip())
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"not a comma list of integers: {text!r}")
-    if not vals:
-        raise argparse.ArgumentTypeError("empty integer list")
-    return vals
+def _csv_list(item, what, allowed=None):
+    """argparse type: a nonempty comma list of `item`s, each in `allowed` if given."""
 
-
-def _csv_floats(text: str) -> tuple[float, ...]:
-    try:
-        vals = tuple(float(p) for p in text.split(",") if p.strip())
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"not a comma list of numbers: {text!r}")
-    if not vals:
-        raise argparse.ArgumentTypeError("empty number list")
-    return vals
-
-
-def _csv_choices(allowed, what):
-    def parse(text: str):
-        vals = tuple(p.strip() for p in text.split(",") if p.strip())
+    def parse(text: str) -> tuple:
+        try:
+            vals = tuple(item(p.strip()) for p in text.split(",") if p.strip())
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"not a comma list of {what}s: {text!r}")
+        if not vals:
+            raise argparse.ArgumentTypeError(f"empty {what} list")
         for v in vals:
-            if v not in allowed:
+            if allowed is not None and v not in allowed:
                 raise argparse.ArgumentTypeError(
                     f"unknown {what} {v!r}, choose from {', '.join(allowed)}"
                 )
-        if not vals:
-            raise argparse.ArgumentTypeError(f"empty {what} list")
         return vals
 
     return parse
@@ -80,7 +65,7 @@ def _add_generator_args(p: argparse.ArgumentParser) -> None:
                    help="decay parameter (default: 0.5)")
     p.add_argument("--c", type=float, default=1.0,
                    help="envelope scale (default: 1.0)")
-    p.add_argument("--blocks", type=_csv_ints, default=(),
+    p.add_argument("--blocks", type=_csv_list(int, "integer"), default=(),
                    help="block sizes for --kind blocked-decay, e.g. 1,5")
     p.add_argument("--seed", type=int, default=0,
                    help="generator seed (default: 0)")
@@ -139,15 +124,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     b = sub.add_parser("bench", help="timed scenario grid on synthetic matrices")
     _add_generator_args(b)
-    b.add_argument("--n", type=_csv_ints, default=(256, 512),
+    b.add_argument("--n", type=_csv_list(int, "integer"), default=(256, 512),
                    help="matrix dimensions, comma list (default: 256,512)")
-    b.add_argument("--tau", type=_csv_floats, default=(1e-8,),
+    b.add_argument("--tau", type=_csv_list(float, "number"), default=(1e-8,),
                    help="tolerances, comma list (default: 1e-8)")
-    b.add_argument("--scenario", type=_csv_choices(SCENARIOS, "scenario"),
+    b.add_argument("--scenario", type=_csv_list(str, "scenario", SCENARIOS),
                    default=SCENARIOS,
                    help=f"comma list from: {', '.join(SCENARIOS)} (default: all)")
-    b.add_argument("--alpha", type=float, default=1.0)
-    b.add_argument("--beta", type=float, default=0.0)
     b.add_argument("--repeats", type=int, default=5,
                    help="timing repeats, median reported (default: 5)")
     b.add_argument("--no-error", action="store_true",
@@ -162,7 +145,7 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--n", type=int, default=1024, help="matrix dimension")
     s.add_argument("--target", type=float, default=1e-6,
                    help="max-norm error target (default: 1e-6)")
-    s.add_argument("--granularity", type=_csv_choices(GRANULARITIES, "granularity"),
+    s.add_argument("--granularity", type=_csv_list(str, "granularity", GRANULARITIES),
                    default=GRANULARITIES,
                    help="comma list (default: fine4,coarse16)")
     s.add_argument("--tau-lo", type=float, default=1e-12)
@@ -172,29 +155,20 @@ def build_parser() -> argparse.ArgumentParser:
     return top
 
 
-def _load_pair(args) -> tuple[QuadtreeMatrix, QuadtreeMatrix]:
-    a = QuadtreeMatrix.from_dense(load_matrix(args.a).data, args.block_size)
-    if args.b is None:
-        return a, a
-    return a, QuadtreeMatrix.from_dense(load_matrix(args.b).data, args.block_size)
+def _run_product(args, a, b, alpha=1.0, beta=0.0, c_in=None):
+    """Product of dense operands under args.scenario.
 
-
-def _run_product(args, alpha=1.0, beta=0.0, c_in=None):
-    """Product of the file operands under args.scenario.
-
-    `c_in` is the dense accumulator, or None.  Returns (result dense,
-    result tree or None, plan or None, counters or None).
+    `c_in` is the dense accumulator, or None; when `b is a` the tree scenarios
+    build one tree for both sides.  Returns (result dense, result tree or
+    None, plan or None, counters or None).
     """
     scenario = args.scenario
     if scenario.startswith("spamm"):
-        a, b = _load_pair(args)
-        c_tree = None
-        if c_in is not None:
-            c_tree = QuadtreeMatrix.from_dense(c_in.data, args.block_size)
-        plan, c, counters = _tree_product(scenario, a, b, c_tree, args.tau, alpha, beta)
+        qa = QuadtreeMatrix.from_dense(a, args.block_size)
+        qb = qa if b is a else QuadtreeMatrix.from_dense(b, args.block_size)
+        c_tree = None if c_in is None else QuadtreeMatrix.from_dense(c_in, args.block_size)
+        plan, c, counters = _tree_product(scenario, qa, qb, c_tree, args.tau, alpha, beta)
         return c.to_dense(), c, plan, counters
-    a = load_matrix(args.a)
-    b = a if args.b is None else load_matrix(args.b)
     if scenario == "dense-single":
         if alpha != 1.0 or beta != 0.0:
             raise ValueError("dense-single supports only alpha=1, beta=0")
@@ -221,7 +195,9 @@ def _cmd_multiply(args) -> int:
     if args.beta != 0.0 and args.c_in is None:
         raise ValueError("nonzero beta needs --c-in")
     c_in = None if args.c_in is None else load_matrix(args.c_in)
-    result, c, plan, counters = _run_product(args, args.alpha, args.beta, c_in)
+    a = load_matrix(args.a)
+    b = a if args.b is None else load_matrix(args.b)
+    result, c, plan, counters = _run_product(args, a, b, args.alpha, args.beta, c_in)
     if plan is not None:
         st = plan.stats
         print(f"plan: tasks={len(plan.tasks)} examined={st.examined} pruned={st.pruned}")
@@ -239,9 +215,9 @@ def _cmd_multiply(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    result, _, _, _ = _run_product(args)
     a = load_matrix(args.a)
     b = a if args.b is None else load_matrix(args.b)
+    result, _, _, _ = _run_product(args, a, b)
     rep = max_norm_error(result, dense_multiply_double(a, b))
     print(f"max_norm_error={rep.delta:.9e} at ({rep.row}, {rep.col}) "
           f"tau={args.tau:.6g} scenario={args.scenario}")
@@ -259,7 +235,6 @@ def _cmd_bench(args) -> int:
 
     reports = sweep(
         make, args.n, args.tau, scenarios=args.scenario,
-        alpha=args.alpha, beta=args.beta,
         repeats=args.repeats, compute_error=not args.no_error,
     )
     _write_text(args.out, reports_to_csv(reports))

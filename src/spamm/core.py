@@ -71,21 +71,6 @@ class DenseMatrix:
     def precision(self) -> str:
         return "single" if self.data.dtype == np.float32 else "double"
 
-    @classmethod
-    def zeros(cls, m: int, n: int, precision: str = "single") -> DenseMatrix:
-        dt = np.float32 if precision == "single" else np.float64
-        return cls(np.zeros((m, n), dt))
-
-    def to_single(self) -> DenseMatrix:
-        if self.data.dtype == np.float32:
-            return self
-        return DenseMatrix(self.data.astype(np.float32))
-
-    def to_double(self) -> DenseMatrix:
-        if self.data.dtype == np.float64:
-            return self
-        return DenseMatrix(self.data.astype(np.float64))
-
     def frobenius(self) -> float:
         return float(np.linalg.norm(self.data.astype(np.float64)))
 
@@ -215,9 +200,11 @@ class QuadtreeMatrix:
 
         Leaf sub-block and block norms come from exact float64 square sums,
         interior norms from the summed square sums of their leaves; each is
-        rounded to float32 once.  A leaf whose square sum is not finite
-        (an overflowed or non-finite value) raises OverflowError and leaves
-        the tree as it was.
+        rounded to float32 once.  A norm that is not finite in float32 (a
+        non-finite value, or finite values whose norm exceeds float32 max)
+        raises OverflowError and leaves the tree as it was: a leaf names its
+        block row and column, and otherwise the root covers every interior
+        norm, since norms only grow toward it.
         """
         count = keys.size
         nb = self.n_b
@@ -229,22 +216,27 @@ class QuadtreeMatrix:
             seg *= seg
             subsq[lo : lo + _SCAN_LEAVES] = seg.reshape(-1, s, w, s, w).sum(axis=(2, 4))
         sq = subsq.sum(axis=(1, 2))
-        bad = np.flatnonzero(~np.isfinite(sq))
+        with np.errstate(over="ignore"):  # a norm that overflows is named below
+            tiers = [(keys, np.sqrt(sq).astype(np.float32))]
+            for _ in range(self.depth):
+                parents = keys >> np.uint64(2)
+                first = np.ones(parents.size, bool)
+                first[1:] = parents[1:] != parents[:-1]
+                starts = np.flatnonzero(first)
+                keys = parents[starts]
+                sq = np.add.reduceat(sq, starts)
+                tiers.append((keys, np.sqrt(sq).astype(np.float32)))
+        leaf_keys, leaf_norms = tiers[0]
+        bad = np.flatnonzero(~np.isfinite(leaf_norms))
         if bad.size:
-            r, c = decode(int(keys[bad[0]]))
+            r, c = decode(int(leaf_keys[bad[0]]))
             raise OverflowError(
-                f"leaf at block row {r}, column {c} is not finite in float32"
+                f"leaf at block row {r}, column {c} has a norm that is not "
+                "finite in float32"
             )
-        tiers = [(keys, np.sqrt(sq).astype(np.float32))]
-        for _ in range(self.depth):
-            parents = keys >> np.uint64(2)
-            first = np.ones(parents.size, bool)
-            first[1:] = parents[1:] != parents[:-1]
-            starts = np.flatnonzero(first)
-            keys = parents[starts]
-            sq = np.add.reduceat(sq, starts)
-            tiers.append((keys, np.sqrt(sq).astype(np.float32)))
-        self.keys = tiers[0][0]
+        if np.isinf(tiers[-1][1]).any():
+            raise OverflowError("matrix norm is not finite in float32")
+        self.keys = leaf_keys
         self.values = values
         self.subnorms = np.sqrt(subsq).astype(np.float32)
         self.tiers = tiers[::-1]

@@ -68,18 +68,6 @@ def decode(key: int) -> tuple[int, int]:
     return _undilate(key >> 1), _undilate(key)
 
 
-def child(key: int, quadrant: int) -> int:
-    """Key of the given child quadrant (0..3, row-major) one tier down."""
-    if not 0 <= quadrant <= 3:
-        raise ValueError(f"quadrant {quadrant} not in 0..3")
-    return (key << 2) | quadrant
-
-
-def parent(key: int) -> int:
-    """Key of the enclosing block one tier up."""
-    return key >> 2
-
-
 def k_of_a(key: int) -> int:
     """Contraction lane of an A leaf key (k sits in the column bits)."""
     return key & ODD_MASK

@@ -132,8 +132,6 @@ class ErrorReport:
     delta: float
     row: int
     col: int
-    tau: float | None = None
-    granularity: str | None = None
 
 
 def max_norm_error(c: DenseMatrix, c_ref: DenseMatrix) -> ErrorReport:

@@ -96,10 +96,6 @@ def test_run_scenario_validation():
 
     with pytest.raises(ValueError):
         run_scenario("spamm4", DenseMatrix(np.ones((4, 8))))
-    with pytest.raises(ValueError):
-        run_scenario("dense-single", a, alpha=2.0)
-    with pytest.raises(ValueError):
-        run_scenario("dense-single", a, beta=1.0)
 
 
 def test_sweep_order_and_ratio_table():

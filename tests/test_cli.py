@@ -3,11 +3,13 @@
 import numpy as np
 import pytest
 
+import spamm.cli
 from spamm.bench import CSV_HEADER, RATIO_HEADER
 from spamm.cli import CALIBRATION_HEADER, main
 from spamm.core import DenseMatrix, QuadtreeMatrix
 from spamm.generators import GeneratorSpec, generate
 from spamm.io import load_matrix, load_quadtree, save_matrix
+from spamm.numeric import MultiplyConfig, multiply
 from spamm.reference import dense_multiply_double, max_norm_error
 
 
@@ -71,6 +73,46 @@ def test_multiply_alpha_beta_accumulator(tmp_path):
     want = dense_multiply_double(load_matrix(a), load_matrix(a), alpha=2.0,
                                  beta=0.5, c=load_matrix(c0))
     assert np.array_equal(load_matrix(out).data, want.data)
+
+
+def test_multiply_tree_accumulator_matches_library(tmp_path):
+    a = _gen(tmp_path, "a.mtx", seed=4)
+    out = tmp_path / "c.mtx"
+    qt = tmp_path / "c.qt"
+    rc = main(["multiply", str(a), "--scenario", "spamm4", "--tau", "1e-8",
+               "--alpha", "-1", "--beta", "2", "--c-in", str(a), "--block-size", "8",
+               "--out", str(out), "--tree-out", str(qt)])
+    assert rc == 0
+    qa = QuadtreeMatrix.from_dense(load_matrix(a), 8)
+    want, _, _ = multiply(qa, qa, MultiplyConfig(1e-8, "fine4", -1.0, 2.0), c=qa)
+    assert np.array_equal(load_matrix(out).data, want.to_dense().data.astype(np.float64))
+    got = load_quadtree(qt)
+    assert got.n_b == 8
+    assert np.array_equal(got.keys, want.keys)
+    assert np.array_equal(got.values, want.values)
+
+
+@pytest.mark.parametrize("argv", [
+    ["multiply", "{a}", "--scenario", "spamm4"],
+    ["multiply", "{a}", "{b}", "--scenario", "spamm16", "--beta", "1", "--c-in", "{c}"],
+    ["multiply", "{a}", "--scenario", "dense-double", "--beta", "1", "--c-in", "{c}"],
+    ["verify", "{a}", "--scenario", "spamm4", "--tau", "1e-8"],
+    ["verify", "{a}", "{b}", "--scenario", "spamm-dense-leaf"],
+    ["verify", "{a}", "{b}", "--scenario", "dense-single"],
+])
+def test_each_operand_file_is_read_once(tmp_path, monkeypatch, argv):
+    files = {k: str(_gen(tmp_path, f"{k}.mtx", seed=s)) for s, k in enumerate("abc")}
+    reads = []
+
+    def counting_load(path):
+        reads.append(path)
+        return load_matrix(path)
+
+    monkeypatch.setattr(spamm.cli, "load_matrix", counting_load)
+    argv = [arg.format(**files) for arg in argv]
+    assert main(argv) == 0
+    named = [files[k] for k in "abc" if files[k] in argv]
+    assert sorted(reads) == sorted(named)
 
 
 def test_multiply_beta_without_accumulator_exits_2(tmp_path, capsys):
@@ -153,6 +195,15 @@ def test_bench_rejects_bad_lists(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["bench", "--scenario", "spamm4,warp"])
     assert exc.value.code == 2
+
+
+def test_bench_has_no_alpha_or_beta():
+    # every bench run starts from an empty accumulator, so neither could
+    # change a result
+    for flag in ("--alpha", "--beta"):
+        with pytest.raises(SystemExit) as exc:
+            main(["bench", flag, "2"])
+        assert exc.value.code == 2
 
 
 def test_sweep_tau_calibration_table(tmp_path, capsys):

@@ -46,10 +46,7 @@ def test_dense_matrix_basics():
     d = DenseMatrix(np.array([[1, 2], [3, 4]]))
     assert (d.m, d.n) == (2, 2)
     assert d.precision == "double"
-    assert d.to_single().precision == "single"
-    assert d.to_single().to_double().precision == "double"
-    z = DenseMatrix.zeros(3, 5)
-    assert (z.m, z.n) == (3, 5) and z.precision == "single"
+    assert DenseMatrix(np.zeros((3, 5), np.float32)).precision == "single"
     assert DenseMatrix(np.eye(9, dtype=np.float32)).frobenius() == pytest.approx(3.0)
 
 
@@ -243,6 +240,25 @@ def test_from_leaves_validation():
 def test_from_dense_rejects_float32_overflow():
     with pytest.raises(OverflowError, match="block row 0, column 0"):
         QuadtreeMatrix.from_dense(np.eye(32) * 1e39)
+
+
+@pytest.mark.filterwarnings("error")
+def test_norm_above_float32_max_is_rejected():
+    # finite float32 values whose leaf norm rounds to inf in float32
+    with pytest.raises(OverflowError, match="block row 1, column 0"):
+        QuadtreeMatrix.from_dense(np.vstack([np.eye(16), np.ones((16, 16)) * 1e38]))
+    # every leaf norm finite, the root norm not
+    a = np.zeros((64, 64), np.float32)
+    a[0, 0] = a[16, 16] = 3e38
+    with pytest.raises(OverflowError, match="matrix norm"):
+        QuadtreeMatrix.from_dense(a)
+    a[16, 16] = 0
+    q = QuadtreeMatrix.from_dense(a)
+    with pytest.raises(OverflowError, match="matrix norm"):
+        q.set_element(40, 40, 3e38)
+    assert q.leaf_count == 1
+    assert np.array_equal(q.to_dense().data, a)
+    assert_norm_invariant(q)
 
 
 # -- sparsify ---------------------------------------------------------------

@@ -6,7 +6,6 @@ import pytest
 from helpers import decay_matrix, matched_pairs, rng_matrix
 from spamm.core import DenseMatrix, QuadtreeMatrix
 from spamm.reference import (
-    ErrorReport,
     dense_multiply_double,
     dense_multiply_single,
     effective_performance,
@@ -80,7 +79,6 @@ def test_max_norm_error_location_first_tie():
     assert (same.delta, same.row, same.col) == (0.0, 0, 0)
     with pytest.raises(ValueError):
         max_norm_error(c, DenseMatrix(np.zeros((2, 3))))
-    assert ErrorReport(0.0, 0, 0).tau is None
 
 
 def test_recursive_block_diagonal_visits():
