@@ -24,7 +24,7 @@ from __future__ import annotations
 import math
 import statistics
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Callable, Iterable, Sequence
 
 from .core import DenseMatrix, QuadtreeMatrix
@@ -190,7 +190,8 @@ def sweep(
     """All (n, tau, scenario) runs, n-major then tau then scenario order.
 
     The matrix, its tree, and the error oracle are built once per n and
-    shared across the whole tau grid.
+    shared across the whole tau grid.  The dense baselines ignore tau, so
+    each runs once per n and its report is repeated at every tau.
     """
     for s in scenarios:
         if s not in SCENARIOS:
@@ -201,14 +202,19 @@ def sweep(
         a = make_matrix(n)
         tree = QuadtreeMatrix.from_dense(a.data) if needs_tree else None
         oracle = dense_multiply_double(a, a) if compute_error else None
+        dense: dict[str, RunReport] = {}
         for tau in taus:
             for s in scenarios:
-                reports.append(
-                    run_scenario(
-                        s, a, tau=tau, repeats=repeats,
-                        compute_error=compute_error, tree=tree, oracle=oracle,
-                    )
+                if s in dense:
+                    reports.append(replace(dense[s], tau=tau))
+                    continue
+                report = run_scenario(
+                    s, a, tau=tau, repeats=repeats,
+                    compute_error=compute_error, tree=tree, oracle=oracle,
                 )
+                if s.startswith("dense"):
+                    dense[s] = report
+                reports.append(report)
     return reports
 
 

@@ -1,24 +1,39 @@
-"""Numeric multiply phase: gated block products and batched plan execution.
+"""Numeric multiply phase: gated block products and the compiled stream kernel.
 
 Work is counted in 4x4x4 micro products; one full 16x16x16 block product is
 64 of them.  Each micro product is gated by the float64 product of the
 stored 4x4 sub-block norms: it runs when that product is at least the gate
 threshold, which is tau at fine4 granularity and 0 at coarse16.  Norms are
 finite and nonnegative, so a gate of 0 runs every micro product of a
-planned block.
+planned block.  A gated-off micro product is skipped: it adds nothing, so
+it cannot overflow either.
 
 Accumulation order is fixed for reproducibility: tasks accumulate into
 their product leaf in plan order, and each block product adds its rank-1
-terms in ascending k.  The batched executor keeps one (G, n_b, n_b) float32
-stack, one block per product leaf, and reproduces that order bit for bit
-(it only vectorizes across distinct product leaves), so results match a
-sequential block_multiply_16 loop exactly and are identical run to run.
+terms in ascending k, as a separate float32 multiply and add.  The
+executor is one C function (_kernel.c) that walks the plan's tasks in that
+order into a (G, n_b, n_b) float32 stack, one block per product leaf, so
+results match a sequential block_multiply_16 loop bit for bit and are
+identical run to run.
+
+The kernel is compiled when this module is imported, with the C compiler
+`cc`, into a per-user cache (~/.cache/spamm) under a name keyed by the
+source and the flags, and loaded with ctypes.  Its flags keep float32
+arithmetic exact: no FMA contraction, and no -ffast-math, whose start-up
+code would flush subnormals for the whole process.
 """
 
 from __future__ import annotations
 
+import ctypes
+import hashlib
+import os
+import platform
+import subprocess
+import tempfile
 import time
 from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
 
@@ -26,6 +41,117 @@ from .core import QuadtreeMatrix
 from .symbolic import MultiplyPlan, build_plan
 
 GRANULARITIES = ("fine4", "coarse16")
+
+_SOURCE = Path(__file__).with_name("_kernel.c")
+_CACHE = Path.home() / ".cache" / "spamm"
+_CC = "cc"
+_CFLAGS = ("-O3", "-ffp-contract=off", "-fPIC", "-shared")
+
+# Floats per batched matmul chunk of the dense-leaf foil (4 MB per operand).
+_CHUNK_FLOATS = 1 << 20
+
+
+def _load_kernel() -> ctypes.CDLL:
+    """Build _kernel.c into the cache unless this source and these flags
+    are built already, then load it and declare its functions."""
+    cmd = [_CC, *_CFLAGS]
+    tag = hashlib.sha256(
+        _SOURCE.read_bytes() + " ".join([*cmd, platform.machine()]).encode()
+    ).hexdigest()[:16]
+    path = _CACHE / f"_kernel-{tag}.so"
+    if not path.exists():
+        try:
+            _CACHE.mkdir(mode=0o700, parents=True, exist_ok=True)
+            fd, tmp = tempfile.mkstemp(suffix=".so", dir=_CACHE)
+            os.close(fd)
+            try:
+                subprocess.run([*cmd, "-o", tmp, str(_SOURCE)],
+                               check=True, capture_output=True, text=True)
+                os.replace(tmp, path)
+            finally:
+                if os.path.exists(tmp):
+                    os.unlink(tmp)
+        except (OSError, subprocess.CalledProcessError) as exc:
+            detail = exc.stderr.strip() if isinstance(exc, subprocess.CalledProcessError) else exc
+            raise RuntimeError(
+                f"spamm needs a C compiler to build its numeric kernel: "
+                f"`{' '.join(cmd)}` into {_CACHE} failed: {detail}"
+            ) from None
+    lib = ctypes.CDLL(str(path))
+    ptr, i64 = ctypes.c_void_p, ctypes.c_int64
+    lib.spamm_stream_gated.argtypes = [i64, i64] + [ptr] * 8 + [ctypes.c_double, ptr]
+    lib.spamm_stream_gated.restype = None
+    lib.spamm_stream_add.argtypes = [i64, i64, ptr, ptr, ptr]
+    lib.spamm_stream_add.restype = None
+    return lib
+
+
+_lib = _load_kernel()
+
+
+def _pointer(arr: np.ndarray, dtype, shape: tuple, name: str) -> int:
+    """Address of arr once it is what the kernel reads: C-contiguous, of
+    this dtype and exactly this shape."""
+    if arr.dtype != dtype or arr.shape != shape or not arr.flags.c_contiguous:
+        raise ValueError(
+            f"{name} must be a C-contiguous {np.dtype(dtype).name} array of shape "
+            f"{shape}, got {arr.dtype.name} {arr.shape}"
+            + ("" if arr.flags.c_contiguous else ", not C-contiguous")
+        )
+    return arr.ctypes.data
+
+
+def _slot_pointer(slots: np.ndarray, count: int, bound: int, name: str) -> int:
+    ptr = _pointer(slots, np.int64, (count,), name)
+    if count and (slots.min() < 0 or slots.max() >= bound):
+        raise ValueError(f"{name} holds a slot outside [0, {bound})")
+    return ptr
+
+
+def _acc_pointer(acc: np.ndarray) -> int:
+    if acc.ndim != 3 or acc.shape[-1] % 4 or not acc.flags.writeable:
+        raise ValueError(
+            "accumulator stack must be a writable (G, n_b, n_b) array with 4 | n_b, "
+            f"got shape {acc.shape}" + ("" if acc.flags.writeable else ", read-only")
+        )
+    nb = acc.shape[-1]
+    return _pointer(acc, np.float32, (len(acc), nb, nb), "accumulator stack")
+
+
+def _stream_gated(a_values, a_sub, b_values, b_sub, a_slot, b_slot, c_slot,
+                  acc, gate: float) -> tuple[int, int]:
+    """acc[c_slot[t]] += gated A[a_slot[t]] B[b_slot[t]] for every task t in
+    order; returns the micro products run and skipped."""
+    c_ptr = _acc_pointer(acc)
+    nb = acc.shape[-1]
+    s = nb // 4
+    la, lb, count = len(a_values), len(b_values), len(a_slot)
+    counts = np.zeros(2, np.int64)
+    _lib.spamm_stream_gated(
+        count, nb,
+        _pointer(a_values, np.float32, (la, nb, nb), "A values"),
+        _pointer(a_sub, np.float32, (la, s, s), "A subnorms"),
+        _pointer(b_values, np.float32, (lb, nb, nb), "B values"),
+        _pointer(b_sub, np.float32, (lb, s, s), "B subnorms"),
+        _slot_pointer(a_slot, count, la, "a_slot"),
+        _slot_pointer(b_slot, count, lb, "b_slot"),
+        _slot_pointer(c_slot, count, len(acc), "c_slot"),
+        c_ptr, float(gate), counts.ctypes.data,
+    )
+    return int(counts[0]), int(counts[1])
+
+
+def _stream_add(prod: np.ndarray, c_slot: np.ndarray, acc: np.ndarray) -> None:
+    """acc[c_slot[t]] += prod[t] for every task t, in order."""
+    c_ptr = _acc_pointer(acc)
+    nb = acc.shape[-1]
+    count = len(prod)
+    _lib.spamm_stream_add(
+        count, nb,
+        _pointer(prod, np.float32, (count, nb, nb), "product stack"),
+        _slot_pointer(c_slot, count, len(acc), "c_slot"),
+        c_ptr,
+    )
 
 
 @dataclass
@@ -72,9 +198,9 @@ def block_multiply_16(
 
     a_sub and b_sub are the 4x4 sub-block norms of a and b.  Micro
     products whose sub-norm product is below the gate (cfg.tau at fine4,
-    0 at coarse16) are skipped and leave their region of c untouched.
-    This is the sequential reference the batched executor is checked
-    against.
+    0 at coarse16) are skipped: they are not computed and leave their
+    region of c untouched.  This is the sequential reference the stream
+    kernel is checked against.
     """
     nb = a.shape[0]
     if b.shape[0] != nb or c.shape[0] != nb:
@@ -87,6 +213,7 @@ def block_multiply_16(
     b4 = b.reshape(s, 4, s, 4).transpose(0, 2, 1, 3)  # [r, q, kk, jj]
     c4 = c.reshape(s, 4, s, 4).transpose(0, 2, 1, 3)  # [p, q, ii, jj]
     gate = _gate(cfg)
+    prod = np.empty_like(c4)
     for r in range(s):
         pn = (
             a_sub[:, r].astype(np.float64)[:, None]
@@ -98,12 +225,11 @@ def block_multiply_16(
         counters.skipped4 += mask.size - nexec
         if nexec == 0:
             continue
-        mf = None if nexec == mask.size else mask.astype(np.float32)[:, :, None, None]
+        open_ = mask[:, :, None, None]
         for k in range(4):
-            prod = a4[:, r, :, k][:, None, :, None] * b4[r, :, k, :][None, :, None, :]
-            if mf is not None:
-                prod *= mf
-            c4 += prod
+            np.multiply(a4[:, r, :, k][:, None, :, None], b4[r, :, k, :][None, :, None, :],
+                        out=prod, where=open_)
+            np.add(c4, prod, out=c4, where=open_)
     return counters
 
 
@@ -157,7 +283,7 @@ def _execute(plan, a, b, c, cfg, dense_kernel):
     # an overflowing product or sum is caught by _store, which names its leaf
     with np.errstate(over="ignore", invalid="ignore"):
         if plan.tasks and cfg.alpha != 0:
-            keys, stack = _run_batched(plan.tasks, a, b, cfg, counters, dense_kernel)
+            keys, stack = _run_stream(plan.tasks, a, b, _gate(cfg), counters, dense_kernel)
         else:
             keys, stack = np.empty(0, np.uint64), np.empty((0, nb, nb), np.float32)
         leaves = _compose(c, keys, stack, cfg.alpha, cfg.beta)
@@ -166,69 +292,34 @@ def _execute(plan, a, b, c, cfg, dense_kernel):
     return c, counters
 
 
-def _run_batched(tasks, a, b, cfg, counters, dense_kernel):
-    """Accumulate all tasks into per-c_key float32 blocks; returns the
-    ascending product keys and their (G, n_b, n_b) block stack.
+def _run_stream(tasks, a, b, gate, counters, dense_kernel):
+    """Accumulate all tasks into per-c_key float32 blocks, in plan order;
+    returns the ascending product keys and their (G, n_b, n_b) block stack.
 
-    Tasks are grouped by c_key (stable, so plan order survives inside each
-    group) and walked by in-group position; each pass updates at most one
-    task per group, which keeps every leaf's accumulation strictly in plan
-    order while the arithmetic runs batched across groups.  A pass adds the
-    rank-1 terms of its block products in ascending k, each masked by the
-    4x4 gate of its k sub-block when that gate is only partly open.
+    The gated path is one kernel call over the whole plan.  The dense-leaf
+    foil forms its block products with batched matmul, a bounded chunk of
+    tasks at a time, and the kernel adds them up in plan order.
     """
     nb = a.n_b
-    s = nb // 4
     T = len(tasks)
-    akeys = np.fromiter((t.a for t in tasks), np.uint64, T)
-    bkeys = np.fromiter((t.b for t in tasks), np.uint64, T)
-    ckeys = np.fromiter((t.c_key for t in tasks), np.uint64, T)
-    a_slot = _gather_slots(akeys, a.keys, "A")
-    b_slot = _gather_slots(bkeys, b.keys, "B")
-
-    order = np.argsort(ckeys, kind="stable")
-    ck_s = ckeys[order]
-    as_s = a_slot[order]
-    bs_s = b_slot[order]
-    new_group = np.r_[True, ck_s[1:] != ck_s[:-1]]
-    starts = np.flatnonzero(new_group)
-    gid = np.cumsum(new_group) - 1
-    pos_in_group = np.arange(T, dtype=np.int64) - starts[gid]
-    n_pass = int(pos_in_group.max()) + 1
-
-    gate = _gate(cfg)
-    acc = np.zeros((starts.size, nb, nb), np.float32)
-    for sl in range(n_pass):
-        sel = np.flatnonzero(pos_in_group == sl)
-        rows = gid[sel]
-        av = a.values[as_s[sel]]
-        bv = b.values[bs_s[sel]]
-        local = acc[rows]
-        if dense_kernel:
-            local += np.matmul(av, bv)
-            counters.products4 += sel.size * s * s * s
-            acc[rows] = local
-            continue
-        an = a.subnorms[as_s[sel]].astype(np.float64)  # [g, p, r]
-        bn = b.subnorms[bs_s[sel]].astype(np.float64)  # [g, r, q]
-        prod = np.empty_like(local)
-        for r in range(s):
-            mask = an[:, :, r, None] * bn[:, None, r, :] >= gate  # [g, p, q]
-            nexec = int(mask.sum())
-            counters.products4 += nexec
-            counters.skipped4 += mask.size - nexec
-            if nexec == 0:
-                continue
-            mf = None
-            if nexec < mask.size:
-                mf = np.repeat(np.repeat(mask.astype(np.float32), 4, 1), 4, 2)
-            for k in range(4 * r, 4 * r + 4):
-                np.multiply(av[:, :, k, None], bv[:, None, k, :], out=prod)
-                if mf is not None:
-                    prod *= mf
-                local += prod
-        acc[rows] = local
-    return ck_s[starts], acc
+    a_slot = _gather_slots(np.fromiter((t.a for t in tasks), np.uint64, T), a.keys, "A")
+    b_slot = _gather_slots(np.fromiter((t.b for t in tasks), np.uint64, T), b.keys, "B")
+    keys, c_slot = np.unique(
+        np.fromiter((t.c_key for t in tasks), np.uint64, T), return_inverse=True
+    )
+    acc = np.zeros((keys.size, nb, nb), np.float32)
+    if dense_kernel:
+        step = max(1, _CHUNK_FLOATS // (nb * nb))
+        for lo in range(0, T, step):
+            prod = np.matmul(a.values[a_slot[lo:lo + step]], b.values[b_slot[lo:lo + step]])
+            _stream_add(prod, c_slot[lo:lo + step], acc)
+        counters.products4 += T * (nb // 4) ** 3
+    else:
+        run, skipped = _stream_gated(a.values, a.subnorms, b.values, b.subnorms,
+                                     a_slot, b_slot, c_slot, acc, gate)
+        counters.products4 += run
+        counters.skipped4 += skipped
+    return keys, acc
 
 
 def _compose(c: QuadtreeMatrix, keys: np.ndarray, stack: np.ndarray,

@@ -1,6 +1,7 @@
 """Benchmark harness: scenarios, CSV schema, ratios, slope fit, calibration."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -169,3 +170,27 @@ def test_calibrate_tau_validation():
         calibrate_tau(tree, oracle, 1e-6, lo=1e-3, hi=1e-6)
     with pytest.raises(ValueError):
         calibrate_tau(tree, oracle, 1e-6, iters=0)
+
+
+def test_sweep_runs_dense_baselines_once_per_n(monkeypatch):
+    import spamm.bench as bench
+
+    runs = []
+    run = bench.run_scenario
+
+    def counting(scenario, a, **kwargs):
+        runs.append((scenario, a.n))
+        return run(scenario, a, **kwargs)
+
+    monkeypatch.setattr(bench, "run_scenario", counting)
+    scenarios = ("spamm4", "dense-single", "dense-double")
+    reports = sweep(lambda n: _family(n), [32, 64], [0.0, 1e-6], scenarios, repeats=1)
+    for n in (32, 64):
+        assert runs.count(("dense-single", n)) == runs.count(("dense-double", n)) == 1
+        assert runs.count(("spamm4", n)) == 2
+    assert [(r.n, r.tau, r.scenario) for r in reports] == [
+        (n, tau, s) for n in (32, 64) for tau in (0.0, 1e-6) for s in scenarios
+    ]
+    for first, again in zip(reports[1:3], reports[4:6]):
+        assert (first.tau, again.tau) == (0.0, 1e-6)
+        assert replace(first, tau=1e-6) == again

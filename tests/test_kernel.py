@@ -1,0 +1,166 @@
+"""The compiled stream kernel: its build cache, the checks at its ctypes
+boundary, and the floating-point environment it leaves in the process."""
+
+import stat
+import subprocess
+
+import numpy as np
+import pytest
+
+from helpers import rng_matrix
+from spamm import numeric
+from spamm.core import DenseMatrix, QuadtreeMatrix
+from spamm.numeric import MultiplyConfig, multiply
+from spamm.reference import dense_multiply_single
+
+# -- build cache -------------------------------------------------------------
+
+
+@pytest.fixture
+def cache(tmp_path, monkeypatch):
+    path = tmp_path / "cache"
+    monkeypatch.setattr(numeric, "_CACHE", path)
+    return path
+
+
+@pytest.fixture
+def compiles(monkeypatch):
+    """Commands passed to subprocess.run while the test runs."""
+    calls = []
+    run = subprocess.run
+
+    def spy(cmd, *args, **kwargs):
+        calls.append(cmd)
+        return run(cmd, *args, **kwargs)
+
+    monkeypatch.setattr(subprocess, "run", spy)
+    return calls
+
+
+def test_cold_cache_builds_once_then_reuses(cache, compiles):
+    numeric._load_kernel()
+    built = list(cache.iterdir())
+    assert len(compiles) == 1 and compiles[0][0] == numeric._CC
+    assert len(built) == 1 and built[0].suffix == ".so"
+    assert stat.S_IMODE(cache.stat().st_mode) & 0o077 == 0
+    stamp = built[0].stat().st_mtime_ns
+    lib = numeric._load_kernel()
+    assert len(compiles) == 1
+    assert list(cache.iterdir()) == built
+    assert built[0].stat().st_mtime_ns == stamp
+    counts = np.zeros(2, np.int64)
+    lib.spamm_stream_gated(0, 16, *([None] * 8), 0.0, counts.ctypes.data)
+    assert counts.tolist() == [0, 0]
+
+
+def test_changed_source_builds_a_new_file(cache, compiles, tmp_path, monkeypatch):
+    numeric._load_kernel()
+    edited = tmp_path / "_kernel.c"
+    edited.write_text(numeric._SOURCE.read_text() + "\n/* edited */\n")
+    monkeypatch.setattr(numeric, "_SOURCE", edited)
+    numeric._load_kernel()
+    assert len(compiles) == 2
+    assert len(list(cache.glob("*.so"))) == 2
+
+
+def test_missing_compiler_raises_one_clear_error(cache, monkeypatch):
+    monkeypatch.setattr(numeric, "_CC", "spamm-no-such-cc")
+    with pytest.raises(RuntimeError) as info:
+        numeric._load_kernel()
+    message = str(info.value)
+    assert "spamm-no-such-cc" in message and str(cache) in message
+    assert info.value.__cause__ is None and info.value.__suppress_context__
+    assert list(cache.iterdir()) == []  # no half-written file left
+
+
+# -- checks at the ctypes boundary -------------------------------------------
+
+
+def _operands(nb: int = 16):
+    """Stacks and slots of a valid two-task stream into one C leaf."""
+    tree = QuadtreeMatrix.from_dense(rng_matrix(2 * nb, 2 * nb, seed=40), nb)
+    slots = np.array([0, 1], np.int64)
+    return {
+        "a_values": tree.values, "a_sub": tree.subnorms,
+        "b_values": tree.values, "b_sub": tree.subnorms,
+        "a_slot": slots, "b_slot": slots[::-1].copy(),
+        "c_slot": np.zeros(2, np.int64),
+        "acc": np.zeros((1, nb, nb), np.float32), "gate": 0.0,
+    }
+
+
+def _strided(arr: np.ndarray) -> np.ndarray:
+    """Same shape, dtype and values, but not C-contiguous."""
+    return np.asfortranarray(arr)
+
+
+BAD_ARGS = {
+    "float64 values": ("a_values", lambda v: v.astype(np.float64)),
+    "strided values": ("b_values", _strided),
+    "short values": ("b_values", lambda v: v[:, :8, :]),
+    "float64 subnorms": ("a_sub", lambda v: v.astype(np.float64)),
+    "wrong subnorm grid": ("b_sub", lambda v: v[:, :2, :2].copy()),
+    "int32 slots": ("a_slot", lambda v: v.astype(np.int32)),
+    "strided slots": ("b_slot", lambda v: np.repeat(v, 2)[::2]),
+    "negative slot": ("a_slot", lambda v: v - 1),
+    "slot past the stack": ("b_slot", lambda v: v + 3),  # 4 leaves
+    "c slot past the stack": ("c_slot", lambda v: v + 1),
+    "short c slots": ("c_slot", lambda v: v[:1]),
+    "2-d accumulator": ("acc", lambda v: v[0]),
+    "strided accumulator": ("acc", _strided),
+    "read-only accumulator": ("acc", lambda v: np.broadcast_to(v, v.shape)),
+}
+
+
+def test_valid_stream_matches_the_block_oracle():
+    args = _operands()
+    run, skipped = numeric._stream_gated(**args)
+    want = np.zeros((16, 16), np.float32)
+    for a, b in ((0, 1), (1, 0)):
+        numeric.block_multiply_16(args["a_values"][a], args["a_sub"][a],
+                                  args["b_values"][b], args["b_sub"][b], want,
+                                  MultiplyConfig())
+    assert (run, skipped) == (128, 0)
+    assert np.array_equal(args["acc"][0].view(np.uint32), want.view(np.uint32))
+
+
+@pytest.mark.parametrize("case", list(BAD_ARGS))
+def test_bad_arrays_are_rejected_before_the_call(case):
+    args = _operands()
+    name, corrupt = BAD_ARGS[case]
+    args[name] = corrupt(args[name])
+    before = np.array(args["acc"])
+    with pytest.raises(ValueError):
+        numeric._stream_gated(**args)
+    assert np.array_equal(args["acc"], before)
+
+
+def test_stream_add_checks_its_arrays():
+    acc = np.zeros((2, 16, 16), np.float32)
+    prod = np.ones((3, 16, 16), np.float32)
+    numeric._stream_add(prod, np.array([1, 0, 1], np.int64), acc)
+    assert acc[0].tolist() == np.ones((16, 16)).tolist()
+    assert acc[1].tolist() == np.full((16, 16), 2.0).tolist()
+    with pytest.raises(ValueError, match="outside"):
+        numeric._stream_add(prod, np.array([0, 2, 1], np.int64), acc)
+    with pytest.raises(ValueError, match="product stack"):
+        numeric._stream_add(prod.astype(np.float64), np.zeros(3, np.int64), acc)
+
+
+# -- floating-point environment ----------------------------------------------
+
+
+def test_subnormal_products_are_not_flushed():
+    assert np.float32(1e-20) * np.float32(1e-20) != 0
+
+
+@pytest.mark.parametrize("nb", [8, 16])
+def test_tau_zero_subnormal_products_equal_single_loop(nb):
+    a = rng_matrix(48, 40, seed=41) * np.float32(1e-20)
+    b = rng_matrix(40, 56, seed=42) * np.float32(1e-20)
+    want = dense_multiply_single(DenseMatrix(a), DenseMatrix(b)).data
+    tiny = np.finfo(np.float32).tiny
+    assert ((want != 0) & (np.abs(want) < tiny)).mean() > 0.9  # subnormal C
+    c, _, _ = multiply(QuadtreeMatrix.from_dense(a, nb), QuadtreeMatrix.from_dense(b, nb),
+                       MultiplyConfig())
+    assert np.array_equal(c.to_dense().data.view(np.uint32), want.view(np.uint32))

@@ -321,3 +321,43 @@ def test_overflowing_product_names_the_leaf():
     with pytest.raises(OverflowError, match="block row 0, column 0"):
         multiply(a, a, MultiplyConfig(beta=1.0), c0)
     assert np.array_equal(c0.values, before)  # accumulator untouched
+
+
+def _overflow_pair(b00: float):
+    """A 32x32 times B 32x32, one leaf each: A at block (1, 0), B at (0, 1).
+
+    Leaf norms near 1e20 keep the one task in a plan at tau = 1e39.  In k
+    sub-block 0, micro product (p, q) = (0, 0) is a[0, 0] b[0, 0] = 2e19 * b00
+    with a gate of the same value, and the three others are open (gates of
+    2e39 and 1e40) but add only a[4, 2] b[2, 4] = 1e20, because their other
+    nonzero factors meet zeros.
+    """
+    av = np.zeros((16, 16), np.float32)
+    bv = np.zeros((16, 16), np.float32)
+    av[0, 0], av[4, 1], av[4, 2] = 2e19, 1e20, 1.0
+    bv[0, 0], bv[2, 4] = b00, 1e20
+    a = QuadtreeMatrix.from_leaves(32, 32, [2], av[None], 16)  # block (1, 0)
+    b = QuadtreeMatrix.from_leaves(32, 32, [1], bv[None], 16)  # block (0, 1)
+    return a, b
+
+
+@pytest.mark.filterwarnings("error")
+def test_gated_off_overflowing_product_is_skipped():
+    a, b = _overflow_pair(2e19)  # 4e38: overflows float32, gate 4e38 < tau
+    cfg = MultiplyConfig(tau=1e39)
+    c, plan, counters = multiply(a, b, cfg)
+    assert len(plan.tasks) == 1
+    assert (counters.products4, counters.skipped4) == (3, 61)
+    assert np.isfinite(c.values).all()
+    assert c.values[0, 4, 4] == np.float32(1e20)
+    want, want_counters = sequential_execute(plan, a, b, cfg)
+    assert c.keys.tolist() == sorted(want)
+    assert np.array_equal(c.values[0].view(np.uint32), want[c.keys[0]].view(np.uint32))
+    assert (want_counters.products4, want_counters.skipped4) == (3, 61)
+
+
+@pytest.mark.filterwarnings("error")
+def test_open_overflowing_product_names_the_leaf():
+    a, b = _overflow_pair(1e20)  # 2e39: overflows float32, gate 2e39 >= tau
+    with pytest.raises(OverflowError, match="block row 1, column 1"):
+        multiply(a, b, MultiplyConfig(tau=1e39))

@@ -17,6 +17,7 @@ from spamm.symbolic import build_plan
 
 DIMS = st.integers(1, 96)
 BLOCKS = st.sampled_from([4, 8, 16, 32])
+KERNEL_BLOCKS = st.sampled_from([4, 8, 16, 32, 64])  # the kernel has no n_b cap
 SEEDS = st.integers(0, 2**32 - 1)
 TAUS = st.sampled_from([1e-6, 1e-3, 1e-1, 1.0])
 
@@ -64,9 +65,10 @@ def test_plan_pairs_equal_all_pairs_oracle(m, k, n, nb, seed, tau):
 
 
 @settings(max_examples=120, deadline=None)
-@given(m=DIMS, k=DIMS, n=DIMS, nb=BLOCKS, seed=SEEDS, tau=TAUS,
+@given(m=DIMS, k=DIMS, n=DIMS, nb=KERNEL_BLOCKS, seed=SEEDS, tau=TAUS,
        granularity=st.sampled_from(GRANULARITIES))
 @example(m=16, k=32, n=128, nb=16, seed=0, tau=1e-1, granularity="fine4")
+@example(m=96, k=80, n=72, nb=64, seed=1, tau=1e-1, granularity="fine4")
 def test_executor_equals_sequential_block_loop(m, k, n, nb, seed, tau, granularity):
     _, _, qa, qb = _pair(seed, m, k, n, nb)
     cfg = MultiplyConfig(tau=tau, granularity=granularity)
