@@ -6,7 +6,8 @@
     spamm bench      timed scenario grid over n and tau, CSV out
     spamm sweep-tau  bisect tau against an error target, tau table out
 
-Exit codes: 0 on success, 1 when a verify limit is exceeded, 2 for bad
+Exit codes: 0 on success, also when the reader of stdout closes it early
+(`spamm ... | head`), 1 when a verify limit is exceeded, 2 for bad
 arguments and for values or products that overflow float32, 3 for I/O and
 file format problems.
 """
@@ -14,6 +15,7 @@ file format problems.
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from dataclasses import replace
 
@@ -198,6 +200,12 @@ def _cmd_multiply(args) -> int:
     a = load_matrix(args.a)
     b = a if args.b is None else load_matrix(args.b)
     result, c, plan, counters = _run_product(args, a, b, args.alpha, args.beta, c_in)
+    # files first: a reader that leaves stdout early (`| head`) cannot cut them short
+    if args.out:
+        save_matrix(args.out, result)
+    if args.tree_out:
+        save_quadtree(args.tree_out, c if c is not None
+                      else QuadtreeMatrix.from_dense(result.data, args.block_size))
     if plan is not None:
         st = plan.stats
         print(f"plan: tasks={len(plan.tasks)} examined={st.examined} pruned={st.pruned}")
@@ -205,11 +213,8 @@ def _cmd_multiply(args) -> int:
               f"seconds={counters.seconds:.6g}")
     print(f"C: {result.m}x{result.n} norm={result.frobenius():.6g}")
     if args.out:
-        save_matrix(args.out, result)
         print(f"wrote product to {args.out}")
     if args.tree_out:
-        save_quadtree(args.tree_out, c if c is not None
-                      else QuadtreeMatrix.from_dense(result.data, args.block_size))
         print(f"wrote product tree to {args.tree_out}")
     return 0
 
@@ -263,18 +268,28 @@ def _cmd_sweep_tau(args) -> int:
     return 0
 
 
+_COMMANDS = {
+    "generate": _cmd_generate,
+    "multiply": _cmd_multiply,
+    "verify": _cmd_verify,
+    "bench": _cmd_bench,
+    "sweep-tau": _cmd_sweep_tau,
+}
+
+
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        if args.command == "generate":
-            return _cmd_generate(args)
-        if args.command == "multiply":
-            return _cmd_multiply(args)
-        if args.command == "verify":
-            return _cmd_verify(args)
-        if args.command == "bench":
-            return _cmd_bench(args)
-        return _cmd_sweep_tau(args)
+        rc = _COMMANDS[args.command](args)
+        sys.stdout.flush()
+        return rc
+    except BrokenPipeError:
+        # the reader closed its end, as `| head` does: end quietly, like a
+        # Unix filter, and send what is still buffered to devnull at exit
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return 0
     except (OSError, MatrixFormatError) as exc:
         print(f"spamm: {exc}", file=sys.stderr)
         return 3

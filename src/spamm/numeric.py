@@ -12,9 +12,11 @@ Accumulation order is fixed for reproducibility: tasks accumulate into
 their product leaf in plan order, and each block product adds its rank-1
 terms in ascending k, as a separate float32 multiply and add.  The
 executor is one C function (_kernel.c) that walks the plan's tasks in that
-order into a (G, n_b, n_b) float32 stack, one block per product leaf, so
-results match a sequential block_multiply_16 loop bit for bit and are
-identical run to run.
+order into a (G, n_b, n_b) float32 stack, one block per product leaf.
+Within a task it holds each 4x4 C tile in registers while it adds the
+tile's open k blocks in ascending order, so every element still sees its
+terms in ascending k: results match a sequential block_multiply_16 loop
+bit for bit and are identical run to run.
 
 The kernel is compiled when this module is imported, with the C compiler
 `cc`, into a per-user cache (~/.cache/spamm) under a name keyed by the

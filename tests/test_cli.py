@@ -1,5 +1,10 @@
 """Command line surface: subcommands, outputs, exit codes."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -140,6 +145,41 @@ def test_multiply_malformed_file_exits_3(tmp_path):
     p = tmp_path / "bad.mtx"
     p.write_text("%%MatrixMarket matrix array complex general\n1 1\n1 0\n")
     assert main(["multiply", str(p)]) == 3
+
+
+# (target of --out, PYTHONUNBUFFERED, whether the reader takes a line first)
+CLOSED_PIPES = {
+    "product on stdout": ("/dev/stdout", "", True),
+    "summary lines one by one": ("{out}", "1", True),
+    "reader gone before the final flush": ("{out}", "", False),
+}
+
+
+@pytest.mark.parametrize("case", list(CLOSED_PIPES))
+def test_multiply_into_a_closed_pipe_exits_0_quietly(tmp_path, case):
+    target, unbuffered, read_first = CLOSED_PIPES[case]
+    a = _gen(tmp_path, n=256)  # the product's text is far larger than a pipe buffer
+    out = tmp_path / "c.mtx"
+    argv = ["multiply", str(a), "--tau", "1e-8", "--out", target.format(out=out)]
+    src = str(Path(spamm.cli.__file__).parents[1])
+    env = dict(os.environ, PYTHONUNBUFFERED=unbuffered,
+               PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    read_end, write_end = os.pipe()
+    if not read_first:
+        os.close(read_end)
+    proc = subprocess.Popen([sys.executable, "-m", "spamm.cli", *argv], stdout=write_end,
+                            stderr=subprocess.PIPE, env=env)
+    os.close(write_end)
+    if read_first:
+        with os.fdopen(read_end, "rb") as pipe:
+            assert pipe.readline()
+    err = proc.stderr.read()
+    assert proc.wait() == 0
+    assert err == b""
+    if target != "/dev/stdout":
+        want = tmp_path / "want.mtx"
+        assert main(argv[:-1] + [str(want)]) == 0
+        assert out.read_bytes() == want.read_bytes()
 
 
 def test_verify_within_limit(tmp_path, capsys):

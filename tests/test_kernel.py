@@ -112,16 +112,71 @@ BAD_ARGS = {
 }
 
 
+def _oracle(args) -> tuple[np.ndarray, tuple[int, int]]:
+    """The accumulator stack and (run, skipped) that a block_multiply_16 loop
+    gives for the stream in args, which it leaves untouched."""
+    acc = args["acc"].copy()
+    run = skipped = 0
+    for a, b, c in zip(args["a_slot"], args["b_slot"], args["c_slot"]):
+        counters = numeric.block_multiply_16(
+            args["a_values"][a], args["a_sub"][a], args["b_values"][b], args["b_sub"][b],
+            acc[c], MultiplyConfig(tau=args["gate"]))
+        run += counters.products4
+        skipped += counters.skipped4
+    return acc, (run, skipped)
+
+
+def _same_bits(x: np.ndarray, y: np.ndarray) -> bool:
+    return np.array_equal(x.view(np.uint32), y.view(np.uint32))
+
+
 def test_valid_stream_matches_the_block_oracle():
     args = _operands()
+    want, counts = _oracle(args)
+    assert numeric._stream_gated(**args) == counts == (128, 0)
+    assert _same_bits(args["acc"], want)
+
+
+def test_partly_open_tiles_match_the_block_oracle():
+    # unit A sub-norms and gate 1: (p, r, q) is open for every p where b_sub[r, q] is 2
+    b_sub = np.full((1, 4, 4), 2.0, np.float32)
+    b_sub[0, [1, 3], 0] = 0.5  # C tiles (p, 0): open at r = 0, 2, closed at r = 1, 3
+    b_sub[0, :, 1] = 0.5  # C tiles (p, 1): every gate closed
+    b = rng_matrix(16, 16, seed=44)[None]
+    b[0, 4:8, :4] = b[0, 12:, :4] = b[0, :, 4:8] = np.nan  # read only by closed gates
+    acc = rng_matrix(16, 16, seed=45)[None]
+    acc[0, :, 4:8] = -0.0
+    slot = np.zeros(1, np.int64)
+    args = {"a_values": rng_matrix(16, 16, seed=43)[None], "a_sub": np.ones((1, 4, 4), np.float32),
+            "b_values": b, "b_sub": b_sub, "a_slot": slot, "b_slot": slot, "c_slot": slot,
+            "acc": acc, "gate": 1.0}
+    want, counts = _oracle(args)
+    assert numeric._stream_gated(**args) == counts == (40, 24)
+    assert _same_bits(acc, want)
+    assert np.isfinite(acc).all()
+    assert (acc[0, :, 4:8] == 0).all() and np.signbit(acc[0, :, 4:8]).all()
+
+
+def _misaligned(arr: np.ndarray) -> np.ndarray:
+    """A C-contiguous float32 copy of arr whose address is 4 mod 16."""
+    buf = np.empty(arr.size + 3, np.float32)
+    skip = (4 - buf.ctypes.data) % 16 // 4
+    out = buf[skip:skip + arr.size].reshape(arr.shape)
+    out[...] = arr
+    return out
+
+
+def test_misaligned_stacks_match_the_block_oracle():
+    # unaligned vector loads and stores; an aligned load here would fault
+    args = dict(_operands(), gate=5.0)
+    args["acc"] = rng_matrix(16, 16, seed=46)[None]
+    want, counts = _oracle(args)
+    for name in ("a_values", "a_sub", "b_values", "b_sub", "acc"):
+        args[name] = _misaligned(args[name])
+        assert args[name].ctypes.data % 16 == 4
     run, skipped = numeric._stream_gated(**args)
-    want = np.zeros((16, 16), np.float32)
-    for a, b in ((0, 1), (1, 0)):
-        numeric.block_multiply_16(args["a_values"][a], args["a_sub"][a],
-                                  args["b_values"][b], args["b_sub"][b], want,
-                                  MultiplyConfig())
-    assert (run, skipped) == (128, 0)
-    assert np.array_equal(args["acc"][0].view(np.uint32), want.view(np.uint32))
+    assert (run, skipped) == counts and run and skipped
+    assert _same_bits(args["acc"], want)
 
 
 @pytest.mark.parametrize("case", list(BAD_ARGS))
