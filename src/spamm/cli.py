@@ -208,7 +208,7 @@ def _cmd_multiply(args) -> int:
                       else QuadtreeMatrix.from_dense(result.data, args.block_size))
     if plan is not None:
         st = plan.stats
-        print(f"plan: tasks={len(plan.tasks)} examined={st.examined} pruned={st.pruned}")
+        print(f"plan: tasks={st.emitted} examined={st.examined} pruned={st.pruned}")
         print(f"exec: products4={counters.products4} skipped4={counters.skipped4} "
               f"seconds={counters.seconds:.6g}")
     print(f"C: {result.m}x{result.n} norm={result.frobenius():.6g}")

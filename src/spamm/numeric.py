@@ -284,8 +284,8 @@ def _execute(plan, a, b, c, cfg, dense_kernel):
     counters = ExecCounters()
     # an overflowing product or sum is caught by _store, which names its leaf
     with np.errstate(over="ignore", invalid="ignore"):
-        if plan.tasks and cfg.alpha != 0:
-            keys, stack = _run_stream(plan.tasks, a, b, _gate(cfg), counters, dense_kernel)
+        if plan.a.size and cfg.alpha != 0:
+            keys, stack = _run_stream(plan, a, b, _gate(cfg), counters, dense_kernel)
         else:
             keys, stack = np.empty(0, np.uint64), np.empty((0, nb, nb), np.float32)
         leaves = _compose(c, keys, stack, cfg.alpha, cfg.beta)
@@ -294,7 +294,7 @@ def _execute(plan, a, b, c, cfg, dense_kernel):
     return c, counters
 
 
-def _run_stream(tasks, a, b, gate, counters, dense_kernel):
+def _run_stream(plan, a, b, gate, counters, dense_kernel):
     """Accumulate all tasks into per-c_key float32 blocks, in plan order;
     returns the ascending product keys and their (G, n_b, n_b) block stack.
 
@@ -303,12 +303,10 @@ def _run_stream(tasks, a, b, gate, counters, dense_kernel):
     tasks at a time, and the kernel adds them up in plan order.
     """
     nb = a.n_b
-    T = len(tasks)
-    a_slot = _gather_slots(np.fromiter((t.a for t in tasks), np.uint64, T), a.keys, "A")
-    b_slot = _gather_slots(np.fromiter((t.b for t in tasks), np.uint64, T), b.keys, "B")
-    keys, c_slot = np.unique(
-        np.fromiter((t.c_key for t in tasks), np.uint64, T), return_inverse=True
-    )
+    T = plan.a.size
+    a_slot = _gather_slots(plan.a, a.keys, "A")
+    b_slot = _gather_slots(plan.b, b.keys, "B")
+    keys, c_slot = np.unique(plan.c_key, return_inverse=True)
     acc = np.zeros((keys.size, nb, nb), np.float32)
     if dense_kernel:
         step = max(1, _CHUNK_FLOATS // (nb * nb))

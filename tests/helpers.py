@@ -11,8 +11,9 @@ import numpy as np
 
 from spamm.core import DenseMatrix, QuadtreeMatrix
 from spamm.generators import GeneratorSpec, generate
-from spamm.morton import k_of_a, k_of_b
+from spamm.morton import c_index, k_of_a, k_of_b
 from spamm.numeric import ExecCounters, block_multiply_16
+from spamm.symbolic import MultiplyPlan, PlanStats, ProductTask
 
 
 def rng_matrix(m: int, n: int, seed: int, scale: float = 1.0) -> np.ndarray:
@@ -114,9 +115,81 @@ def sequential_execute(plan, a: QuadtreeMatrix, b: QuadtreeMatrix, cfg):
     b_leaves = {k: (b.values[i], b.subnorms[i]) for i, k in enumerate(b.keys.tolist())}
     out: dict[int, np.ndarray] = {}
     counters = ExecCounters()
-    for t in plan.tasks:
-        block = out.setdefault(t.c_key, np.zeros((a.n_b, a.n_b), np.float32))
-        k = block_multiply_16(*a_leaves[t.a], *b_leaves[t.b], block, cfg)
+    for ka, kb, ck in zip(plan.a.tolist(), plan.b.tolist(), plan.c_key.tolist()):
+        block = out.setdefault(ck, np.zeros((a.n_b, a.n_b), np.float32))
+        k = block_multiply_16(*a_leaves[ka], *b_leaves[kb], block, cfg)
         counters.products4 += k.products4
         counters.skipped4 += k.skipped4
     return out, counters
+
+
+def _k_blocks(lanes: np.ndarray, q: QuadtreeMatrix):
+    """Leaf keys and norms as plain lists in (k, -norm, key) order, plus
+    one (k, start, stop) range per k block, ascending k."""
+    keys, norms = q.tiers[q.depth]
+    order = np.lexsort((keys, -norms, lanes))
+    lanes = lanes[order]
+    first = np.ones(lanes.size, bool)
+    first[1:] = lanes[1:] != lanes[:-1]
+    starts = np.flatnonzero(first)
+    blocks = list(zip(lanes[starts].tolist(), starts.tolist(),
+                      starts[1:].tolist() + [lanes.size]))
+    return keys[order].tolist(), norms[order].tolist(), blocks
+
+
+def sequential_plan(a: QuadtreeMatrix, b: QuadtreeMatrix, tau: float) -> MultiplyPlan:
+    """Reference symbolic phase: the pair-by-pair convolution loop.
+
+    Matching k blocks are merged; the inner loop breaks at the first product
+    below tau, and when the first B entry of a block already falls below, no
+    later A entry of that block can emit and the whole block pair is
+    abandoned.  Norm products are float64 products of the float32 norms.
+    """
+    a_key, a_norm, a_blocks = _k_blocks(k_of_a(a.keys), a)
+    b_key, b_norm, b_blocks = _k_blocks(k_of_b(b.keys) >> np.uint64(1), b)
+    tasks: list[ProductTask] = []
+    stats = PlanStats()
+    ia = ib = 0
+    while ia < len(a_blocks) and ib < len(b_blocks):
+        ka, a0, a1 = a_blocks[ia]
+        kb, b0, b1 = b_blocks[ib]
+        if ka < kb:
+            ia += 1
+            continue
+        if kb < ka:
+            ib += 1
+            continue
+        for i in range(a0, a1):
+            key_a = a_key[i]
+            na = a_norm[i]
+            hit = False
+            for j in range(b0, b1):
+                p = na * b_norm[j]
+                stats.examined += 1
+                if p < tau:
+                    stats.pruned += 1
+                    break
+                tasks.append(ProductTask(key_a, b_key[j], c_index(key_a, b_key[j]), p))
+                hit = True
+            if not hit:
+                break
+        ia += 1
+        ib += 1
+    stats.emitted = len(tasks)
+    return MultiplyPlan(
+        np.array([t.a for t in tasks], np.uint64),
+        np.array([t.b for t in tasks], np.uint64),
+        np.array([t.c_key for t in tasks], np.uint64),
+        np.array([t.norm_product for t in tasks], np.float64),
+        float(tau), stats,
+    )
+
+
+def assert_plans_equal(got: MultiplyPlan, want: MultiplyPlan) -> None:
+    """Same products in the same order, norm products bit for bit, same stats."""
+    for name in ("a", "b", "c_key", "norm_product"):
+        x, y = getattr(got, name), getattr(want, name)
+        assert x.dtype == y.dtype, name
+        assert np.array_equal(x.view(np.uint64), y.view(np.uint64)), name
+    assert got.tau == want.tau
+    assert got.stats == want.stats

@@ -21,7 +21,7 @@ from spamm.numeric import (
     multiply,
 )
 from spamm.reference import dense_multiply_single
-from spamm.symbolic import build_plan
+from spamm.symbolic import MultiplyPlan, build_plan
 
 
 def _leaf(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -191,14 +191,42 @@ def test_task_order_across_c_keys_is_free():
     cfg = MultiplyConfig(tau=1e-7)
     base, _ = execute_plan(plan, a, a, None, cfg)
     # permute whole c_key groups, keeping order inside each group
-    groups: dict[int, list] = {}
-    for t in plan.tasks:
-        groups.setdefault(t.c_key, []).append(t)
-    rng = np.random.default_rng(20)
-    order = rng.permutation(list(groups))
-    plan.tasks = [t for ck in order for t in groups[ck]]
-    perm, _ = execute_plan(plan, a, a, None, cfg)
+    keys = np.unique(plan.c_key)
+    group_rank = np.random.default_rng(20).permutation(keys.size)
+    order = np.argsort(group_rank[np.searchsorted(keys, plan.c_key)], kind="stable")
+    assert not np.array_equal(order, np.arange(order.size))
+    permuted = MultiplyPlan(plan.a[order], plan.b[order], plan.c_key[order],
+                            plan.norm_product[order], plan.tau, plan.stats)
+    perm, _ = execute_plan(permuted, a, a, None, cfg)
     assert np.array_equal(base.to_dense().data, perm.to_dense().data)
+
+
+def test_removing_a_task_row_drops_exactly_that_product():
+    a = QuadtreeMatrix.from_dense(decay_matrix(64, seed=23).data)
+    plan = build_plan(a, a, 0.0)
+    rows = list(plan.tasks)
+    gone = rows[5]
+    plan.tasks.remove(gone)
+    kept = rows[:5] + rows[6:]
+    assert list(plan.tasks) == kept
+    assert len(plan.tasks) == len(kept)
+    with pytest.raises(ValueError, match="not in the plan"):
+        plan.tasks.remove(gone)
+    cfg = MultiplyConfig()
+    c, counters = execute_plan(plan, a, a, None, cfg)
+    assert counters.products4 == 64 * len(kept)
+    leaves = dict(zip(a.keys.tolist(), zip(a.values, a.subnorms)))
+    want: dict[int, np.ndarray] = {}
+    for t in kept:
+        block = want.setdefault(t.c_key, np.zeros((16, 16), np.float32))
+        block_multiply_16(*leaves[t.a], *leaves[t.b], block, cfg)
+    assert c.keys.tolist() == sorted(want)
+    for key, vals in zip(c.keys.tolist(), c.values):
+        assert np.array_equal(vals.view(np.uint32), want[key].view(np.uint32))
+    full, _ = execute_plan(build_plan(a, a, 0.0), a, a, None, cfg)
+    changed = [k for k, x, y in zip(c.keys.tolist(), c.values, full.values)
+               if not np.array_equal(x, y)]
+    assert full.keys.tolist() == c.keys.tolist() and changed == [gone.c_key]
 
 
 def test_alpha_scaling_and_beta_accumulation():
@@ -264,6 +292,8 @@ def test_execute_plan_validation():
     plan0 = build_plan(a, a, 0.0)
     with pytest.raises(ValueError, match="accumulator"):
         execute_plan(plan0, a, a, QuadtreeMatrix(16, 16), MultiplyConfig())
+    with pytest.raises(ValueError, match="one length"):
+        MultiplyPlan(plan0.a, plan0.b[1:], plan0.c_key, plan0.norm_product, 0.0)
     nb2 = QuadtreeMatrix.from_dense(rng_matrix(32, 32, seed=30), 2)
     plan2 = build_plan(nb2, nb2, 0.0)
     with pytest.raises(ValueError, match="n_b"):

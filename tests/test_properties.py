@@ -6,10 +6,10 @@ block size whose 4x4 sub-norm grid the numeric phase supports.
 """
 
 import numpy as np
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from helpers import matched_pairs, sequential_execute
+from helpers import assert_plans_equal, matched_pairs, sequential_execute, sequential_plan
 from spamm.core import DenseMatrix, QuadtreeMatrix
 from spamm.numeric import GRANULARITIES, MultiplyConfig, execute_plan
 from spamm.reference import dense_multiply_single
@@ -50,7 +50,7 @@ def test_tau_zero_equals_single_precision_loop(m, k, n, nb, seed, granularity):
     want = dense_multiply_single(DenseMatrix(a), DenseMatrix(b)).data
     assert (c.m, c.n) == (m, n)
     assert np.array_equal(c.to_dense().data.view(np.uint32), want.view(np.uint32))
-    assert counters.products4 == (nb // 4) ** 3 * len(plan.tasks)
+    assert counters.products4 == (nb // 4) ** 3 * plan.a.size
     assert counters.skipped4 == 0
 
 
@@ -59,9 +59,29 @@ def test_tau_zero_equals_single_precision_loop(m, k, n, nb, seed, granularity):
 @example(m=16, k=32, n=128, nb=16, seed=0, tau=1e-1)
 def test_plan_pairs_equal_all_pairs_oracle(m, k, n, nb, seed, tau):
     _, _, qa, qb = _pair(seed, m, k, n, nb)
-    pairs = [(t.a, t.b) for t in build_plan(qa, qb, tau).tasks]
+    plan = build_plan(qa, qb, tau)
+    pairs = list(zip(plan.a.tolist(), plan.b.tolist()))
     assert len(pairs) == len(set(pairs))
     assert set(pairs) == matched_pairs(qa, qb, tau)
+
+
+@settings(max_examples=150, deadline=None)
+@given(m=DIMS, k=DIMS, n=DIMS, nb=BLOCKS, seed=SEEDS,
+       tau_kind=st.sampled_from(["zero", "drawn", "tie", "above tie"]), data=st.data())
+def test_plan_equals_sequential_loop(m, k, n, nb, seed, tau_kind, data):
+    # tau is 0, a drawn value, a product the loop examines (p == tau keeps
+    # it) or the next float64 above one (p < tau prunes it)
+    _, _, qa, qb = _pair(seed, m, k, n, nb)
+    tau = 0.0
+    if tau_kind == "drawn":
+        tau = 10.0 ** data.draw(st.floats(-9.0, 1.0), label="log10 tau")
+    elif tau_kind != "zero":
+        products = sequential_plan(qa, qb, 0.0).norm_product
+        assume(products.size)
+        tau = float(products[data.draw(st.integers(0, products.size - 1), label="row")])
+        if tau_kind == "above tie":
+            tau = float(np.nextafter(tau, np.inf))
+    assert_plans_equal(build_plan(qa, qb, tau), sequential_plan(qa, qb, tau))
 
 
 @settings(max_examples=120, deadline=None)

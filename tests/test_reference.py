@@ -105,7 +105,7 @@ def test_recursive_visits_match_flat_plan():
     for tau in (0.0, 1e-8, 1e-5, 1e-2):
         plan = build_plan(a, a, tau)
         _, visits = recursive_spamm(a, a, tau)
-        assert visits == {(t.a, t.b) for t in plan.tasks}
+        assert visits == set(zip(plan.a.tolist(), plan.b.tolist()))
         assert visits == matched_pairs(a, a, tau)
 
 

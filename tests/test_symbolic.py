@@ -1,11 +1,23 @@
 """Symbolic phase: lane and norm order, pruned convolution, plan text."""
 
+import warnings
+
 import numpy as np
 import pytest
 
-from helpers import decay_matrix, leaf_norms, matched_pairs, rng_matrix
+from helpers import (
+    assert_plans_equal,
+    decay_matrix,
+    leaf_norms,
+    matched_pairs,
+    rng_matrix,
+    sequential_execute,
+    sequential_plan,
+)
 from spamm.core import QuadtreeMatrix
-from spamm.morton import c_index, encode
+from spamm.morton import c_index, encode, encode_array
+from spamm.numeric import MultiplyConfig, execute_plan
+from spamm.reference import dense_multiply_single
 from spamm.symbolic import build_plan, plan_dump
 
 
@@ -33,19 +45,19 @@ def test_kblocks_descending_norm_ties_on_key():
     b = _leaf_tree({(0, 0): 1.0, (1, 0): 1.0})
     assert a.keys.tolist() == [0, 1, 2, 8]
     plan = build_plan(a, b, 0.0)
-    assert [t.a for t in plan.tasks] == [0, 2, 8, 1]
+    assert plan.a.tolist() == [0, 2, 8, 1]
 
 
 def test_dense_plan_is_complete():
     a = QuadtreeMatrix.from_dense(rng_matrix(64, 64, seed=1))
     b = QuadtreeMatrix.from_dense(rng_matrix(64, 64, seed=2))
     plan = build_plan(a, b, 0.0)
-    assert len(plan.tasks) == 64  # 4^3 block triples
+    assert plan.a.size == 64  # 4^3 block triples
     st = plan.stats
     assert (st.emitted, st.examined, st.pruned) == (64, 64, 0)
-    assert {(t.a, t.b) for t in plan.tasks} == matched_pairs(a, b, 0.0)
-    for t in plan.tasks:
-        assert t.c_key == c_index(t.a, t.b)
+    assert set(zip(plan.a.tolist(), plan.b.tolist())) == matched_pairs(a, b, 0.0)
+    for ka, kb, ck in zip(plan.a.tolist(), plan.b.tolist(), plan.c_key.tolist()):
+        assert ck == c_index(ka, kb)
 
 
 def test_plan_order_and_dump_pinned():
@@ -85,8 +97,8 @@ def test_convolve_outer_break_loses_nothing():
 def test_tau_boundary_is_kept():
     a = _leaf_tree({(0, 0): 2.0})
     b = _leaf_tree({(0, 0): 3.0})
-    assert len(build_plan(a, b, 6.0).tasks) == 1
-    assert len(build_plan(a, b, 6.0 + 1e-12).tasks) == 0
+    assert build_plan(a, b, 6.0).a.size == 1
+    assert build_plan(a, b, 6.0 + 1e-12).a.size == 0
 
 
 def test_plan_equals_brute_force_on_random_sparse_trees():
@@ -106,8 +118,9 @@ def test_plan_equals_brute_force_on_random_sparse_trees():
         qb = QuadtreeMatrix.from_dense(b)
         for tau in (0.0, 1e-9, 1e-4, 1.0, 1e6):
             plan = build_plan(qa, qb, tau)
-            assert {(t.a, t.b) for t in plan.tasks} == matched_pairs(qa, qb, tau)
-            assert len({(t.a, t.b) for t in plan.tasks}) == len(plan.tasks)
+            pairs = set(zip(plan.a.tolist(), plan.b.tolist()))
+            assert pairs == matched_pairs(qa, qb, tau)
+            assert len(pairs) == plan.a.size
             st = plan.stats
             assert st.examined == st.emitted + st.pruned
 
@@ -128,7 +141,7 @@ def test_empty_operands_give_empty_plan():
     qa = QuadtreeMatrix(64, 64)
     qb = QuadtreeMatrix.from_dense(rng_matrix(64, 64, seed=3))
     plan = build_plan(qa, qb, 0.0)
-    assert plan.tasks == []
+    assert len(plan.tasks) == 0
     assert plan_dump(plan) == ""
     st = plan.stats
     assert (st.emitted, st.examined, st.pruned) == (0, 0, 0)
@@ -151,5 +164,57 @@ def test_norm_products_are_double_of_stored_singles():
     qa = QuadtreeMatrix.from_dense(a.data)
     plan = build_plan(qa, qa, 0.0)
     norms = leaf_norms(qa)
-    for t in plan.tasks:
-        assert t.norm_product == norms[t.a] * norms[t.b]
+    for ka, kb, p in zip(plan.a.tolist(), plan.b.tolist(), plan.norm_product.tolist()):
+        assert p == norms[ka] * norms[kb]
+
+
+def test_plan_equals_loop_on_tied_norms():
+    # one-element leaves with norms from a small set: many equal norms in
+    # each lane and many equal products, with tau on and just above each
+    rng = np.random.default_rng(29)
+    for trial in range(4):
+        layouts = [{(i, j): float(rng.choice([0.25, 0.5, 1.0, 3.0]))
+                    for i in range(16) for j in range(16) if rng.random() < 0.5}
+                   for _ in range(2)]
+        qa, qb = (_leaf_tree(layout) for layout in layouts)
+        products = np.unique(sequential_plan(qa, qb, 0.0).norm_product)
+        for p in products.tolist():
+            for tau in (p, float(np.nextafter(p, np.inf))):
+                assert_plans_equal(build_plan(qa, qb, tau), sequential_plan(qa, qb, tau))
+
+
+def _tree_with_zero_leaves(m: int, n: int, zeros: list[tuple[int, int]], seed: int):
+    """Every 16x16 block stored, decaying off the diagonal; the blocks at
+    zeros are stored as all-zero leaves of norm 0."""
+    bi, bj = np.divmod(np.arange((m // 16) * (n // 16)), n // 16)
+    order = np.argsort(encode_array(bi, bj))
+    bi, bj = bi[order], bj[order]
+    rng = np.random.default_rng(seed)
+    vals = rng.standard_normal((bi.size, 16, 16)) * 10.0 ** (-2.0 * np.abs(bi - bj))[:, None, None]
+    for i, j in zeros:
+        vals[(bi == i) & (bj == j)] = 0.0
+    return QuadtreeMatrix.from_leaves(m, n, encode_array(bi, bj), vals, 16)
+
+
+@pytest.mark.parametrize("tau", [0.0, 5e-324, 1e-3])
+def test_zero_norm_leaves_follow_the_loop(tau):
+    # 5e-324 / norm underflows to 0, the quotient of every zero B norm
+    qa = _tree_with_zero_leaves(64, 48, [(0, 0), (2, 1), (3, 0)], seed=31)
+    qb = _tree_with_zero_leaves(48, 80, [(0, 0), (1, 4), (2, 2)], seed=32)
+    assert (qa.tiers[qa.depth][1] == 0).sum() == 3 and (qb.tiers[qb.depth][1] == 0).sum() == 3
+    cfg = MultiplyConfig(tau=tau)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        plan = build_plan(qa, qb, tau)
+        c, counters = execute_plan(plan, qa, qb, None, cfg)
+    assert_plans_equal(plan, sequential_plan(qa, qb, tau))
+    assert (plan.stats.pruned == 0) == (tau == 0)
+    want, want_counters = sequential_execute(plan, qa, qb, cfg)
+    assert c.keys.tolist() == sorted(want)
+    for key, vals in zip(c.keys.tolist(), c.values):
+        assert np.array_equal(vals.view(np.uint32), want[key].view(np.uint32))
+    assert (counters.products4, counters.skipped4) == (
+        want_counters.products4, want_counters.skipped4)
+    if tau == 0:
+        dense = dense_multiply_single(qa.to_dense(), qb.to_dense()).data
+        assert np.array_equal(c.to_dense().data.view(np.uint32), dense.view(np.uint32))
