@@ -33,7 +33,6 @@ from .reference import (
     effective_performance,
     flop_model,
     max_norm_error,
-    recursive_spamm,
 )
 from .symbolic import MultiplyPlan, PlanStats, ProductTask, build_plan, plan_dump
 

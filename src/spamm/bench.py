@@ -48,7 +48,6 @@ __all__ = [
     "sweep",
     "ratio_table",
     "ratios_to_csv",
-    "fitted_slope",
     "CalibrationResult",
     "calibrate_tau",
 ]
@@ -241,22 +240,6 @@ def ratios_to_csv(rows: Iterable[tuple[int, float, float, float]]) -> str:
     lines = [RATIO_HEADER]
     lines.extend(f"{n},{tau:.6g},{c:.6g},{t:.6g}" for n, tau, c, t in rows)
     return "\n".join(lines) + "\n"
-
-
-def fitted_slope(reports: Iterable[RunReport]) -> float:
-    """Least-squares slope of log products4 vs log n over the given rows.
-
-    Callers filter the rows (one scenario, one tau) before fitting; near 1
-    means work growing linearly with n, 3 is the classical product.
-    """
-    pts = [(math.log(r.n), math.log(r.products4)) for r in reports if r.products4 > 0]
-    if len(pts) < 2 or len({x for x, _ in pts}) < 2:
-        raise ValueError("need at least two distinct sizes to fit a slope")
-    mx = sum(x for x, _ in pts) / len(pts)
-    my = sum(y for _, y in pts) / len(pts)
-    sxx = sum((x - mx) ** 2 for x, _ in pts)
-    sxy = sum((x - mx) * (y - my) for x, y in pts)
-    return sxy / sxx
 
 
 @dataclass

@@ -7,16 +7,15 @@ and every tier 0..depth is one sorted pair of (key, norm) arrays.  Child
 lookup is pure key arithmetic and an absent key means an exactly zero
 submatrix.  Every leaf additionally carries a grid of 4x4 sub-block norms;
 those norms are what the multiply phases prune against.  All norms are
-rebuilt from the leaf stack whenever it changes, so they are never stale.
+built from the leaf stack by one routine, once per tree and once per
+execute_plan for its accumulator, so they are never stale.
 """
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
 
-from .morton import decode, decode_array, encode, encode_array
+from .morton import decode, decode_array, encode_array
 
 DEFAULT_BLOCK = 16
 
@@ -82,8 +81,8 @@ class QuadtreeMatrix:
     """Quadtree of n_b x n_b single-precision blocks with per-node norms.
 
     Leaves sit at tier == depth, the root at tier 0 (for depth 0 the root is
-    the leaf).  Logical size is m x n; indices past that are padding and are
-    rejected by element access.  Storage:
+    the leaf).  Logical size is m x n; rows and columns past that are
+    padding.  Storage:
 
         keys      (L,) uint64, ascending leaf keys
         values    (L, n_b, n_b) float32 leaf stack, row-major blocks
@@ -91,8 +90,10 @@ class QuadtreeMatrix:
         tiers     per tier t = 0..depth a (keys, norms) pair, keys ascending
                   uint64, norms float32; tiers[depth] holds the leaf norms
 
-    Mutations (set_element, sparsify) replace the arrays; the tree must not
-    be mutated while a multiply is running.
+    A tree is built whole, by from_dense, from_leaves or io.load_quadtree.
+    Its arrays are replaced whole only by _store, and only when the tree is
+    the accumulator of numeric.execute_plan, which stores once after its
+    pass over the operands.
     """
 
     def __init__(self, m: int, n: int, n_b: int = DEFAULT_BLOCK):
@@ -120,25 +121,6 @@ class QuadtreeMatrix:
     @property
     def node_count(self) -> int:
         return sum(keys.size for keys, _ in self.tiers)
-
-    def _check_index(self, i: int, j: int) -> tuple[int, int]:
-        i = int(i)
-        j = int(j)
-        if not (0 <= i < self.m and 0 <= j < self.n):
-            raise IndexError(f"element ({i}, {j}) outside {self.m} x {self.n}")
-        return i, j
-
-    def _slot(self, key: int) -> tuple[int, bool]:
-        """Position of `key` in the leaf stack, and whether it is stored."""
-        slot = int(np.searchsorted(self.keys, key))
-        return slot, slot < self.keys.size and int(self.keys[slot]) == key
-
-    def get_element(self, i: int, j: int) -> float:
-        """Stored value at (i, j); 0.0 where the leaf path is absent."""
-        i, j = self._check_index(i, j)
-        nb = self.n_b
-        slot, found = self._slot(encode(i // nb, j // nb))
-        return float(self.values[slot, i % nb, j % nb]) if found else 0.0
 
     # -- construction ----------------------------------------------------
 
@@ -250,45 +232,6 @@ class QuadtreeMatrix:
         blocks[rows.astype(np.intp), cols.astype(np.intp)] = self.values
         out = blocks.transpose(0, 2, 1, 3).reshape(br * nb, bc * nb)
         return DenseMatrix(np.ascontiguousarray(out[: self.m, : self.n]))
-
-    # -- mutation --------------------------------------------------------
-
-    def set_element(self, i: int, j: int, value: float) -> None:
-        """Set one element, creating its leaf if absent; norms are rebuilt."""
-        i, j = self._check_index(i, j)
-        value = float(value)
-        if not math.isfinite(value):
-            raise ValueError(f"element value must be finite, got {value}")
-        nb = self.n_b
-        key = encode(i // nb, j // nb)
-        slot, found = self._slot(key)
-        if found:
-            keys, values = self.keys, self.values.copy()
-        else:
-            keys = np.insert(self.keys, slot, np.uint64(key))
-            values = np.insert(self.values, slot, np.float32(0), axis=0)
-        with np.errstate(over="ignore"):  # _store names an overflowed leaf
-            values[slot, i % nb, j % nb] = value
-        self._store(keys, values)
-
-    def sparsify(self, eps: float) -> int:
-        """Zero every 4x4 sub-block with 0 < subnorm < eps.
-
-        Leaves left with zero norm are removed, all norms are rebuilt.
-        Returns the number of sub-blocks whose content was dropped.
-        eps = 0 is an exact no-op.
-        """
-        if not eps >= 0:
-            raise ValueError(f"eps must be nonnegative, got {eps}")
-        if eps == 0:
-            return 0
-        drop = (self.subnorms < eps) & (self.subnorms > 0)
-        w = self.n_b // self.subnorms.shape[1]
-        mask = np.repeat(np.repeat(drop, w, 1), w, 2)
-        values = np.where(mask, np.float32(0), self.values)
-        live = values.any(axis=(1, 2))
-        self._store(self.keys[live], values[live])
-        return int(drop.sum())
 
     def __repr__(self) -> str:
         return (

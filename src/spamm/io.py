@@ -32,6 +32,10 @@ QUADTREE_MAGIC = b"SPAMMQT1"
 
 _HEADER = struct.Struct("<5Q")
 
+# numpy holds a dtype of at most this many bytes, so a leaf record (u64 key
+# plus n_b*n_b float32) must fit it.
+_RECORD_LIMIT = np.iinfo(np.intc).max
+
 
 class MatrixFormatError(Exception):
     """A matrix file exists but its contents are not usable."""
@@ -128,6 +132,10 @@ def load_quadtree(path) -> QuadtreeMatrix:
         raise MatrixFormatError(
             f"{path}: header depth {depth} does not match {actual} "
             f"for a {m}x{n} matrix at block size {n_b}"
+        )
+    if 8 + 4 * n_b * n_b > _RECORD_LIMIT:
+        raise MatrixFormatError(
+            f"{path}: bad header: block size {n_b} is too large for a leaf record"
         )
     body = len(QUADTREE_MAGIC) + _HEADER.size
     rec = _record_dtype(n_b)

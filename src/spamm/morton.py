@@ -14,6 +14,8 @@ of B without ever decoding the keys.
 
 from __future__ import annotations
 
+import operator
+
 import numpy as np
 
 # Lanes of a 64 bit key.  Column bits (j, and k of an A leaf) live in the
@@ -32,40 +34,19 @@ _M2 = 0x3333333333333333
 _M1 = 0x5555555555555555
 
 
-def _dilate(x: int) -> int:
-    """Spread the low 32 bits of x so bit m lands at position 2m."""
-    x &= 0xFFFFFFFF
-    x = (x | (x << 16)) & _M16
-    x = (x | (x << 8)) & _M8
-    x = (x | (x << 4)) & _M4
-    x = (x | (x << 2)) & _M2
-    x = (x | (x << 1)) & _M1
-    return x
-
-
-def _undilate(x: int) -> int:
-    """Inverse of _dilate: collapse the odd lane back to a plain integer."""
-    x &= _M1
-    x = (x | (x >> 1)) & _M2
-    x = (x | (x >> 2)) & _M4
-    x = (x | (x >> 4)) & _M8
-    x = (x | (x >> 8)) & _M16
-    x = (x | (x >> 16)) & 0x00000000FFFFFFFF
-    return x
-
-
 def encode(i: int, j: int) -> int:
     """Interleave block coordinates into a linear key, row bit high."""
     if not (0 <= i < COORD_LIMIT and 0 <= j < COORD_LIMIT):
         raise ValueError(f"block coordinates ({i}, {j}) outside [0, 2^31)")
-    return (_dilate(i) << 1) | _dilate(j)
+    return int(encode_array(operator.index(i), operator.index(j)))
 
 
 def decode(key: int) -> tuple[int, int]:
     """Recover (i, j) block coordinates from a linear key."""
     if key < 0 or key >> 62:
         raise ValueError(f"key {key} outside the 62 bit interleave range")
-    return _undilate(key >> 1), _undilate(key)
+    i, j = decode_array(np.uint64(key))
+    return int(i), int(j)
 
 
 def k_of_a(key: int) -> int:
@@ -83,8 +64,8 @@ def c_index(key_a: int, key_b: int) -> int:
     return (key_a & EVEN_MASK) | (key_b & ODD_MASK)
 
 
-# Vectorized variants on uint64 arrays, used by the tree builder and the
-# exhaustive index tests.  Same mask-shift stages as the scalar versions.
+# The one dilation: mask-shift stages on uint64 arrays.  The tree builder
+# and the scalar encode/decode above go through it.
 
 _U = np.uint64
 

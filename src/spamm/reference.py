@@ -1,11 +1,9 @@
-"""Reference multiplies, the recursive product oracle, and error metrics.
+"""Reference multiplies and error metrics.
 
 The double-precision classical product is the ground truth every error in
 the package is measured against.  The single-precision version accumulates
 in ascending k like the micro kernels do, so it is the natural baseline for
-the tau = 0 exactness comparison.  recursive_spamm is the tree-walking
-formulation of the pruned product and doubles as an oracle for the flat
-symbolic plan: it returns the set of leaf product pairs it visited.
+the tau = 0 exactness comparison.
 """
 
 from __future__ import annotations
@@ -14,14 +12,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import DenseMatrix, QuadtreeMatrix
-from .morton import c_index
+from .core import DenseMatrix
 
 __all__ = [
     "ErrorReport",
     "dense_multiply_double",
     "dense_multiply_single",
-    "recursive_spamm",
     "max_norm_error",
     "flop_model",
     "effective_performance",
@@ -65,64 +61,6 @@ def dense_multiply_single(a: DenseMatrix, b: DenseMatrix) -> DenseMatrix:
         np.multiply(a32[:, k, np.newaxis], b32[k, np.newaxis, :], out=buf)
         out += buf
     return DenseMatrix(out)
-
-
-def recursive_spamm(
-    a: QuadtreeMatrix, b: QuadtreeMatrix, tau: float
-) -> tuple[QuadtreeMatrix, set[tuple[int, int]]]:
-    """Depth-first pruned product on the trees themselves.
-
-    At every tier, each of the eight child products recurses only when the
-    product of child norms reaches tau; the root product itself is gated the
-    same way, so tau = inf yields an empty C and zero visits.  Leaf products
-    are dense 16x16 multiplies with no 4x4 gating.  Returns C and the set of
-    (a_key, b_key) leaf product pairs visited.
-    """
-    if np.isnan(tau) or tau < 0:
-        raise ValueError(f"tau must be nonnegative, got {tau}")
-    if a.n_b != b.n_b:
-        raise ValueError(f"block sizes differ: {a.n_b} vs {b.n_b}")
-    if a.n != b.m:
-        raise ValueError(f"inner dimensions differ: {a.m}x{a.n} times {b.m}x{b.n}")
-    if a.depth != b.depth:
-        raise ValueError(f"mismatched depths: {a.depth} vs {b.depth}")
-    nb = a.n_b
-    d = a.depth
-    visits: set[tuple[int, int]] = set()
-    out: dict[int, np.ndarray] = {}
-    a_norm = [dict(zip(k.tolist(), v.tolist())) for k, v in a.tiers]
-    b_norm = [dict(zip(k.tolist(), v.tolist())) for k, v in b.tiers]
-    a_leaf = dict(zip(a.keys.tolist(), a.values))
-    b_leaf = dict(zip(b.keys.tolist(), b.values))
-
-    def walk(la: int, lb: int, t: int) -> None:
-        if t == d:
-            visits.add((la, lb))
-            ck = c_index(la, lb)
-            buf = out.get(ck)
-            if buf is None:
-                buf = np.zeros((nb, nb), np.float32)
-                out[ck] = buf
-            buf += np.matmul(a_leaf[la], b_leaf[lb])
-            return
-        for i in (0, 1):
-            for j in (0, 1):
-                for k in (0, 1):
-                    ca = (la << 2) | (i << 1) | k
-                    cb = (lb << 2) | (k << 1) | j
-                    norm_a = a_norm[t + 1].get(ca)
-                    norm_b = b_norm[t + 1].get(cb)
-                    if norm_a is None or norm_b is None or norm_a * norm_b < tau:
-                        continue
-                    walk(ca, cb, t + 1)
-
-    ra = a_norm[0].get(0)
-    rb = b_norm[0].get(0)
-    if ra is not None and rb is not None and not (ra * rb < tau):
-        walk(0, 0, 0)
-    keys = sorted(out)
-    values = np.array([out[k] for k in keys], np.float32).reshape(-1, nb, nb)
-    return QuadtreeMatrix.from_leaves(a.m, b.n, keys, values, nb), visits
 
 
 @dataclass

@@ -1,4 +1,4 @@
-"""Shared test helpers: tree invariant checks and brute-force oracles.
+"""Shared test helpers: tree invariant checks, brute-force oracles, a slope fit.
 
 These deliberately reimplement package logic in the dumbest way possible
 (dense scans, all-pairs loops) so the fast paths have something independent
@@ -7,8 +7,11 @@ to be compared against.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
+from spamm.bench import RunReport
 from spamm.core import DenseMatrix, QuadtreeMatrix
 from spamm.generators import GeneratorSpec, generate
 from spamm.morton import c_index, k_of_a, k_of_b
@@ -193,3 +196,77 @@ def assert_plans_equal(got: MultiplyPlan, want: MultiplyPlan) -> None:
         assert np.array_equal(x.view(np.uint64), y.view(np.uint64)), name
     assert got.tau == want.tau
     assert got.stats == want.stats
+
+
+def recursive_spamm(
+    a: QuadtreeMatrix, b: QuadtreeMatrix, tau: float
+) -> tuple[QuadtreeMatrix, set[tuple[int, int]]]:
+    """Depth-first pruned product on the trees themselves.
+
+    At every tier, each of the eight child products recurses only when the
+    product of child norms reaches tau; the root product itself is gated the
+    same way, so tau = inf yields an empty C and zero visits.  Leaf products
+    are dense 16x16 multiplies with no 4x4 gating.  Returns C and the set of
+    (a_key, b_key) leaf product pairs visited.
+    """
+    if np.isnan(tau) or tau < 0:
+        raise ValueError(f"tau must be nonnegative, got {tau}")
+    if a.n_b != b.n_b:
+        raise ValueError(f"block sizes differ: {a.n_b} vs {b.n_b}")
+    if a.n != b.m:
+        raise ValueError(f"inner dimensions differ: {a.m}x{a.n} times {b.m}x{b.n}")
+    if a.depth != b.depth:
+        raise ValueError(f"mismatched depths: {a.depth} vs {b.depth}")
+    nb = a.n_b
+    d = a.depth
+    visits: set[tuple[int, int]] = set()
+    out: dict[int, np.ndarray] = {}
+    a_norm = [dict(zip(k.tolist(), v.tolist())) for k, v in a.tiers]
+    b_norm = [dict(zip(k.tolist(), v.tolist())) for k, v in b.tiers]
+    a_leaf = dict(zip(a.keys.tolist(), a.values))
+    b_leaf = dict(zip(b.keys.tolist(), b.values))
+
+    def walk(la: int, lb: int, t: int) -> None:
+        if t == d:
+            visits.add((la, lb))
+            ck = c_index(la, lb)
+            buf = out.get(ck)
+            if buf is None:
+                buf = np.zeros((nb, nb), np.float32)
+                out[ck] = buf
+            buf += np.matmul(a_leaf[la], b_leaf[lb])
+            return
+        for i in (0, 1):
+            for j in (0, 1):
+                for k in (0, 1):
+                    ca = (la << 2) | (i << 1) | k
+                    cb = (lb << 2) | (k << 1) | j
+                    norm_a = a_norm[t + 1].get(ca)
+                    norm_b = b_norm[t + 1].get(cb)
+                    if norm_a is None or norm_b is None or norm_a * norm_b < tau:
+                        continue
+                    walk(ca, cb, t + 1)
+
+    ra = a_norm[0].get(0)
+    rb = b_norm[0].get(0)
+    if ra is not None and rb is not None and not (ra * rb < tau):
+        walk(0, 0, 0)
+    keys = sorted(out)
+    values = np.array([out[k] for k in keys], np.float32).reshape(-1, nb, nb)
+    return QuadtreeMatrix.from_leaves(a.m, b.n, keys, values, nb), visits
+
+
+def fitted_slope(reports: Iterable[RunReport]) -> float:
+    """Least-squares slope of log products4 vs log n over the given rows.
+
+    Callers filter the rows (one scenario, one tau) before fitting; near 1
+    means work growing linearly with n, 3 is the classical product.
+    """
+    pts = [(math.log(r.n), math.log(r.products4)) for r in reports if r.products4 > 0]
+    if len(pts) < 2 or len({x for x, _ in pts}) < 2:
+        raise ValueError("need at least two distinct sizes to fit a slope")
+    mx = sum(x for x, _ in pts) / len(pts)
+    my = sum(y for _, y in pts) / len(pts)
+    sxx = sum((x - mx) ** 2 for x, _ in pts)
+    sxy = sum((x - mx) * (y - my) for x, y in pts)
+    return sxy / sxx

@@ -15,8 +15,8 @@ import time
 
 import numpy as np
 
-from helpers import assert_norm_invariant, decay_matrix
-from spamm.bench import calibrate_tau, fitted_slope, ratio_table, run_scenario, sweep
+from helpers import assert_norm_invariant, decay_matrix, fitted_slope, recursive_spamm
+from spamm.bench import calibrate_tau, ratio_table, run_scenario, sweep
 from spamm.core import DenseMatrix, QuadtreeMatrix
 from spamm.generators import KINDS, GeneratorSpec, generate
 from spamm.io import load_matrix, load_quadtree, save_matrix, save_quadtree
@@ -36,7 +36,6 @@ from spamm.reference import (
     dense_multiply_single,
     flop_model,
     max_norm_error,
-    recursive_spamm,
 )
 from spamm.symbolic import build_plan
 
@@ -196,19 +195,13 @@ def test_criterion_05_norm_invariant_everywhere(tmp_path):
     trees["identity"] = QuadtreeMatrix.from_dense(np.eye(64, dtype=np.float32))
     trees["from_leaves"] = QuadtreeMatrix.from_leaves(
         64, 64, [0, 3, 9, 14], rng.random((4, 16, 16), dtype=np.float32), 16)
-    edited = QuadtreeMatrix.from_dense(decay_matrix(96, seed=30).data)
-    for _ in range(25):
-        i, j = rng.integers(0, 96, 2)
-        edited.set_element(int(i), int(j), float(rng.normal()))
-    edited.set_element(0, 0, 0.0)
-    trees["set_element"] = edited
-    thinned = QuadtreeMatrix.from_dense(
-        decay_matrix(128, seed=31, kind="blocked-decay", blocks=(4, 8)).data)
-    thinned.sparsify(1e-4)
-    trees["sparsify"] = thinned
     base = QuadtreeMatrix.from_dense(decay_matrix(128, seed=32).data)
     trees["product"], _, _ = multiply(base, base,
                                       MultiplyConfig(tau=1e-8, granularity="fine4"))
+    # the one in-place path: X <- 2X - X X stores into X itself
+    x = QuadtreeMatrix.from_dense(decay_matrix(96, seed=30).data)
+    trees["accumulator"], _, _ = multiply(x, x, MultiplyConfig(1e-8, "fine4", -1.0, 2.0), c=x)
+    assert trees["accumulator"] is x
     path = tmp_path / "tree.spamm"
     save_quadtree(path, trees["blocked-decay"])
     trees["loaded"] = load_quadtree(path)

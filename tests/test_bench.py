@@ -6,14 +6,13 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from helpers import decay_matrix
+from helpers import decay_matrix, fitted_slope
 from spamm.bench import (
     CSV_HEADER,
     RATIO_HEADER,
     SCENARIOS,
     RunReport,
     calibrate_tau,
-    fitted_slope,
     ratio_table,
     ratios_to_csv,
     reports_to_csv,

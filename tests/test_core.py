@@ -68,8 +68,7 @@ def test_single_leaf_diagonal_norm():
     assert q.depth == 0
     assert q.leaf_count == 1
     assert q.norm == 5.0
-    assert q.get_element(0, 0) == 3.0
-    assert q.get_element(0, 1) == 0.0
+    assert np.array_equal(q.to_dense().data, [[3.0, 0.0], [0.0, 4.0]])
 
 
 def test_from_dense_skips_zero_blocks():
@@ -134,69 +133,6 @@ def test_constructor_validation():
         QuadtreeMatrix(4, 4, 3)
 
 
-# -- element access and mutation -------------------------------------------
-
-def test_get_element_bounds():
-    q = QuadtreeMatrix.from_dense(np.ones((17, 4), np.float32))
-    assert q.get_element(16, 3) == 1.0
-    with pytest.raises(IndexError):
-        q.get_element(17, 0)
-    with pytest.raises(IndexError):
-        q.get_element(0, 4)
-    with pytest.raises(IndexError):
-        q.get_element(-1, 0)
-
-
-def test_set_element_updates_value_and_norms():
-    q = QuadtreeMatrix(40, 40)
-    q.set_element(0, 1, 7.0)
-    assert q.get_element(0, 1) == 7.0
-    assert q.norm == 7.0
-    q.set_element(39, 39, 1.0)
-    assert q.get_element(39, 39) == 1.0
-    assert q.norm == float(np.float32(math.sqrt(50.0)))
-    assert_norm_invariant(q)
-    q.set_element(0, 1, 0.0)
-    assert q.get_element(0, 1) == 0.0
-    assert q.norm == 1.0
-    assert_norm_invariant(q)
-
-
-def test_set_element_validation():
-    q = QuadtreeMatrix(8, 8, 4)
-    with pytest.raises(ValueError):
-        q.set_element(0, 0, float("nan"))
-    with pytest.raises(IndexError):
-        q.set_element(8, 0, 1.0)
-
-
-def test_set_element_matches_from_dense():
-    rng = np.random.default_rng(9)
-    a = np.zeros((33, 20), np.float32)
-    q = QuadtreeMatrix(33, 20)
-    for _ in range(60):
-        i = int(rng.integers(0, 33))
-        j = int(rng.integers(0, 20))
-        v = float(np.float32(rng.normal()))
-        a[i, j] = v
-        q.set_element(i, j, v)
-    ref = QuadtreeMatrix.from_dense(a)
-    assert np.array_equal(q.to_dense().data, a)
-    for (rk, rn), (qk, qn) in zip(ref.tiers, q.tiers):
-        assert np.array_equal(qk, rk)
-        assert np.array_equal(qn, rn)
-
-
-@pytest.mark.filterwarnings("error")
-def test_set_element_leaves_tree_unchanged_on_overflow():
-    q = QuadtreeMatrix.from_dense(rng_matrix(32, 32, seed=8))
-    before = q.values.copy()
-    with pytest.raises(OverflowError, match="block row 1, column 0"):
-        q.set_element(20, 3, 1e39)  # finite float64, inf in float32
-    assert np.array_equal(q.values, before)
-    assert_norm_invariant(q)
-
-
 def test_from_leaves_matches_from_dense():
     a = rng_matrix(64, 64, seed=21)
     ref = QuadtreeMatrix.from_dense(a)
@@ -252,74 +188,6 @@ def test_norm_above_float32_max_is_rejected():
     a[0, 0] = a[16, 16] = 3e38
     with pytest.raises(OverflowError, match="matrix norm"):
         QuadtreeMatrix.from_dense(a)
-    a[16, 16] = 0
-    q = QuadtreeMatrix.from_dense(a)
-    with pytest.raises(OverflowError, match="matrix norm"):
-        q.set_element(40, 40, 3e38)
-    assert q.leaf_count == 1
-    assert np.array_equal(q.to_dense().data, a)
-    assert_norm_invariant(q)
-
-
-# -- sparsify ---------------------------------------------------------------
-
-def _sparsify_oracle(a: np.ndarray, nb: int, eps: float):
-    """Dense reimplementation: zero 4x4 sub-blocks with 0 < norm32 < eps."""
-    out = a.copy()
-    m, n = a.shape
-    br, bc = -(-m // nb), -(-n // nb)
-    padded = np.zeros((br * nb, bc * nb), np.float32)
-    padded[:m, :n] = a
-    w = 4 if nb % 4 == 0 else nb
-    dropped = 0
-    for r0 in range(0, br * nb, w):
-        for c0 in range(0, bc * nb, w):
-            sub = padded[r0 : r0 + w, c0 : c0 + w].astype(np.float64)
-            sn = np.float32(math.sqrt((sub * sub).sum()))
-            if 0 < sn < eps:
-                padded[r0 : r0 + w, c0 : c0 + w] = 0.0
-                dropped += 1
-    out = padded[:m, :n]
-    return out, dropped
-
-
-def test_sparsify_matches_dense_oracle():
-    rng = np.random.default_rng(17)
-    a = (rng.random((48, 48)).astype(np.float32) - 0.5) * 0.01
-    a[:8, :8] = 0.0
-    for eps in [0.0, 1e-3, 5e-3, 1e-2, 1.0]:
-        q = QuadtreeMatrix.from_dense(a)
-        want, want_dropped = _sparsify_oracle(a, 16, eps)
-        got_dropped = q.sparsify(eps)
-        assert got_dropped == want_dropped
-        assert np.array_equal(q.to_dense().data, want)
-        assert_norm_invariant(q)
-
-
-def test_sparsify_removes_emptied_leaves():
-    a = np.zeros((32, 32), np.float32)
-    a[0, 0] = 1e-6
-    a[16, 16] = 1.0
-    q = QuadtreeMatrix.from_dense(a)
-    assert q.leaf_count == 2
-    assert q.sparsify(1e-3) == 1
-    assert q.leaf_count == 1
-    assert q.norm == 1.0
-    assert q.get_element(0, 0) == 0.0
-
-
-def test_sparsify_zero_eps_is_noop():
-    a = rng_matrix(32, 32, seed=4, scale=1e-8)
-    q = QuadtreeMatrix.from_dense(a)
-    before = (q.keys, q.values, q.subnorms, q.tiers)
-    assert q.sparsify(0.0) == 0
-    assert (q.keys, q.values, q.subnorms, q.tiers) == before
-
-
-def test_sparsify_validation():
-    q = QuadtreeMatrix(16, 16)
-    with pytest.raises(ValueError):
-        q.sparsify(-1.0)
 
 
 # -- stacks and bookkeeping --------------------------------------------------

@@ -231,3 +231,11 @@ def test_quadtree_load_rejects_bad_block_size(tmp_path):
     p.write_bytes(bytes(raw))
     with pytest.raises(MatrixFormatError, match="header"):
         load_quadtree(p)
+    # powers of two whose leaf record numpy cannot form; depth 0 matches a
+    # 16 x 16 matrix at these sizes, so the record size is what fails
+    for n_b in (2**15, 2**40):
+        p.write_bytes(QUADTREE_MAGIC + struct.pack("<5Q", 16, 16, n_b, 0, 0))
+        with pytest.raises(MatrixFormatError, match=f"block size {n_b}"):
+            load_quadtree(p)
+    p.write_bytes(QUADTREE_MAGIC + struct.pack("<5Q", 16, 16, 2**14, 0, 0))
+    assert load_quadtree(p).n_b == 2**14

@@ -105,14 +105,19 @@ def test_c_index_small_exhaustive():
                 assert c_index(encode(i, k), encode(k, j)) == encode(i, j)
 
 
+def _interleave(i: int, j: int) -> int:
+    """Bit by bit: bit m of i goes to 2m + 1, bit m of j to 2m."""
+    return sum(((i >> m & 1) << (2 * m + 1)) | ((j >> m & 1) << (2 * m)) for m in range(31))
+
+
 def test_vectorized_matches_scalar():
     rng = np.random.default_rng(3)
-    i = rng.integers(0, 1 << 16, 500).astype(np.uint64)
-    j = rng.integers(0, 1 << 16, 500).astype(np.uint64)
+    i = rng.integers(0, COORD_LIMIT, 500).astype(np.uint64)
+    j = rng.integers(0, COORD_LIMIT, 500).astype(np.uint64)
     keys = encode_array(i, j)
     assert keys.dtype == np.uint64
     for a, b, k in zip(i.tolist(), j.tolist(), keys.tolist()):
-        assert encode(a, b) == k
+        assert _interleave(a, b) == k
     di, dj = decode_array(keys)
     assert np.array_equal(di, i)
     assert np.array_equal(dj, j)

@@ -276,9 +276,10 @@ def test_beta_one_with_empty_plan_keeps_accumulator():
 def test_stale_plan_handles_are_rejected():
     a = QuadtreeMatrix.from_dense(decay_matrix(64, seed=28).data)
     plan = build_plan(a, a, 0.0)
-    a.sparsify(1.0)  # drops leaves the plan still references
+    # lacks a leaf the plan still references
+    stale = QuadtreeMatrix.from_leaves(64, 64, a.keys[1:], a.values[1:])
     with pytest.raises(ValueError, match="stale"):
-        execute_plan(plan, a, a, None, MultiplyConfig())
+        execute_plan(plan, stale, stale, None, MultiplyConfig())
     b = QuadtreeMatrix(64, 64)
     with pytest.raises(ValueError, match="stale"):
         execute_plan(plan, b, b, None, MultiplyConfig())

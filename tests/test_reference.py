@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from helpers import decay_matrix, matched_pairs, rng_matrix
+from helpers import decay_matrix, matched_pairs, recursive_spamm, rng_matrix
 from spamm.core import DenseMatrix, QuadtreeMatrix
 from spamm.reference import (
     dense_multiply_double,
@@ -11,7 +11,6 @@ from spamm.reference import (
     effective_performance,
     flop_model,
     max_norm_error,
-    recursive_spamm,
 )
 from spamm.symbolic import build_plan
 
