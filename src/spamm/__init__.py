@@ -1,7 +1,7 @@
 """Sparse approximate matrix multiply (SpAMM) for matrices with decay.
 
 Matrices are stored as columnar quadtrees: a stack of 16x16 single-precision
-leaf blocks plus per-tier arrays of hierarchical Frobenius norms.  A multiply
+leaf blocks with their Frobenius norms and 4x4 sub-block norms.  A multiply
 first runs a symbolic phase that sorts leaf keys and prunes block products
 whose norm product falls below a tolerance tau, then a numeric phase that
 executes the surviving products, gating each 4x4x4 micro product by its
@@ -21,7 +21,6 @@ from .morton import c_index, decode, encode, k_of_a, k_of_b
 from .numeric import (
     ExecCounters,
     MultiplyConfig,
-    block_multiply_16,
     execute_plan,
     execute_plan_dense_leaf,
     multiply,

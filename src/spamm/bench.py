@@ -14,7 +14,7 @@ Scenarios:
     dense-single      classical float32 product, no tree
     dense-double      classical float64 product, no tree
 
-CSV output is one fixed header plus one row per run; complexity ratios
+CSV output is one fixed header plus one row per run; work ratios
 between the two gating granularities go in a separate small table rather
 than extra columns.
 """
@@ -64,7 +64,7 @@ _GRAIN = {
 
 CSV_HEADER = (
     "scenario,n,tau,granularity,seconds,products4,"
-    "complexity,flops_model,effective_rate,max_norm_error"
+    "flops_model,effective_rate,max_norm_error"
 )
 
 RATIO_HEADER = "n,tau,c16_over_c4,t16_over_t4"
@@ -80,7 +80,6 @@ class RunReport:
     granularity: str
     seconds: float
     products4: int
-    complexity: int
     flops_model: int
     effective_rate: float
     max_norm_error: float
@@ -88,7 +87,7 @@ class RunReport:
     def csv_row(self) -> str:
         return (
             f"{self.scenario},{self.n},{self.tau:.6g},{self.granularity},"
-            f"{self.seconds:.6g},{self.products4},{self.complexity},"
+            f"{self.seconds:.6g},{self.products4},"
             f"{self.flops_model},{self.effective_rate:.6g},{self.max_norm_error:.6g}"
         )
 
@@ -145,7 +144,7 @@ def run_scenario(
             _, c, counters = _tree_product(scenario, tree, tree, None, tau)
             times.append(time.perf_counter() - t0)
         result = c.to_dense()
-        products4 = complexity = counters.products4
+        products4 = counters.products4
     else:
         for _ in range(repeats):
             t0 = time.perf_counter()
@@ -156,7 +155,6 @@ def run_scenario(
             times.append(time.perf_counter() - t0)
         # classical work, expressed in the same 4x4x4 product unit
         products4 = (n * n * n) // 64
-        complexity = products4
     seconds = statistics.median(times)
     err = float("nan")
     if compute_error:
@@ -171,7 +169,6 @@ def run_scenario(
         granularity=_GRAIN[scenario],
         seconds=seconds,
         products4=products4,
-        complexity=complexity,
         flops_model=flops,
         effective_rate=effective_performance(flops, seconds),
         max_norm_error=err,
@@ -228,10 +225,10 @@ def ratio_table(reports: Iterable[RunReport]) -> list[tuple[int, float, float, f
         if r.scenario != "spamm16":
             continue
         base = fours.get((r.n, r.tau))
-        if base is None or base.complexity == 0 or base.seconds <= 0:
+        if base is None or base.products4 == 0 or base.seconds <= 0:
             continue
         rows.append(
-            (r.n, r.tau, r.complexity / base.complexity, r.seconds / base.seconds)
+            (r.n, r.tau, r.products4 / base.products4, r.seconds / base.seconds)
         )
     return rows
 

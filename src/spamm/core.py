@@ -1,12 +1,12 @@
-"""Dense and quadtree matrix storage with hierarchical Frobenius norms.
+"""Dense and quadtree matrix storage with Frobenius norms.
 
-A QuadtreeMatrix stores an m x n single-precision matrix padded up to
-n_b * 2^depth and decomposed into n_b x n_b leaf blocks.  The tree is
-columnar: the stored leaves form one stack in ascending Morton key order,
-and every tier 0..depth is one sorted pair of (key, norm) arrays.  Child
-lookup is pure key arithmetic and an absent key means an exactly zero
-submatrix.  Every leaf additionally carries a grid of 4x4 sub-block norms;
-those norms are what the multiply phases prune against.  All norms are
+A QuadtreeMatrix stores an m x n single-precision matrix as n_b x n_b leaf
+blocks on a 2^depth x 2^depth block grid, with zeros past m x n.  The
+tree is columnar: four parallel arrays over the stored leaves in ascending
+Morton key order (keys, blocks, block norms, 4x4 sub-block norms) plus the
+norm of the whole matrix.  An absent key means an exactly zero submatrix.
+The multiply phases prune against the block and sub-block norms; interior
+nodes exist only as key arithmetic and store no norms.  All norms are
 built from the leaf stack by one routine, once per tree and once per
 execute_plan for its accumulator, so they are never stale.
 """
@@ -25,8 +25,8 @@ _SCAN_LEAVES = 4096
 
 
 def _validate_block_size(n_b: int) -> None:
-    if not isinstance(n_b, (int, np.integer)) or n_b < 1 or n_b & (n_b - 1):
-        raise ValueError(f"block size must be a positive power of two, got {n_b}")
+    if not isinstance(n_b, (int, np.integer)) or n_b < 4 or n_b & (n_b - 1):
+        raise ValueError(f"block size must be a power of two of at least 4, got {n_b}")
 
 
 def tree_depth(m: int, n: int, n_b: int = DEFAULT_BLOCK) -> int:
@@ -78,17 +78,17 @@ class DenseMatrix:
 
 
 class QuadtreeMatrix:
-    """Quadtree of n_b x n_b single-precision blocks with per-node norms.
+    """Quadtree of n_b x n_b single-precision blocks with their norms.
 
     Leaves sit at tier == depth, the root at tier 0 (for depth 0 the root is
     the leaf).  Logical size is m x n; rows and columns past that are
-    padding.  Storage:
+    padding and hold zeros.  Storage:
 
         keys      (L,) uint64, ascending leaf keys
         values    (L, n_b, n_b) float32 leaf stack, row-major blocks
-        subnorms  (L, s, s) float32, s = n_b/4 (1 when 4 does not divide n_b)
-        tiers     per tier t = 0..depth a (keys, norms) pair, keys ascending
-                  uint64, norms float32; tiers[depth] holds the leaf norms
+        norms     (L,) float32 Frobenius norms of the leaf blocks
+        subnorms  (L, n_b/4, n_b/4) float32 norms of their 4x4 sub-blocks
+        norm      Frobenius norm of the whole matrix, a float32 value
 
     A tree is built whole, by from_dense, from_leaves or io.load_quadtree.
     Its arrays are replaced whole only by _store, and only when the tree is
@@ -104,23 +104,13 @@ class QuadtreeMatrix:
         self.n = int(n)
         self.n_b = int(n_b)
         self.depth = tree_depth(m, n, n_b)
-        self.padded = n_b << self.depth
         self._store(np.empty(0, np.uint64), np.empty((0, n_b, n_b), np.float32))
 
     # -- basic queries ---------------------------------------------------
 
     @property
-    def norm(self) -> float:
-        norms = self.tiers[0][1]
-        return float(norms[0]) if norms.size else 0.0
-
-    @property
     def leaf_count(self) -> int:
         return self.keys.size
-
-    @property
-    def node_count(self) -> int:
-        return sum(keys.size for keys, _ in self.tiers)
 
     # -- construction ----------------------------------------------------
 
@@ -132,10 +122,10 @@ class QuadtreeMatrix:
         q = cls(dense.m, dense.n, n_b)
         br = -(-q.m // n_b)
         bc = -(-q.n // n_b)
-        padded = np.zeros((br * n_b, bc * n_b), np.float32)
+        grid = np.zeros((br * n_b, bc * n_b), np.float32)
         with np.errstate(over="ignore"):  # _store names an overflowed leaf
-            padded[: q.m, : q.n] = dense.data
-        blocks = padded.reshape(br, n_b, bc, n_b).transpose(0, 2, 1, 3)
+            grid[: q.m, : q.n] = dense.data
+        blocks = grid.reshape(br, n_b, bc, n_b).transpose(0, 2, 1, 3)
         bi, bj = np.nonzero(blocks.any(axis=(2, 3)))
         keys = encode_array(bi, bj)
         order = np.argsort(keys)
@@ -149,7 +139,8 @@ class QuadtreeMatrix:
         """Build the tree from ascending leaf keys and their n_b x n_b blocks.
 
         Keys must be unique, ascending and inside the block grid of an
-        m x n matrix; values are copied to float32.  All-zero leaves are
+        m x n matrix, and the padding rows and columns of the edge leaves
+        must be zero; values are copied to float32.  All-zero leaves are
         kept as given.
         """
         q = cls(m, n, n_b)
@@ -167,12 +158,26 @@ class QuadtreeMatrix:
         if np.any(keys[1:] <= keys[:-1]):
             raise ValueError("leaf keys must be unique and ascending")
         rows, cols = decode_array(keys)
-        outside = np.flatnonzero((rows >= -(-q.m // n_b)) | (cols >= -(-q.n // n_b)))
+        br = -(-q.m // n_b)
+        bc = -(-q.n // n_b)
+        outside = np.flatnonzero((rows >= br) | (cols >= bc))
         if outside.size:
             key = int(keys[outside[0]])
             raise ValueError(
                 f"leaf key {key} out of range: block {decode(key)} lies outside "
                 f"a {q.m} x {q.n} matrix at block size {n_b}"
+            )
+        # the multiply reads padding like any value, so it must hold zeros
+        dirty = np.zeros(keys.size, bool)
+        bottom = np.flatnonzero(rows == br - 1)
+        dirty[bottom] = vals[bottom, q.m - (br - 1) * n_b :].any(axis=(1, 2))
+        right = np.flatnonzero(cols == bc - 1)
+        dirty[right] |= vals[right, :, q.n - (bc - 1) * n_b :].any(axis=(1, 2))
+        if dirty.any():
+            r, c = decode(int(keys[np.argmax(dirty)]))
+            raise ValueError(
+                f"leaf at block row {r}, column {c} has nonzero values in the "
+                f"padding past a {q.m} x {q.n} matrix"
             )
         q._store(keys, vals)
         return q
@@ -180,48 +185,39 @@ class QuadtreeMatrix:
     def _store(self, keys: np.ndarray, values: np.ndarray) -> None:
         """Install a leaf stack (keys ascending) and rebuild every norm from it.
 
-        Leaf sub-block and block norms come from exact float64 square sums,
-        interior norms from the summed square sums of their leaves; each is
-        rounded to float32 once.  A norm that is not finite in float32 (a
-        non-finite value, or finite values whose norm exceeds float32 max)
-        raises OverflowError and leaves the tree as it was: a leaf names its
-        block row and column, and otherwise the root covers every interior
-        norm, since norms only grow toward it.
+        Sub-block and block norms come from exact float64 square sums of the
+        leaf values, the matrix norm from the float64 total of the block
+        square sums; each is rounded to float32 once.  A norm that is not
+        finite in float32 (a non-finite value, or finite values whose norm
+        exceeds float32 max) raises OverflowError and leaves the tree as it
+        was: a leaf names its block row and column, and a matrix norm that
+        overflows with every leaf norm finite names the matrix.
         """
         count = keys.size
-        nb = self.n_b
-        s = nb // 4 if nb % 4 == 0 else 1
-        w = nb // s
+        s = self.n_b // 4
         subsq = np.empty((count, s, s), np.float64)
         for lo in range(0, count, _SCAN_LEAVES):
             seg = values[lo : lo + _SCAN_LEAVES].astype(np.float64)
             seg *= seg
-            subsq[lo : lo + _SCAN_LEAVES] = seg.reshape(-1, s, w, s, w).sum(axis=(2, 4))
+            subsq[lo : lo + _SCAN_LEAVES] = seg.reshape(-1, s, 4, s, 4).sum(axis=(2, 4))
         sq = subsq.sum(axis=(1, 2))
         with np.errstate(over="ignore"):  # a norm that overflows is named below
-            tiers = [(keys, np.sqrt(sq).astype(np.float32))]
-            for _ in range(self.depth):
-                parents = keys >> np.uint64(2)
-                first = np.ones(parents.size, bool)
-                first[1:] = parents[1:] != parents[:-1]
-                starts = np.flatnonzero(first)
-                keys = parents[starts]
-                sq = np.add.reduceat(sq, starts)
-                tiers.append((keys, np.sqrt(sq).astype(np.float32)))
-        leaf_keys, leaf_norms = tiers[0]
-        bad = np.flatnonzero(~np.isfinite(leaf_norms))
+            norms = np.sqrt(sq).astype(np.float32)
+            norm = np.sqrt(sq.sum()).astype(np.float32)
+        bad = np.flatnonzero(~np.isfinite(norms))
         if bad.size:
-            r, c = decode(int(leaf_keys[bad[0]]))
+            r, c = decode(int(keys[bad[0]]))
             raise OverflowError(
                 f"leaf at block row {r}, column {c} has a norm that is not "
                 "finite in float32"
             )
-        if np.isinf(tiers[-1][1]).any():
+        if np.isinf(norm):
             raise OverflowError("matrix norm is not finite in float32")
-        self.keys = leaf_keys
+        self.keys = keys
         self.values = values
+        self.norms = norms
         self.subnorms = np.sqrt(subsq).astype(np.float32)
-        self.tiers = tiers[::-1]
+        self.norm = float(norm)
 
     def to_dense(self) -> DenseMatrix:
         nb = self.n_b

@@ -5,7 +5,7 @@ general or symmetric); anything else in the header is rejected before the
 body is parsed.  Trees travel in a flat binary dump: an 8 byte magic, five
 little-endian u64 header words (m, n, n_b, depth, leaf count), then one
 record per leaf in ascending key order holding the u64 key and the n_b*n_b
-float32 values row-major.  Interior norms are not stored; they are exactly
+float32 values row-major.  Norms are not stored; they are exactly
 reproducible from the leaves and get rebuilt on load.
 """
 

@@ -1,4 +1,4 @@
-"""Z-order (Morton) linear indexing for quadtree tiers.
+"""Z-order (Morton) linear indexing for quadtree nodes.
 
 Block coordinates (i, j) are interleaved bitwise into one integer key, the
 row bit taking the higher position of each bit pair.  Keys are dense within

@@ -15,8 +15,8 @@ executor is one C function (_kernel.c) that walks the plan's tasks in that
 order into a (G, n_b, n_b) float32 stack, one block per product leaf.
 Within a task it holds each 4x4 C tile in registers while it adds the
 tile's open k blocks in ascending order, so every element still sees its
-terms in ascending k: results match a sequential block_multiply_16 loop
-bit for bit and are identical run to run.
+terms in ascending k: results match a sequential loop of gated block
+products bit for bit and are identical run to run.
 
 The kernel is compiled when this module is imported, with the C compiler
 `cc`, into a per-user cache (~/.cache/spamm) under a name keyed by the
@@ -188,53 +188,6 @@ def _gate(cfg: MultiplyConfig) -> float:
     return cfg.tau if cfg.granularity == "fine4" else 0.0
 
 
-def block_multiply_16(
-    a: np.ndarray,
-    a_sub: np.ndarray,
-    b: np.ndarray,
-    b_sub: np.ndarray,
-    c: np.ndarray,
-    cfg: MultiplyConfig,
-) -> ExecCounters:
-    """Accumulate one block product a b into the float32 block c in place.
-
-    a_sub and b_sub are the 4x4 sub-block norms of a and b.  Micro
-    products whose sub-norm product is below the gate (cfg.tau at fine4,
-    0 at coarse16) are skipped: they are not computed and leave their
-    region of c untouched.  This is the sequential reference the stream
-    kernel is checked against.
-    """
-    nb = a.shape[0]
-    if b.shape[0] != nb or c.shape[0] != nb:
-        raise ValueError("block sizes of a, b, c differ")
-    if nb % 4:
-        raise ValueError(f"numeric phase needs 4 | n_b, got n_b = {nb}")
-    s = nb // 4
-    counters = ExecCounters()
-    a4 = a.reshape(s, 4, s, 4).transpose(0, 2, 1, 3)  # [p, r, ii, kk]
-    b4 = b.reshape(s, 4, s, 4).transpose(0, 2, 1, 3)  # [r, q, kk, jj]
-    c4 = c.reshape(s, 4, s, 4).transpose(0, 2, 1, 3)  # [p, q, ii, jj]
-    gate = _gate(cfg)
-    prod = np.empty_like(c4)
-    for r in range(s):
-        pn = (
-            a_sub[:, r].astype(np.float64)[:, None]
-            * b_sub[r, :].astype(np.float64)[None, :]
-        )
-        mask = pn >= gate
-        nexec = int(mask.sum())
-        counters.products4 += nexec
-        counters.skipped4 += mask.size - nexec
-        if nexec == 0:
-            continue
-        open_ = mask[:, :, None, None]
-        for k in range(4):
-            np.multiply(a4[:, r, :, k][:, None, :, None], b4[r, :, k, :][None, :, None, :],
-                        out=prod, where=open_)
-            np.add(c4, prod, out=c4, where=open_)
-    return counters
-
-
 def _gather_slots(keys: np.ndarray, stored: np.ndarray, side: str) -> np.ndarray:
     if stored.size == 0:
         raise ValueError(f"plan references leaves but {side} has none (stale handles)")
@@ -272,8 +225,6 @@ def _execute(plan, a, b, c, cfg, dense_kernel):
     if a.n != b.m:
         raise ValueError(f"inner dimensions differ: {a.m}x{a.n} times {b.m}x{b.n}")
     nb = a.n_b
-    if nb % 4:
-        raise ValueError(f"numeric phase needs 4 | n_b, got n_b = {nb}")
     if c is None:
         c = QuadtreeMatrix(a.m, b.n, nb)
     elif (c.m, c.n) != (a.m, b.n) or c.n_b != nb:

@@ -102,7 +102,7 @@ class PlanTasks(Sequence):
 def _lanes(lanes: np.ndarray, q: QuadtreeMatrix):
     """Leaf keys and float64 norms in (k, -norm, key) order, plus each lane's
     k and [start, stop) range, ascending k."""
-    keys, norms = q.tiers[q.depth]
+    keys, norms = q.keys, q.norms
     order = np.lexsort((keys, -norms, lanes))
     lanes = lanes[order]
     first = np.ones(lanes.size, bool)

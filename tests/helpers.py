@@ -15,7 +15,7 @@ from spamm.bench import RunReport
 from spamm.core import DenseMatrix, QuadtreeMatrix
 from spamm.generators import GeneratorSpec, generate
 from spamm.morton import c_index, k_of_a, k_of_b
-from spamm.numeric import ExecCounters, block_multiply_16
+from spamm.numeric import ExecCounters, MultiplyConfig, _gate
 from spamm.symbolic import MultiplyPlan, PlanStats, ProductTask
 
 
@@ -30,67 +30,37 @@ def decay_matrix(n: int, seed: int = 0, kind: str = "exponential", **kw) -> Dens
 
 
 def sub_norms(values: np.ndarray) -> np.ndarray:
-    """float32 Frobenius norms of the 4x4 sub-blocks of one leaf block,
-    1x1 when 4 does not divide the block size."""
+    """float32 Frobenius norms of the 4x4 sub-blocks of one leaf block."""
     vals = values.astype(np.float64)
-    nb = vals.shape[0]
-    s = nb // 4 if nb % 4 == 0 else 1
-    w = nb // s
-    return np.sqrt((vals * vals).reshape(s, w, s, w).sum(axis=(1, 3))).astype(np.float32)
+    s = vals.shape[0] // 4
+    return np.sqrt((vals * vals).reshape(s, 4, s, 4).sum(axis=(1, 3))).astype(np.float32)
 
 
 def leaf_norms(q: QuadtreeMatrix) -> dict[int, float]:
     """Leaf key -> stored block norm."""
-    keys, norms = q.tiers[q.depth]
-    return dict(zip(keys.tolist(), norms.tolist()))
+    return dict(zip(q.keys.tolist(), q.norms.tolist()))
 
 
-def assert_norm_invariant(q: QuadtreeMatrix, rel: float = 1e-6) -> None:
-    """Check every stored norm against its children, and tree reachability.
+def assert_norm_invariant(q: QuadtreeMatrix) -> None:
+    """Check every stored norm against a direct scan of the leaf stack.
 
-    Interior: norm^2 must equal the sum of the children's norm^2 within
-    rel * norm^2.  Leaves: the block norm must match the float32 norm of
-    the values, the sub-block norms must match a direct dense scan, and the
-    squared block norm must match the squared sub-norm sum within rel.
-    Every node must be reachable from the root, every tier's keys sorted
-    and unique, and the leaf tier must index the leaf and subnorm stacks.
+    Leaf keys must ascend strictly and the keys, values, norms and subnorms
+    stacks agree in length.  Each block norm must equal the float32 norm of
+    its values, each sub-block norm grid must equal sub_norms, and the
+    matrix norm must be the float32 rounding of the float64 total of the
+    leaf squares.
     """
-    d = q.depth
-    assert len(q.tiers) == d + 1
-    nodes = {}
-    for t, (keys, norms) in enumerate(q.tiers):
-        assert keys.shape == norms.shape
-        assert keys.tolist() == sorted(set(keys.tolist())), f"tier {t} keys unordered"
-        for key, norm in zip(keys.tolist(), norms.tolist()):
-            nodes[(t, key)] = norm
-    assert q.keys.tolist() == q.tiers[d][0].tolist()
-    assert q.values.shape[0] == q.subnorms.shape[0] == q.keys.size
-    leaf = dict(zip(q.keys.tolist(), range(q.keys.size)))
-    seen = 0
-    for (t, key), norm in nodes.items():
-        seen += 1
-        if t > 0:
-            assert (t - 1, key >> 2) in nodes, f"orphan node at tier {t} key {key}"
-        if t < d:
-            s2 = 0.0
-            for quad in range(4):
-                ch = nodes.get((t + 1, (key << 2) | quad))
-                if ch is not None:
-                    s2 += float(ch) ** 2
-            n2 = float(norm) ** 2
-            assert abs(n2 - s2) <= rel * max(n2, s2), (
-                f"tier {t} key {key}: norm^2 {n2} vs child sum {s2}"
-            )
-        else:
-            vals = q.values[leaf[key]].astype(np.float64)
-            direct = np.float32(np.sqrt((vals * vals).sum()))
-            assert norm == float(direct)
-            sub = sub_norms(q.values[leaf[key]])
-            assert np.array_equal(q.subnorms[leaf[key]], sub)
-            n2 = float(norm) ** 2
-            s2 = float((sub.astype(np.float64) ** 2).sum())
-            assert abs(n2 - s2) <= rel * max(n2, s2, 1e-300)
-    assert seen == q.node_count
+    keys = q.keys.tolist()
+    assert all(x < y for x, y in zip(keys, keys[1:])), "leaf keys not strictly ascending"
+    assert q.values.shape[0] == q.norms.shape[0] == q.subnorms.shape[0] == q.keys.size
+    assert q.norms.dtype == np.float32
+    squares = []
+    for vals, norm, sub in zip(q.values, q.norms, q.subnorms):
+        v = vals.astype(np.float64)
+        squares.append(float((v * v).sum()))
+        assert norm == np.float32(math.sqrt(squares[-1]))
+        assert np.array_equal(sub, sub_norms(vals))
+    assert q.norm == float(np.float32(math.sqrt(math.fsum(squares))))
 
 
 def matched_pairs(a: QuadtreeMatrix, b: QuadtreeMatrix, tau: float) -> set:
@@ -107,6 +77,51 @@ def matched_pairs(a: QuadtreeMatrix, b: QuadtreeMatrix, tau: float) -> set:
             if not (na * nb < tau):
                 out.add((ka, kb))
     return out
+
+
+def block_multiply_16(
+    a: np.ndarray,
+    a_sub: np.ndarray,
+    b: np.ndarray,
+    b_sub: np.ndarray,
+    c: np.ndarray,
+    cfg: MultiplyConfig,
+) -> ExecCounters:
+    """Accumulate one block product a b into the float32 block c in place.
+
+    a_sub and b_sub are the 4x4 sub-block norms of a and b.  Micro
+    products whose sub-norm product is below the gate (cfg.tau at fine4,
+    0 at coarse16) are skipped: they are not computed and leave their
+    region of c untouched.  This is the sequential reference the stream
+    kernel is checked against.
+    """
+    nb = a.shape[0]
+    if b.shape[0] != nb or c.shape[0] != nb:
+        raise ValueError("block sizes of a, b, c differ")
+    s = nb // 4
+    counters = ExecCounters()
+    a4 = a.reshape(s, 4, s, 4).transpose(0, 2, 1, 3)  # [p, r, ii, kk]
+    b4 = b.reshape(s, 4, s, 4).transpose(0, 2, 1, 3)  # [r, q, kk, jj]
+    c4 = c.reshape(s, 4, s, 4).transpose(0, 2, 1, 3)  # [p, q, ii, jj]
+    gate = _gate(cfg)
+    prod = np.empty_like(c4)
+    for r in range(s):
+        pn = (
+            a_sub[:, r].astype(np.float64)[:, None]
+            * b_sub[r, :].astype(np.float64)[None, :]
+        )
+        mask = pn >= gate
+        nexec = int(mask.sum())
+        counters.products4 += nexec
+        counters.skipped4 += mask.size - nexec
+        if nexec == 0:
+            continue
+        open_ = mask[:, :, None, None]
+        for k in range(4):
+            np.multiply(a4[:, r, :, k][:, None, :, None], b4[r, :, k, :][None, :, None, :],
+                        out=prod, where=open_)
+            np.add(c4, prod, out=c4, where=open_)
+    return counters
 
 
 def sequential_execute(plan, a: QuadtreeMatrix, b: QuadtreeMatrix, cfg):
@@ -129,7 +144,7 @@ def sequential_execute(plan, a: QuadtreeMatrix, b: QuadtreeMatrix, cfg):
 def _k_blocks(lanes: np.ndarray, q: QuadtreeMatrix):
     """Leaf keys and norms as plain lists in (k, -norm, key) order, plus
     one (k, start, stop) range per k block, ascending k."""
-    keys, norms = q.tiers[q.depth]
+    keys, norms = q.keys, q.norms
     order = np.lexsort((keys, -norms, lanes))
     lanes = lanes[order]
     first = np.ones(lanes.size, bool)
@@ -198,6 +213,24 @@ def assert_plans_equal(got: MultiplyPlan, want: MultiplyPlan) -> None:
     assert got.stats == want.stats
 
 
+def _tier_norms(q: QuadtreeMatrix) -> list[dict[int, float]]:
+    """Node key -> norm for every tier 0..depth, built from the stored leaf
+    norms: float64 sums of their squares per parent key, each rounded to
+    float32 once.  Sums grow toward the root and a lone leaf's square is
+    exact, so every node's norm is at least each of its children's."""
+    keys, sq = q.keys, q.norms.astype(np.float64) ** 2
+    tiers = [dict(zip(keys.tolist(), q.norms.tolist()))]
+    for _ in range(q.depth):
+        parents = keys >> np.uint64(2)
+        first = np.ones(parents.size, bool)
+        first[1:] = parents[1:] != parents[:-1]
+        starts = np.flatnonzero(first)
+        keys = parents[starts]
+        sq = np.add.reduceat(sq, starts)
+        tiers.append(dict(zip(keys.tolist(), np.sqrt(sq).astype(np.float32).tolist())))
+    return tiers[::-1]
+
+
 def recursive_spamm(
     a: QuadtreeMatrix, b: QuadtreeMatrix, tau: float
 ) -> tuple[QuadtreeMatrix, set[tuple[int, int]]]:
@@ -221,8 +254,8 @@ def recursive_spamm(
     d = a.depth
     visits: set[tuple[int, int]] = set()
     out: dict[int, np.ndarray] = {}
-    a_norm = [dict(zip(k.tolist(), v.tolist())) for k, v in a.tiers]
-    b_norm = [dict(zip(k.tolist(), v.tolist())) for k, v in b.tiers]
+    a_norm = _tier_norms(a)
+    b_norm = _tier_norms(b)
     a_leaf = dict(zip(a.keys.tolist(), a.values))
     b_leaf = dict(zip(b.keys.tolist(), b.values))
 

@@ -71,8 +71,7 @@ def _all_pairs_oracle(tree: QuadtreeMatrix, tau: float) -> set:
     Every leaf pair whose contraction lanes agree and whose float64 norm
     product is not below tau.
     """
-    keys, norms = tree.tiers[tree.depth]
-    norms = norms.astype(np.float64)
+    keys, norms = tree.keys, tree.norms.astype(np.float64)
     k_a = keys & _U(ODD_MASK)
     k_b = (keys & _U(EVEN_MASK)) >> _U(1)
     keep = (k_a[:, None] == k_b[None, :]) & ~(norms[:, None] * norms[None, :] < tau)
@@ -207,7 +206,7 @@ def test_criterion_05_norm_invariant_everywhere(tmp_path):
     trees["loaded"] = load_quadtree(path)
     for name, tree in trees.items():
         assert tree.leaf_count > 0, name
-        assert_norm_invariant(tree, rel=1e-6)
+        assert_norm_invariant(tree)
     print(f"criterion 5: norm invariant held on {len(trees)} construction paths")
 
 

@@ -34,16 +34,16 @@ def test_scenario_and_header_constants():
     )
     assert CSV_HEADER == (
         "scenario,n,tau,granularity,seconds,products4,"
-        "complexity,flops_model,effective_rate,max_norm_error"
+        "flops_model,effective_rate,max_norm_error"
     )
     assert RATIO_HEADER == "n,tau,c16_over_c4,t16_over_t4"
 
 
 def test_csv_row_format_pinned():
-    r = RunReport("spamm4", 256, 1e-08, "fine4", 0.5, 1000, 1000,
+    r = RunReport("spamm4", 256, 1e-08, "fine4", 0.5, 1000,
                   33554432, 67108864.0, 1.5e-07)
     assert r.csv_row() == (
-        "spamm4,256,1e-08,fine4,0.5,1000,1000,33554432,6.71089e+07,1.5e-07"
+        "spamm4,256,1e-08,fine4,0.5,1000,33554432,6.71089e+07,1.5e-07"
     )
     out = reports_to_csv([r])
     assert out.splitlines()[0] == CSV_HEADER
@@ -53,7 +53,6 @@ def test_csv_row_format_pinned():
 def test_dense_single_work_pinned():
     rep = run_scenario("dense-single", _family(256), repeats=1)
     assert rep.products4 == 262144  # 256^3 / 64
-    assert rep.complexity == 262144
     assert rep.flops_model == 2 * 256**3
     assert rep.granularity == "none"
     assert rep.max_norm_error >= 0.0
@@ -125,7 +124,7 @@ def test_sweep_rejects_unknown_scenario():
 
 
 def test_fitted_slope_on_synthetic_powers():
-    reports = [RunReport("spamm4", n, 0.0, "fine4", 1.0, n * n, n * n, 1, 1.0, 0.0)
+    reports = [RunReport("spamm4", n, 0.0, "fine4", 1.0, n * n, 1, 1.0, 0.0)
                for n in (64, 128, 256)]
     assert fitted_slope(reports) == pytest.approx(2.0, abs=1e-12)
     with pytest.raises(ValueError):

@@ -25,7 +25,7 @@ def test_tree_depth_is_minimal():
     for _ in range(300):
         m = int(rng.integers(1, 5000))
         n = int(rng.integers(1, 5000))
-        nb = int(2 ** rng.integers(0, 7))
+        nb = int(2 ** rng.integers(2, 7))
         d = tree_depth(m, n, nb)
         assert nb * 2**d >= max(m, n)
         assert d == 0 or nb * 2 ** (d - 1) < max(m, n)
@@ -38,6 +38,8 @@ def test_tree_depth_validation():
         tree_depth(4, 4, 0)
     with pytest.raises(ValueError):
         tree_depth(4, 4, 12)
+    with pytest.raises(ValueError, match="at least 4"):
+        tree_depth(4, 4, 2)
 
 
 # -- DenseMatrix -----------------------------------------------------------
@@ -64,7 +66,7 @@ def test_dense_matrix_validation():
 # -- quadtree construction -------------------------------------------------
 
 def test_single_leaf_diagonal_norm():
-    q = QuadtreeMatrix.from_dense(np.array([[3.0, 0.0], [0.0, 4.0]]), n_b=2)
+    q = QuadtreeMatrix.from_dense(np.array([[3.0, 0.0], [0.0, 4.0]]), n_b=4)
     assert q.depth == 0
     assert q.leaf_count == 1
     assert q.norm == 5.0
@@ -85,7 +87,7 @@ def test_from_dense_skips_zero_blocks():
 def test_from_dense_all_zero_builds_empty_tree():
     q = QuadtreeMatrix.from_dense(np.zeros((40, 200), np.float32))
     assert q.depth == 4
-    assert q.node_count == 0
+    assert q.leaf_count == 0 and q.norms.size == 0
     assert q.norm == 0.0
     assert np.array_equal(q.to_dense().data, np.zeros((40, 200), np.float32))
 
@@ -100,7 +102,7 @@ def test_identity_norm():
 def test_round_trip_various_shapes():
     rng = np.random.default_rng(7)
     for m, n, nb in [(16, 16, 16), (17, 4, 16), (5, 3, 16), (40, 70, 16),
-                     (1, 1, 16), (33, 33, 8), (12, 20, 4), (3, 2, 2)]:
+                     (1, 1, 16), (33, 33, 8), (12, 20, 4), (3, 2, 4)]:
         a = ((rng.random((m, n)) * 2 - 1)).astype(np.float32)
         q = QuadtreeMatrix.from_dense(a, nb)
         back = q.to_dense()
@@ -113,10 +115,10 @@ def test_scaling_by_two_scales_all_norms_exactly():
     a = decay_matrix(64, seed=3).data
     q1 = QuadtreeMatrix.from_dense(a)
     q2 = QuadtreeMatrix.from_dense(2.0 * a)
-    assert q1.node_count == q2.node_count
-    for (k1, n1), (k2, n2) in zip(q1.tiers, q2.tiers):
-        assert np.array_equal(k1, k2)
-        assert np.array_equal(n2.astype(np.float64), 2.0 * n1.astype(np.float64))
+    assert np.array_equal(q1.keys, q2.keys)
+    assert np.array_equal(q2.norms.astype(np.float64), 2.0 * q1.norms.astype(np.float64))
+    assert np.array_equal(q2.subnorms.astype(np.float64), 2.0 * q1.subnorms.astype(np.float64))
+    assert q2.norm == 2.0 * q1.norm
 
 
 def test_norm_invariant_on_generated_matrices():
@@ -131,6 +133,8 @@ def test_constructor_validation():
         QuadtreeMatrix(0, 4)
     with pytest.raises(ValueError):
         QuadtreeMatrix(4, 4, 3)
+    with pytest.raises(ValueError, match="at least 4"):
+        QuadtreeMatrix(4, 4, 2)
 
 
 def test_from_leaves_matches_from_dense():
@@ -138,11 +142,10 @@ def test_from_leaves_matches_from_dense():
     ref = QuadtreeMatrix.from_dense(a)
     q = QuadtreeMatrix.from_leaves(64, 64, ref.keys, ref.values, 16)
     assert q.values is not ref.values  # copied, not shared
-    assert q.node_count == ref.node_count
-    for (rk, rn), (qk, qn) in zip(ref.tiers, q.tiers):
-        assert np.array_equal(qk, rk)
-        assert np.array_equal(qn, rn)
+    assert np.array_equal(q.keys, ref.keys)
+    assert np.array_equal(q.norms, ref.norms)
     assert np.array_equal(q.subnorms, ref.subnorms)
+    assert q.norm == ref.norm
     assert np.array_equal(q.to_dense().data, a)
     assert_norm_invariant(q)
 
@@ -169,7 +172,25 @@ def test_from_leaves_validation():
     with pytest.raises(ValueError, match="integers"):
         QuadtreeMatrix.from_leaves(32, 32, [0.0], leaf, 16)
     empty = QuadtreeMatrix.from_leaves(32, 32, [], np.zeros((0, 16, 16)), 16)
-    assert empty.leaf_count == 0 and empty.node_count == 0
+    assert empty.leaf_count == 0 and empty.norms.size == 0 and empty.norm == 0.0
+    # padding rows and columns of an edge leaf must hold zeros: the multiply
+    # would read them, but to_dense drops them
+    v = np.zeros((1, 16, 16), np.float32)
+    v[0, 0, 0] = v[0, 0, 15] = v[0, 15, 0] = 1.0
+    with pytest.raises(ValueError, match="block row 0, column 0 has nonzero values in the padding"):
+        QuadtreeMatrix.from_leaves(10, 10, [0], v, 16)
+    for r, c in ((15, 0), (0, 15), (15, 15)):
+        v = np.zeros((4, 16, 16), np.float32)
+        v[3, r, c] = -2.0
+        with pytest.raises(ValueError, match="block row 1, column 1"):
+            QuadtreeMatrix.from_leaves(20, 20, [0, 1, 2, 3], v, 16)
+    v = np.zeros((4, 16, 16), np.float32)
+    v[:, 3, 3] = 1.0  # inside the 20 x 20 region in every leaf
+    v[0, 15, 15] = v[1, 15, 3] = v[2, 3, 15] = 1.0  # interior rows and columns
+    assert QuadtreeMatrix.from_leaves(20, 20, [0, 1, 2, 3], v, 16).norm == float(
+        np.float32(math.sqrt(7.0)))
+    with pytest.raises(ValueError, match="at least 4"):
+        QuadtreeMatrix.from_leaves(4, 4, [0], np.zeros((1, 2, 2)), 2)
 
 
 @pytest.mark.filterwarnings("error")
@@ -196,18 +217,21 @@ def test_empty_tree_stacks():
     q = QuadtreeMatrix(32, 32)
     assert q.keys.size == 0 and q.keys.dtype == np.uint64
     assert q.values.shape == (0, 16, 16) and q.subnorms.shape == (0, 4, 4)
-    assert [keys.size for keys, _ in q.tiers] == [0, 0]
+    assert q.norms.shape == (0,) and q.norms.dtype == np.float32
     assert q.norm == 0.0
 
 
 def test_counts():
     q = QuadtreeMatrix.from_dense(rng_matrix(32, 32, seed=1))
     assert q.leaf_count == 4
-    assert q.node_count == 5
+    assert q.norms.size == 4
 
 
 def test_leaf_block_from_values_small_block():
-    q = QuadtreeMatrix.from_dense(np.full((2, 2), 3.0, np.float32), n_b=2)
+    for nb in (1, 2):
+        with pytest.raises(ValueError, match="at least 4"):
+            QuadtreeMatrix.from_dense(np.full((2, 2), 3.0, np.float32), n_b=nb)
+    q = QuadtreeMatrix.from_dense(np.full((2, 2), 3.0, np.float32), n_b=4)
     assert q.subnorms.shape == (1, 1, 1)
     assert q.subnorms[0, 0, 0] == 6.0
     assert q.norm == 6.0

@@ -122,13 +122,11 @@ def test_quadtree_round_trip_bit_exact(tmp_path):
     save_quadtree(p, q)
     back = load_quadtree(p)
     assert (back.m, back.n, back.n_b, back.depth) == (q.m, q.n, q.n_b, q.depth)
-    assert back.node_count == q.node_count
     assert np.array_equal(back.keys, q.keys)
     assert np.array_equal(back.values, q.values)
-    for (bk, bn), (qk, qn) in zip(back.tiers, q.tiers):
-        assert np.array_equal(bk, qk)
-        assert np.array_equal(bn, qn)
+    assert np.array_equal(back.norms, q.norms)
     assert np.array_equal(back.subnorms, q.subnorms)
+    assert back.norm == q.norm
     assert np.array_equal(back.to_dense().data, q.to_dense().data)
 
 
@@ -215,6 +213,20 @@ def test_quadtree_load_rejects_non_finite_values(tmp_path):
         load_quadtree(p)
 
 
+def test_quadtree_load_rejects_nonzero_padding(tmp_path):
+    p = tmp_path / "pad.qt"
+    v = np.zeros((1, 16, 16), np.float32)
+    v[0, 0, 0] = v[0, 0, 15] = v[0, 15, 0] = 1.0  # past column 9 and row 9
+    p.write_bytes(QUADTREE_MAGIC + struct.pack("<5Q", 10, 10, 16, 0, 1)
+                  + struct.pack("<Q", 0) + v.tobytes())
+    with pytest.raises(MatrixFormatError, match="block row 0, column 0 has nonzero values"):
+        load_quadtree(p)
+    v[0, 0, 15] = v[0, 15, 0] = 0.0
+    p.write_bytes(QUADTREE_MAGIC + struct.pack("<5Q", 10, 10, 16, 0, 1)
+                  + struct.pack("<Q", 0) + v.tobytes())
+    assert load_quadtree(p).norm == 1.0
+
+
 def test_quadtree_load_rejects_inconsistent_depth(tmp_path):
     raw = bytearray(_valid_dump(tmp_path))
     raw[8 + 24 : 8 + 32] = struct.pack("<Q", 3)  # real depth for 32/16 is 1
@@ -239,3 +251,8 @@ def test_quadtree_load_rejects_bad_block_size(tmp_path):
             load_quadtree(p)
     p.write_bytes(QUADTREE_MAGIC + struct.pack("<5Q", 16, 16, 2**14, 0, 0))
     assert load_quadtree(p).n_b == 2**14
+    # leaves smaller than the 4x4 sub-blocks the multiply gates on
+    for n_b, depth in ((2, 3), (1, 4)):
+        p.write_bytes(QUADTREE_MAGIC + struct.pack("<5Q", 16, 16, n_b, depth, 0))
+        with pytest.raises(MatrixFormatError, match="at least 4"):
+            load_quadtree(p)

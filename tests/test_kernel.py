@@ -7,7 +7,7 @@ import subprocess
 import numpy as np
 import pytest
 
-from helpers import rng_matrix
+from helpers import block_multiply_16, rng_matrix
 from spamm import numeric
 from spamm.core import DenseMatrix, QuadtreeMatrix
 from spamm.numeric import MultiplyConfig, multiply
@@ -118,7 +118,7 @@ def _oracle(args) -> tuple[np.ndarray, tuple[int, int]]:
     acc = args["acc"].copy()
     run = skipped = 0
     for a, b, c in zip(args["a_slot"], args["b_slot"], args["c_slot"]):
-        counters = numeric.block_multiply_16(
+        counters = block_multiply_16(
             args["a_values"][a], args["a_sub"][a], args["b_values"][b], args["b_sub"][b],
             acc[c], MultiplyConfig(tau=args["gate"]))
         run += counters.products4

@@ -5,6 +5,7 @@ import pytest
 
 from helpers import (
     assert_norm_invariant,
+    block_multiply_16,
     decay_matrix,
     rng_matrix,
     sequential_execute,
@@ -15,7 +16,6 @@ from spamm.numeric import (
     GRANULARITIES,
     ExecCounters,
     MultiplyConfig,
-    block_multiply_16,
     execute_plan,
     execute_plan_dense_leaf,
     multiply,
@@ -93,9 +93,6 @@ def test_block_multiply_shape_validation():
     with pytest.raises(ValueError):
         block_multiply_16(*_rand_leaf(0), *_rand_leaf(1, nb=8),
                           np.zeros((16, 16), np.float32), MultiplyConfig())
-    bad = _leaf(np.zeros((2, 2), np.float32))
-    with pytest.raises(ValueError):
-        block_multiply_16(*bad, *bad, bad[0], MultiplyConfig())
 
 
 # -- config validation -------------------------------------------------------
@@ -295,10 +292,8 @@ def test_execute_plan_validation():
         execute_plan(plan0, a, a, QuadtreeMatrix(16, 16), MultiplyConfig())
     with pytest.raises(ValueError, match="one length"):
         MultiplyPlan(plan0.a, plan0.b[1:], plan0.c_key, plan0.norm_product, 0.0)
-    nb2 = QuadtreeMatrix.from_dense(rng_matrix(32, 32, seed=30), 2)
-    plan2 = build_plan(nb2, nb2, 0.0)
-    with pytest.raises(ValueError, match="n_b"):
-        execute_plan(plan2, nb2, nb2, None, MultiplyConfig())
+    with pytest.raises(ValueError, match="block size must be a power of two of at least 4"):
+        QuadtreeMatrix.from_dense(rng_matrix(32, 32, seed=30), 2)
 
 
 def test_dense_leaf_executor_matches_matmul_accumulation():

@@ -201,7 +201,7 @@ def test_zero_norm_leaves_follow_the_loop(tau):
     # 5e-324 / norm underflows to 0, the quotient of every zero B norm
     qa = _tree_with_zero_leaves(64, 48, [(0, 0), (2, 1), (3, 0)], seed=31)
     qb = _tree_with_zero_leaves(48, 80, [(0, 0), (1, 4), (2, 2)], seed=32)
-    assert (qa.tiers[qa.depth][1] == 0).sum() == 3 and (qb.tiers[qb.depth][1] == 0).sum() == 3
+    assert (qa.norms == 0).sum() == 3 and (qb.norms == 0).sum() == 3
     cfg = MultiplyConfig(tau=tau)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
