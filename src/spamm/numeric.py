@@ -13,16 +13,22 @@ their product leaf in plan order, and each block product adds its rank-1
 terms in ascending k, as a separate float32 multiply and add.  The
 executor is one C function (_kernel.c) that walks the plan's tasks in that
 order into a (G, n_b, n_b) float32 stack, one block per product leaf.
-Within a task it holds each 4x4 C tile in registers while it adds the
-tile's open k blocks in ascending order, so every element still sees its
-terms in ascending k: results match a sequential loop of gated block
-products bit for bit and are identical run to run.
+Within a task it holds a slab of 1, 2 or 4 adjacent 4x4 C tiles of one
+4-row strip in registers while it adds the slab's open k blocks in
+ascending order; where only some of the slab's gates are open, the closed
+tiles' lanes are bit-selected back.  So every element still sees its terms
+in ascending k: results match a sequential loop of gated block products
+bit for bit and are identical run to run.  The slab width is chosen at run
+time: 4 tiles where the CPU has AVX-512F, 2 with AVX2, else 1, and never
+more than n_b fits.  KERNEL_ISA names the variant for n_b a multiple of 16.
 
 The kernel is compiled when this module is imported, with the C compiler
 `cc`, into a per-user cache (~/.cache/spamm) under a name keyed by the
 source and the flags, and loaded with ctypes.  Its flags keep float32
 arithmetic exact: no FMA contraction, and no -ffast-math, whose start-up
-code would flush subnormals for the whole process.
+code would flush subnormals for the whole process.  They name no ISA: the
+wide variants carry their own target attributes, so one build runs on any
+CPU of the machine type.
 """
 
 from __future__ import annotations
@@ -43,6 +49,8 @@ from .core import QuadtreeMatrix
 from .symbolic import MultiplyPlan, build_plan
 
 GRANULARITIES = ("fine4", "coarse16")
+# Gated-kernel variants, widest first: 4, 2 and 1 tiles per slab.
+ISAS = ("avx512f", "avx2", "generic")
 
 _SOURCE = Path(__file__).with_name("_kernel.c")
 _CACHE = Path.home() / ".cache" / "spamm"
@@ -81,14 +89,28 @@ def _load_kernel() -> ctypes.CDLL:
             ) from None
     lib = ctypes.CDLL(str(path))
     ptr, i64 = ctypes.c_void_p, ctypes.c_int64
-    lib.spamm_stream_gated.argtypes = [i64, i64] + [ptr] * 8 + [ctypes.c_double, ptr]
-    lib.spamm_stream_gated.restype = None
+    for name in ("spamm_stream_gated", *(f"spamm_stream_gated_{isa}" for isa in ISAS)):
+        fn = getattr(lib, name, None)  # the x86 variants exist only on x86
+        if fn is not None:
+            fn.argtypes = [i64, i64] + [ptr] * 8 + [ctypes.c_double, ptr]
+            fn.restype = None
+    lib.spamm_kernel_isa.argtypes = [i64]
+    lib.spamm_kernel_isa.restype = ctypes.c_char_p
     lib.spamm_stream_add.argtypes = [i64, i64, ptr, ptr, ptr]
     lib.spamm_stream_add.restype = None
     return lib
 
 
 _lib = _load_kernel()
+
+
+def _kernel_isa(nb: int) -> str:
+    """The gated-kernel variant that runs at block size nb on this CPU."""
+    return _lib.spamm_kernel_isa(nb).decode()
+
+
+# The variant this CPU runs at block sizes that are a multiple of 16.
+KERNEL_ISA = _kernel_isa(16)
 
 
 def _pointer(arr: np.ndarray, dtype, shape: tuple, name: str) -> int:
@@ -181,6 +203,8 @@ class ExecCounters:
     products4: int = 0
     skipped4: int = 0
     seconds: float = 0.0
+    # code path of the block products: a gated-kernel variant, or "matmul"
+    kernel: str = ""
 
 
 def _gate(cfg: MultiplyConfig) -> float:
@@ -232,7 +256,7 @@ def _execute(plan, a, b, c, cfg, dense_kernel):
             f"accumulator is {c.m}x{c.n} (n_b={c.n_b}), "
             f"product needs {a.m}x{b.n} (n_b={nb})"
         )
-    counters = ExecCounters()
+    counters = ExecCounters(kernel="matmul" if dense_kernel else _kernel_isa(nb))
     # an overflowing product or sum is caught by _store, which names its leaf
     with np.errstate(over="ignore", invalid="ignore"):
         if plan.a.size and cfg.alpha != 0:

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 import spamm.cli
+from spamm import numeric
 from spamm.bench import CSV_HEADER, RATIO_HEADER
 from spamm.cli import CALIBRATION_HEADER, main
 from spamm.core import DenseMatrix, QuadtreeMatrix
@@ -48,6 +49,8 @@ def test_multiply_writes_product_and_tree(tmp_path, capsys):
     assert rc == 0
     printed = capsys.readouterr().out
     assert "plan:" in printed and "products4=" in printed
+    exec_line = next(line for line in printed.splitlines() if line.startswith("exec:"))
+    assert exec_line.endswith(f" kernel={numeric.KERNEL_ISA}")  # n_b = 16
     ad = load_matrix(a)
     ref = dense_multiply_double(ad, ad)
     got = load_matrix(out)
@@ -80,7 +83,7 @@ def test_multiply_alpha_beta_accumulator(tmp_path):
     assert np.array_equal(load_matrix(out).data, want.data)
 
 
-def test_multiply_tree_accumulator_matches_library(tmp_path):
+def test_multiply_tree_accumulator_matches_library(tmp_path, capsys):
     a = _gen(tmp_path, "a.mtx", seed=4)
     out = tmp_path / "c.mtx"
     qt = tmp_path / "c.qt"
@@ -88,6 +91,7 @@ def test_multiply_tree_accumulator_matches_library(tmp_path):
                "--alpha", "-1", "--beta", "2", "--c-in", str(a), "--block-size", "8",
                "--out", str(out), "--tree-out", str(qt)])
     assert rc == 0
+    assert f" kernel={numeric._kernel_isa(8)}\n" in capsys.readouterr().out
     qa = QuadtreeMatrix.from_dense(load_matrix(a), 8)
     want, _, _ = multiply(qa, qa, MultiplyConfig(1e-8, "fine4", -1.0, 2.0), c=qa)
     assert np.array_equal(load_matrix(out).data, want.to_dense().data.astype(np.float64))

@@ -1,13 +1,18 @@
-"""The compiled stream kernel: its build cache, the checks at its ctypes
-boundary, and the floating-point environment it leaves in the process."""
+"""The compiled stream kernel: its build cache and instructions, the checks
+at its ctypes boundary, its ISA variants, and the floating-point
+environment it leaves in the process."""
 
+import platform
+import re
+import shutil
 import stat
 import subprocess
+import warnings
 
 import numpy as np
 import pytest
 
-from helpers import block_multiply_16, rng_matrix
+from helpers import block_multiply_16, rng_matrix, sequential_execute
 from spamm import numeric
 from spamm.core import DenseMatrix, QuadtreeMatrix
 from spamm.numeric import MultiplyConfig, multiply
@@ -73,6 +78,26 @@ def test_missing_compiler_raises_one_clear_error(cache, monkeypatch):
     assert list(cache.iterdir()) == []  # no half-written file left
 
 
+def _disassembly(symbol: str, text: str) -> str:
+    """The instructions of one function in `objdump -d` output."""
+    match = re.search(rf"^[0-9a-f]+ <{symbol}>:\n(.*?)(?:\n\n|\Z)", text, re.M | re.S)
+    assert match, f"{symbol} is not in the built library"
+    return match.group(1)
+
+
+def test_built_library_has_no_fma_and_every_variant():
+    objdump = shutil.which("objdump")
+    if objdump is None:
+        pytest.skip("objdump is not installed")
+    text = subprocess.run([objdump, "-d", numeric._lib._name],
+                          check=True, capture_output=True, text=True).stdout
+    # a fused multiply-add rounds once where the float32 loop rounds twice
+    assert not re.search(r"\bvfn?m(add|sub)", text)
+    if platform.machine() in ("x86_64", "AMD64"):
+        assert "%ymm" in _disassembly("spamm_stream_gated_avx2", text)
+        assert "%zmm" in _disassembly("spamm_stream_gated_avx512f", text)
+
+
 # -- checks at the ctypes boundary -------------------------------------------
 
 
@@ -128,6 +153,96 @@ def _oracle(args) -> tuple[np.ndarray, tuple[int, int]]:
 
 def _same_bits(x: np.ndarray, y: np.ndarray) -> bool:
     return np.array_equal(x.view(np.uint32), y.view(np.uint32))
+
+
+TILES = {"avx512f": 4, "avx2": 2, "generic": 1}
+
+
+@pytest.fixture(params=numeric.ISAS)
+def variant(request, monkeypatch):
+    """Route the gated kernel calls of a test to one ISA variant; skip the
+    variants this CPU cannot run."""
+    isa = request.param
+    if numeric.ISAS.index(isa) < numeric.ISAS.index(numeric.KERNEL_ISA):
+        pytest.skip(f"this CPU runs the {numeric.KERNEL_ISA} variant at most, not {isa}")
+    monkeypatch.setattr(numeric._lib, "spamm_stream_gated",
+                        getattr(numeric._lib, f"spamm_stream_gated_{isa}"))
+    return isa
+
+
+def _needs_width(isa: str, nb: int) -> None:
+    """Skip where n_b holds fewer 4x4 tiles per strip than the variant's slab:
+    such a call runs the 1-tile body, which its own case covers."""
+    if nb % (4 * TILES[isa]):
+        pytest.skip(f"n_b={nb} is too narrow for the {TILES[isa]}-tile {isa} slab")
+
+
+@pytest.mark.parametrize("nb", [4, 8, 16, 32])
+def test_variant_stream_matches_the_block_oracle(variant, nb):
+    # a multi-task stream into shared C leaves, half of the gates open, every
+    # stack at an address 4 mod 16
+    _needs_width(variant, nb)
+    tree = QuadtreeMatrix.from_dense(rng_matrix(3 * nb, 3 * nb, seed=47), nb)
+    rng = np.random.default_rng(48)
+    slots = rng.integers(0, len(tree.values), (3, 12))
+    sub = tree.subnorms.astype(np.float64)
+    acc = rng_matrix(3 * nb, nb, seed=49).reshape(3, nb, nb)
+    acc[:, ::3] = -0.0
+    args = {"a_values": tree.values, "a_sub": tree.subnorms,
+            "b_values": tree.values, "b_sub": tree.subnorms,
+            "a_slot": slots[0], "b_slot": slots[1], "c_slot": slots[2] % 3,
+            "acc": acc, "gate": float(np.median(np.multiply.outer(sub, sub)))}
+    want, counts = _oracle(args)
+    for name in ("a_values", "a_sub", "b_values", "b_sub", "acc"):
+        args[name] = _misaligned(args[name])
+    run, skipped = numeric._stream_gated(**args)
+    assert (run, skipped) == counts and run and skipped
+    assert _same_bits(args["acc"], want)
+
+
+@pytest.mark.parametrize("vary", [False, True], ids=["per-task", "per-r"])
+def test_every_gate_pattern_of_a_slab(variant, vary):
+    # task t opens the tiles q of a 16x16 slab strip whose bit is set in its
+    # pattern, the same at every r or a different one at each r; B holds NaN
+    # wherever only a closed gate reads it, and C starts as -0.0
+    patterns = [[(7 * t + 5 * r) % 16 if vary else t for r in range(4)] for t in range(16)]
+    bits = (np.array(patterns)[:, :, None] >> np.arange(4)) & 1  # [t, r, q]
+    b_sub = np.where(bits == 1, 2.0, 0.5).astype(np.float32)
+    b = rng_matrix(16 * 16, 16, seed=50).reshape(16, 4, 4, 4, 4)  # [t, r, kk, q, jj]
+    b[np.broadcast_to((bits == 0)[:, :, None, :, None], b.shape)] = np.nan
+    slots = np.arange(16, dtype=np.int64)
+    args = {"a_values": rng_matrix(16, 16, seed=51)[None], "a_sub": np.ones((1, 4, 4), np.float32),
+            "b_values": b.reshape(16, 16, 16), "b_sub": b_sub, "a_slot": np.zeros(16, np.int64),
+            "b_slot": slots, "c_slot": slots, "acc": np.full((16, 16, 16), -0.0, np.float32),
+            "gate": 1.0}
+    want, counts = _oracle(args)
+    assert numeric._stream_gated(**args) == counts == (4 * int(bits.sum()), 4 * int((1 - bits).sum()))
+    assert _same_bits(args["acc"], want)
+    assert np.isfinite(args["acc"]).all()
+    if not vary:  # a tile closed at every r still holds -0.0
+        closed = np.broadcast_to((bits[:, 0] == 0)[:, None, None, :, None], (16, 4, 4, 4, 4))
+        tiles = args["acc"].reshape(16, 4, 4, 4, 4)[closed]
+        assert (tiles == 0).all() and np.signbit(tiles).all()
+
+
+def test_closed_product_that_overflows_is_thrown_away(variant):
+    # one 16x16 leaf each; C tile (0, 0) is open but its products are 0, while
+    # (0, 1) and (0, 2), gated off in the same slab, would be NaN and inf
+    a = np.zeros((16, 16))
+    a[0, :2] = 1e20
+    b = np.zeros((16, 16))
+    b[2, 0] = 1e20  # ||A_00|| ||B_00|| = 1.4e40: open, but a[:, 2] is 0
+    b[:2, 4] = 5e18, -5e18  # 1e39: closed; 5e38 - 5e38 is inf - inf in float32
+    b[0, 8] = 4e18  # 5.7e38: closed; 4e38 is inf in float32
+    qa, qb = QuadtreeMatrix.from_dense(a, 16), QuadtreeMatrix.from_dense(b, 16)
+    cfg = MultiplyConfig(tau=2e39)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        c, plan, counters = multiply(qa, qb, cfg)
+    blocks, want = sequential_execute(plan, qa, qb, cfg)
+    assert (counters.products4, counters.skipped4) == (want.products4, want.skipped4) == (1, 63)
+    assert _same_bits(c.values, np.stack([blocks[k] for k in c.keys.tolist()]))
+    assert c.to_dense().data.tolist() == np.zeros((16, 16)).tolist()
 
 
 def test_valid_stream_matches_the_block_oracle():
@@ -209,7 +324,7 @@ def test_subnormal_products_are_not_flushed():
     assert np.float32(1e-20) * np.float32(1e-20) != 0
 
 
-@pytest.mark.parametrize("nb", [8, 16])
+@pytest.mark.parametrize("nb", [4, 8, 16, 32])
 def test_tau_zero_subnormal_products_equal_single_loop(nb):
     a = rng_matrix(48, 40, seed=41) * np.float32(1e-20)
     b = rng_matrix(40, 56, seed=42) * np.float32(1e-20)
@@ -219,3 +334,9 @@ def test_tau_zero_subnormal_products_equal_single_loop(nb):
     c, _, _ = multiply(QuadtreeMatrix.from_dense(a, nb), QuadtreeMatrix.from_dense(b, nb),
                        MultiplyConfig())
     assert np.array_equal(c.to_dense().data.view(np.uint32), want.view(np.uint32))
+
+
+@pytest.mark.parametrize("nb", [4, 8, 16, 32])
+def test_variant_tau_zero_subnormal_products_equal_single_loop(variant, nb):
+    _needs_width(variant, nb)
+    test_tau_zero_subnormal_products_equal_single_loop(nb)

@@ -14,6 +14,7 @@ from helpers import (
 from spamm.core import DenseMatrix, QuadtreeMatrix
 from spamm.numeric import (
     GRANULARITIES,
+    KERNEL_ISA,
     ExecCounters,
     MultiplyConfig,
     execute_plan,
@@ -118,6 +119,9 @@ def test_counters_accounting():
     _, counters = execute_plan(plan, a, a, None, MultiplyConfig(tau=1e-6))
     assert counters.products4 + counters.skipped4 == 64 * len(plan.tasks)
     assert counters.seconds > 0
+    assert counters.kernel == KERNEL_ISA  # n_b = 16
+    _, counters = execute_plan_dense_leaf(plan, a, a, None)
+    assert counters.kernel == "matmul"
 
 
 # -- plan execution ----------------------------------------------------------
