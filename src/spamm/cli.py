@@ -15,6 +15,7 @@ file format problems.
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import sys
 from dataclasses import replace
@@ -220,6 +221,8 @@ def _cmd_multiply(args) -> int:
 
 
 def _cmd_verify(args) -> int:
+    if args.limit is not None and math.isnan(args.limit):
+        raise ValueError("--limit must be a number, got nan")
     a = load_matrix(args.a)
     b = a if args.b is None else load_matrix(args.b)
     result, _, _, _ = _run_product(args, a, b)

@@ -203,23 +203,13 @@ class ExecCounters:
     products4: int = 0
     skipped4: int = 0
     seconds: float = 0.0
-    # code path of the block products: a gated-kernel variant, or "matmul"
+    # block-product code path: a gated-kernel variant, "matmul", or "" if none ran
     kernel: str = ""
 
 
 def _gate(cfg: MultiplyConfig) -> float:
     """Threshold a micro product's sub-norm product must reach to run."""
     return cfg.tau if cfg.granularity == "fine4" else 0.0
-
-
-def _gather_slots(keys: np.ndarray, stored: np.ndarray, side: str) -> np.ndarray:
-    if stored.size == 0:
-        raise ValueError(f"plan references leaves but {side} has none (stale handles)")
-    slots = np.searchsorted(stored, keys)
-    slots_c = np.minimum(slots, stored.size - 1)
-    if not np.array_equal(stored[slots_c], keys):
-        raise ValueError(f"plan references leaves not stored in {side} (stale handles)")
-    return slots_c
 
 
 def execute_plan(
@@ -231,11 +221,12 @@ def execute_plan(
 ) -> tuple[QuadtreeMatrix, ExecCounters]:
     """Run the numeric phase: C = alpha * (planned products) + beta * C.
 
-    C leaves are allocated on demand and zero initialized; C norms are
-    recomputed once after the pass.  A C leaf that overflows float32
-    raises OverflowError naming its block row and column, and c is left
-    as it was.  With alpha = 0 the product pass is skipped outright
-    (counters stay zero) and C = beta * C_before exactly.
+    a and b must hold the leaf keys the plan was built from, else
+    ValueError (stale handles).  C leaves are allocated on demand and zero
+    initialized; C norms are recomputed once after the pass.  A C leaf that
+    overflows float32 raises OverflowError naming its block row and column,
+    and c is left as it was.  With alpha = 0 the product pass is skipped
+    outright (counters stay zero) and C = beta * C_before exactly.
     """
     return _execute(plan, a, b, c, cfg, dense_kernel=False)
 
@@ -256,10 +247,13 @@ def _execute(plan, a, b, c, cfg, dense_kernel):
             f"accumulator is {c.m}x{c.n} (n_b={c.n_b}), "
             f"product needs {a.m}x{b.n} (n_b={nb})"
         )
-    counters = ExecCounters(kernel="matmul" if dense_kernel else _kernel_isa(nb))
+    if not (np.array_equal(a.keys, plan.a_keys) and np.array_equal(b.keys, plan.b_keys)):
+        raise ValueError("plan was built for operands with other leaves (stale handles)")
+    counters = ExecCounters()
     # an overflowing product or sum is caught by _store, which names its leaf
     with np.errstate(over="ignore", invalid="ignore"):
-        if plan.a.size and cfg.alpha != 0:
+        if plan.a_slot.size and cfg.alpha != 0:
+            counters.kernel = "matmul" if dense_kernel else _kernel_isa(nb)
             keys, stack = _run_stream(plan, a, b, _gate(cfg), counters, dense_kernel)
         else:
             keys, stack = np.empty(0, np.uint64), np.empty((0, nb, nb), np.float32)
@@ -278,20 +272,19 @@ def _run_stream(plan, a, b, gate, counters, dense_kernel):
     tasks at a time, and the kernel adds them up in plan order.
     """
     nb = a.n_b
-    T = plan.a.size
-    a_slot = _gather_slots(plan.a, a.keys, "A")
-    b_slot = _gather_slots(plan.b, b.keys, "B")
+    T = plan.a_slot.size
     keys, c_slot = np.unique(plan.c_key, return_inverse=True)
     acc = np.zeros((keys.size, nb, nb), np.float32)
     if dense_kernel:
         step = max(1, _CHUNK_FLOATS // (nb * nb))
         for lo in range(0, T, step):
-            prod = np.matmul(a.values[a_slot[lo:lo + step]], b.values[b_slot[lo:lo + step]])
+            prod = np.matmul(a.values[plan.a_slot[lo:lo + step]],
+                             b.values[plan.b_slot[lo:lo + step]])
             _stream_add(prod, c_slot[lo:lo + step], acc)
         counters.products4 += T * (nb // 4) ** 3
     else:
         run, skipped = _stream_gated(a.values, a.subnorms, b.values, b.subnorms,
-                                     a_slot, b_slot, c_slot, acc, gate)
+                                     plan.a_slot, plan.b_slot, c_slot, acc, gate)
         counters.products4 += run
         counters.skipped4 += skipped
     return keys, acc

@@ -9,14 +9,14 @@ of the B lane, because the norms descend.  One searchsorted per lane finds
 every prefix length, and the lane ends at its first A leaf with an empty
 prefix, since no later, smaller A norm can reach tau either.
 
-The plan is columnar: four arrays, one entry per surviving block product,
-in the order of the lanes (ascending k), their A leaves and their B leaves.
+The plan is columnar: one entry per surviving block product, in the order
+of the lanes (ascending k), their A leaves and their B leaves, each leaf
+named by its slot in its operand's leaf arrays, as the lane sort found it.
 """
 
 from __future__ import annotations
 
 import math
-from collections.abc import Sequence
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -46,22 +46,34 @@ class PlanStats:
 class MultiplyPlan:
     """Ordered surviving block products for one (A, B, tau).
 
-    a, b and c_key are uint64 leaf keys of A, B and the product, and
-    norm_product the float64 product of the stored A and B leaf norms.
+    a_slot and b_slot are int64 slots into a_keys and b_keys, the leaf key
+    arrays of the operands the plan was built from (held, not copied), and
+    norm_product the float64 product of the stored A and B leaf norms.  The
+    uint64 keys a, b and c_key of A, B and the product are derived.
     """
 
-    a: np.ndarray
-    b: np.ndarray
-    c_key: np.ndarray
+    a_slot: np.ndarray
+    b_slot: np.ndarray
     norm_product: np.ndarray
+    a_keys: np.ndarray
+    b_keys: np.ndarray
     tau: float
     stats: PlanStats = field(default_factory=PlanStats)
 
     def __post_init__(self):
-        arrays = (self.a, self.b, self.c_key, self.norm_product)
-        if any(x.ndim != 1 or x.size != self.a.size for x in arrays):
-            raise ValueError("plan arrays a, b, c_key and norm_product must be 1-D "
+        arrays = (self.a_slot, self.b_slot, self.norm_product)
+        if any(x.ndim != 1 or x.size != self.a_slot.size for x in arrays):
+            raise ValueError("plan arrays a_slot, b_slot and norm_product must be 1-D "
                              f"of one length, got shapes {[x.shape for x in arrays]}")
+        for name, slots, keys in (("a_slot", self.a_slot, self.a_keys),
+                                  ("b_slot", self.b_slot, self.b_keys)):
+            if slots.dtype != np.int64 or (
+                    slots.size and (slots.min() < 0 or slots.max() >= keys.size)):
+                raise ValueError(f"{name} must hold int64 slots in [0, {keys.size})")
+
+    a = property(lambda self: self.a_keys[self.a_slot])
+    b = property(lambda self: self.b_keys[self.b_slot])
+    c_key = property(lambda self: c_index(self.a, self.b))
 
     @property
     def tasks(self) -> PlanTasks:
@@ -69,18 +81,14 @@ class MultiplyPlan:
         return PlanTasks(self)
 
 
-class PlanTasks(Sequence):
+class PlanTasks:
     """Row view of a plan's arrays; remove() deletes a row from the plan."""
 
     def __init__(self, plan: MultiplyPlan):
         self._plan = plan
 
     def __len__(self) -> int:
-        return self._plan.a.size
-
-    def __getitem__(self, i: int) -> ProductTask:
-        p = self._plan
-        return ProductTask(int(p.a[i]), int(p.b[i]), int(p.c_key[i]), float(p.norm_product[i]))
+        return self._plan.a_slot.size
 
     def __iter__(self):
         p = self._plan
@@ -88,28 +96,27 @@ class PlanTasks(Sequence):
                    p.norm_product.tolist())
 
     def remove(self, task: ProductTask) -> None:
-        """Delete the first row equal to task; ValueError if there is none."""
+        """Delete the first row with task's a, b and norm_product, else ValueError."""
         p = self._plan
         hit = np.flatnonzero((p.a == np.uint64(task.a)) & (p.b == np.uint64(task.b))
-                             & (p.c_key == np.uint64(task.c_key))
                              & (p.norm_product == task.norm_product))
         if hit.size == 0:
             raise ValueError(f"{task} is not in the plan")
-        for name in ("a", "b", "c_key", "norm_product"):
+        for name in ("a_slot", "b_slot", "norm_product"):
             setattr(p, name, np.delete(getattr(p, name), hit[0]))
 
 
 def _lanes(lanes: np.ndarray, q: QuadtreeMatrix):
-    """Leaf keys and float64 norms in (k, -norm, key) order, plus each lane's
+    """Leaf slots and float64 norms in (k, -norm, key) order, plus each lane's
     k and [start, stop) range, ascending k."""
-    keys, norms = q.keys, q.norms
-    order = np.lexsort((keys, -norms, lanes))
+    norms = q.norms
+    order = np.lexsort((q.keys, -norms, lanes))
     lanes = lanes[order]
     first = np.ones(lanes.size, bool)
     first[1:] = lanes[1:] != lanes[:-1]
     starts = np.flatnonzero(first)
     stops = np.append(starts[1:], lanes.size)
-    return keys[order], norms[order].astype(np.float64), lanes[starts], starts, stops
+    return order, norms[order].astype(np.float64), lanes[starts], starts, stops
 
 
 def _prefix_lengths(na: np.ndarray, nb: np.ndarray, tau: float) -> np.ndarray:
@@ -161,8 +168,8 @@ def build_plan(a: QuadtreeMatrix, b: QuadtreeMatrix, tau: float) -> MultiplyPlan
         raise ValueError(f"inner dimensions differ: {a.m}x{a.n} times {b.m}x{b.n}")
     if math.isnan(tau) or tau < 0:
         raise ValueError(f"tau must be nonnegative, got {tau}")
-    a_key, a_norm, a_k, a_start, a_stop = _lanes(k_of_a(a.keys), a)
-    b_key, b_norm, b_k, b_start, b_stop = _lanes(k_of_b(b.keys) >> np.uint64(1), b)
+    a_order, a_norm, a_k, a_start, a_stop = _lanes(k_of_a(a.keys), a)
+    b_order, b_norm, b_k, b_start, b_stop = _lanes(k_of_b(b.keys) >> np.uint64(1), b)
     _, ia, ib = np.intersect1d(a_k, b_k, assume_unique=True, return_indices=True)
     parts = [(np.empty(0, np.int64),) * 3]  # A positions, prefix lengths, B starts
     pruned = 0
@@ -177,7 +184,6 @@ def build_plan(a: QuadtreeMatrix, b: QuadtreeMatrix, tau: float) -> MultiplyPlan
     a_pos = np.repeat(rows, count)
     # B position of each product: its lane's B start plus its place in the row
     b_pos = np.arange(total) + np.repeat(first - (np.cumsum(count) - count), count)
-    ka, kb = a_key[a_pos], b_key[b_pos]
     stats = PlanStats(emitted=total, examined=total + pruned, pruned=pruned)
-    return MultiplyPlan(ka, kb, c_index(ka, kb), a_norm[a_pos] * b_norm[b_pos],
-                        float(tau), stats)
+    return MultiplyPlan(a_order[a_pos], b_order[b_pos], a_norm[a_pos] * b_norm[b_pos],
+                        a.keys, b.keys, float(tau), stats)

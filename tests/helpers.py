@@ -16,7 +16,7 @@ from spamm.core import DenseMatrix, QuadtreeMatrix
 from spamm.generators import GeneratorSpec, generate
 from spamm.morton import c_index, k_of_a, k_of_b
 from spamm.numeric import ExecCounters, MultiplyConfig, _gate
-from spamm.symbolic import MultiplyPlan, PlanStats, ProductTask
+from spamm.symbolic import MultiplyPlan, PlanStats
 
 
 def rng_matrix(m: int, n: int, seed: int, scale: float = 1.0) -> np.ndarray:
@@ -142,17 +142,17 @@ def sequential_execute(plan, a: QuadtreeMatrix, b: QuadtreeMatrix, cfg):
 
 
 def _k_blocks(lanes: np.ndarray, q: QuadtreeMatrix):
-    """Leaf keys and norms as plain lists in (k, -norm, key) order, plus
+    """Leaf slots and norms as plain lists in (k, -norm, key) order, plus
     one (k, start, stop) range per k block, ascending k."""
-    keys, norms = q.keys, q.norms
-    order = np.lexsort((keys, -norms, lanes))
+    norms = q.norms
+    order = np.lexsort((q.keys, -norms, lanes))
     lanes = lanes[order]
     first = np.ones(lanes.size, bool)
     first[1:] = lanes[1:] != lanes[:-1]
     starts = np.flatnonzero(first)
     blocks = list(zip(lanes[starts].tolist(), starts.tolist(),
                       starts[1:].tolist() + [lanes.size]))
-    return keys[order].tolist(), norms[order].tolist(), blocks
+    return order.tolist(), norms[order].tolist(), blocks
 
 
 def sequential_plan(a: QuadtreeMatrix, b: QuadtreeMatrix, tau: float) -> MultiplyPlan:
@@ -163,9 +163,9 @@ def sequential_plan(a: QuadtreeMatrix, b: QuadtreeMatrix, tau: float) -> Multipl
     later A entry of that block can emit and the whole block pair is
     abandoned.  Norm products are float64 products of the float32 norms.
     """
-    a_key, a_norm, a_blocks = _k_blocks(k_of_a(a.keys), a)
-    b_key, b_norm, b_blocks = _k_blocks(k_of_b(b.keys) >> np.uint64(1), b)
-    tasks: list[ProductTask] = []
+    a_slot, a_norm, a_blocks = _k_blocks(k_of_a(a.keys), a)
+    b_slot, b_norm, b_blocks = _k_blocks(k_of_b(b.keys) >> np.uint64(1), b)
+    task_a, task_b, products = [], [], []  # A slot, B slot, norm product
     stats = PlanStats()
     ia = ib = 0
     while ia < len(a_blocks) and ib < len(b_blocks):
@@ -178,7 +178,6 @@ def sequential_plan(a: QuadtreeMatrix, b: QuadtreeMatrix, tau: float) -> Multipl
             ib += 1
             continue
         for i in range(a0, a1):
-            key_a = a_key[i]
             na = a_norm[i]
             hit = False
             for j in range(b0, b1):
@@ -187,25 +186,22 @@ def sequential_plan(a: QuadtreeMatrix, b: QuadtreeMatrix, tau: float) -> Multipl
                 if p < tau:
                     stats.pruned += 1
                     break
-                tasks.append(ProductTask(key_a, b_key[j], c_index(key_a, b_key[j]), p))
+                task_a.append(a_slot[i])
+                task_b.append(b_slot[j])
+                products.append(p)
                 hit = True
             if not hit:
                 break
         ia += 1
         ib += 1
-    stats.emitted = len(tasks)
-    return MultiplyPlan(
-        np.array([t.a for t in tasks], np.uint64),
-        np.array([t.b for t in tasks], np.uint64),
-        np.array([t.c_key for t in tasks], np.uint64),
-        np.array([t.norm_product for t in tasks], np.float64),
-        float(tau), stats,
-    )
+    stats.emitted = len(products)
+    return MultiplyPlan(np.array(task_a, np.int64), np.array(task_b, np.int64),
+                        np.array(products, np.float64), a.keys, b.keys, float(tau), stats)
 
 
 def assert_plans_equal(got: MultiplyPlan, want: MultiplyPlan) -> None:
     """Same products in the same order, norm products bit for bit, same stats."""
-    for name in ("a", "b", "c_key", "norm_product"):
+    for name in ("a_slot", "b_slot", "a", "b", "c_key", "norm_product"):
         x, y = getattr(got, name), getattr(want, name)
         assert x.dtype == y.dtype, name
         assert np.array_equal(x.view(np.uint64), y.view(np.uint64)), name

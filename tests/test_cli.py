@@ -202,6 +202,15 @@ def test_verify_limit_breach_exits_1(tmp_path, capsys):
     assert "exceeds" in capsys.readouterr().err
 
 
+def test_verify_rejects_a_nan_limit(tmp_path, capsys):
+    a = _gen(tmp_path)
+    capsys.readouterr()
+    assert main(["verify", str(a), "--limit", "nan"]) == 2
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert out.err == "spamm: --limit must be a number, got nan\n"
+
+
 def test_verify_dense_double_is_error_free(tmp_path, capsys):
     a = _gen(tmp_path)
     assert main(["verify", str(a), "--scenario", "dense-double",

@@ -122,6 +122,14 @@ def test_counters_accounting():
     assert counters.kernel == KERNEL_ISA  # n_b = 16
     _, counters = execute_plan_dense_leaf(plan, a, a, None)
     assert counters.kernel == "matmul"
+    # no block product runs: no kernel is named
+    _, _, counters = multiply(a, a, MultiplyConfig(alpha=0.0, beta=1.0), c=a)
+    assert counters == ExecCounters(0, 0, counters.seconds, "")
+    empty = QuadtreeMatrix(64, 64)
+    _, _, counters = multiply(empty, empty)
+    assert counters == ExecCounters(0, 0, counters.seconds, "")
+    _, counters = execute_plan_dense_leaf(build_plan(empty, empty, 0.0), empty, empty, None)
+    assert counters == ExecCounters(0, 0, counters.seconds, "")
 
 
 # -- plan execution ----------------------------------------------------------
@@ -196,8 +204,8 @@ def test_task_order_across_c_keys_is_free():
     group_rank = np.random.default_rng(20).permutation(keys.size)
     order = np.argsort(group_rank[np.searchsorted(keys, plan.c_key)], kind="stable")
     assert not np.array_equal(order, np.arange(order.size))
-    permuted = MultiplyPlan(plan.a[order], plan.b[order], plan.c_key[order],
-                            plan.norm_product[order], plan.tau, plan.stats)
+    permuted = MultiplyPlan(plan.a_slot[order], plan.b_slot[order], plan.norm_product[order],
+                            a.keys, a.keys, plan.tau, plan.stats)
     perm, _ = execute_plan(permuted, a, a, None, cfg)
     assert np.array_equal(base.to_dense().data, perm.to_dense().data)
 
@@ -277,13 +285,35 @@ def test_beta_one_with_empty_plan_keeps_accumulator():
 def test_stale_plan_handles_are_rejected():
     a = QuadtreeMatrix.from_dense(decay_matrix(64, seed=28).data)
     plan = build_plan(a, a, 0.0)
+    base, _ = execute_plan(plan, a, a, None, MultiplyConfig())
+    # the same leaf keys in another tree: the plan runs and gives the same bits
+    twin = QuadtreeMatrix.from_leaves(64, 64, a.keys.copy(), a.values)
+    for x, y in ((twin, twin), (a, twin), (twin, a)):
+        c, _ = execute_plan(plan, x, y, None, MultiplyConfig())
+        assert np.array_equal(c.keys, base.keys)
+        assert np.array_equal(c.values.view(np.uint32), base.values.view(np.uint32))
     # lacks a leaf the plan still references
     stale = QuadtreeMatrix.from_leaves(64, 64, a.keys[1:], a.values[1:])
     with pytest.raises(ValueError, match="stale"):
         execute_plan(plan, stale, stale, None, MultiplyConfig())
+    with pytest.raises(ValueError, match="stale"):
+        execute_plan(plan, a, stale, None, MultiplyConfig())
+    # holds every leaf the plan references, and one more
+    with pytest.raises(ValueError, match="stale"):
+        execute_plan(build_plan(stale, stale, 0.0), a, a, None, MultiplyConfig())
     b = QuadtreeMatrix(64, 64)
     with pytest.raises(ValueError, match="stale"):
         execute_plan(plan, b, b, None, MultiplyConfig())
+    with pytest.raises(ValueError, match="stale"):
+        execute_plan_dense_leaf(plan, b, b, None)
+    # a slot outside its key array fails where the plan is made
+    for a_slot, b_slot in ((plan.a_slot + a.leaf_count, plan.b_slot),
+                           (plan.a_slot, plan.b_slot - a.leaf_count)):
+        with pytest.raises(ValueError, match=r"slots in \[0, 16\)"):
+            MultiplyPlan(a_slot, b_slot, plan.norm_product, a.keys, a.keys, 0.0)
+    with pytest.raises(ValueError, match="int64 slots"):
+        MultiplyPlan(plan.a_slot.astype(np.int32), plan.b_slot, plan.norm_product,
+                     a.keys, a.keys, 0.0)
 
 
 def test_execute_plan_validation():
@@ -295,7 +325,7 @@ def test_execute_plan_validation():
     with pytest.raises(ValueError, match="accumulator"):
         execute_plan(plan0, a, a, QuadtreeMatrix(16, 16), MultiplyConfig())
     with pytest.raises(ValueError, match="one length"):
-        MultiplyPlan(plan0.a, plan0.b[1:], plan0.c_key, plan0.norm_product, 0.0)
+        MultiplyPlan(plan0.a_slot, plan0.b_slot[1:], plan0.norm_product, a.keys, a.keys, 0.0)
     with pytest.raises(ValueError, match="block size must be a power of two of at least 4"):
         QuadtreeMatrix.from_dense(rng_matrix(32, 32, seed=30), 2)
 

@@ -60,6 +60,21 @@ def test_dense_plan_is_complete():
         assert ck == c_index(ka, kb)
 
 
+def test_plan_names_leaves_by_slot():
+    qa = QuadtreeMatrix.from_dense(decay_matrix(96, seed=6).data[:, :80])
+    qb = QuadtreeMatrix.from_dense(decay_matrix(80, seed=7).data[:, :48])
+    plan = build_plan(qa, qb, 1e-4)
+    assert plan.a_slot.size > 0 and plan.stats.pruned > 0
+    assert plan.a_keys is qa.keys and plan.b_keys is qb.keys  # held, not copied
+    assert plan.a_slot.dtype == plan.b_slot.dtype == np.int64
+    assert np.array_equal(plan.a, qa.keys[plan.a_slot])
+    assert np.array_equal(plan.b, qb.keys[plan.b_slot])
+    assert np.array_equal(plan.c_key, c_index(plan.a, plan.b))
+    for name in ("a", "b", "c_key"):  # derived, so they cannot disagree
+        with pytest.raises(AttributeError):
+            setattr(plan, name, np.zeros_like(plan.c_key))
+
+
 def test_plan_order_and_dump_pinned():
     a = _block_constant({(0, 0): 0.25, (0, 1): 0.5, (1, 0): 1.0})
     b = _block_constant({(0, 0): 0.25, (1, 0): 0.125, (1, 1): 0.5})
