@@ -8,25 +8,36 @@ norm of the whole matrix.  An absent key means an exactly zero submatrix.
 The multiply phases prune against the block and sub-block norms; interior
 nodes exist only as key arithmetic and store no norms.  All norms are
 built from the leaf stack by one routine, once per tree and once per
-execute_plan for its accumulator, so they are never stale.
+execute_plan for its accumulator, so they are never stale.  The float64
+sub-block square sums come from one C routine of _kernel.c; the block and
+matrix norms, their float32 rounding and the overflow checks are numpy.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
+from ._kernel import _lib, _pointer
 from .morton import decode, decode_array, encode_array
 
 DEFAULT_BLOCK = 16
-
-# Leaves squared per pass when computing norms, keeps the float64 scratch
-# bounded for large trees.
-_SCAN_LEAVES = 4096
 
 
 def _validate_block_size(n_b: int) -> None:
     if not isinstance(n_b, (int, np.integer)) or n_b < 4 or n_b & (n_b - 1):
         raise ValueError(f"block size must be a power of two of at least 4, got {n_b}")
+
+
+def _subnorm_squares(values: np.ndarray) -> np.ndarray:
+    """float64 sums of squares of the 4x4 sub-blocks of an (L, n_b, n_b)
+    float32 leaf stack, (L, n_b/4, n_b/4), added in the order of numpy's
+    sum(axis=(2, 4)) over the stack's squares as (L, s, 4, s, 4)."""
+    count, nb = len(values), values.shape[-1]
+    out = np.empty((count, nb // 4, nb // 4), np.float64)
+    _lib.spamm_subnorm_squares(
+        count, nb, _pointer(values, np.float32, (count, nb, nb), "leaf values"),
+        out.ctypes.data)
+    return out
 
 
 def tree_depth(m: int, n: int, n_b: int = DEFAULT_BLOCK) -> int:
@@ -193,13 +204,7 @@ class QuadtreeMatrix:
         was: a leaf names its block row and column, and a matrix norm that
         overflows with every leaf norm finite names the matrix.
         """
-        count = keys.size
-        s = self.n_b // 4
-        subsq = np.empty((count, s, s), np.float64)
-        for lo in range(0, count, _SCAN_LEAVES):
-            seg = values[lo : lo + _SCAN_LEAVES].astype(np.float64)
-            seg *= seg
-            subsq[lo : lo + _SCAN_LEAVES] = seg.reshape(-1, s, 4, s, 4).sum(axis=(2, 4))
+        subsq = _subnorm_squares(values)
         sq = subsq.sum(axis=(1, 2))
         with np.errstate(over="ignore"):  # a norm that overflows is named below
             norms = np.sqrt(sq).astype(np.float32)

@@ -22,86 +22,34 @@ bit for bit and are identical run to run.  The slab width is chosen at run
 time: 4 tiles where the CPU has AVX-512F, 2 with AVX2, else 1, and never
 more than n_b fits.  KERNEL_ISA names the variant for n_b a multiple of 16.
 
-The kernel is compiled when this module is imported, with the C compiler
-`cc`, into a per-user cache (~/.cache/spamm) under a name keyed by the
-source and the flags, and loaded with ctypes.  Its flags keep float32
-arithmetic exact: no FMA contraction, and no -ffast-math, whose start-up
-code would flush subnormals for the whole process.  They name no ISA: the
-wide variants carry their own target attributes, so one build runs on any
-CPU of the machine type.
+The gated kernel runs on the usable cores (os.sched_getaffinity, else
+os.cpu_count), at most one per product leaf, and on one thread below
+_MIN_THREAD_TASKS tasks.  Each thread owns a contiguous range of product
+leaves, balanced by task count, and walks the whole plan, running only the
+tasks into its own leaves; so results and counters do not depend on the
+thread count.  The dense-leaf foil runs on one thread.  The kernel library
+is built and loaded by spamm._kernel.
 """
 
 from __future__ import annotations
 
-import ctypes
-import hashlib
 import os
-import platform
-import subprocess
-import tempfile
 import time
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
+from ._kernel import ISAS, _lib, _pointer  # ISAS: the gated-kernel variants
 from .core import QuadtreeMatrix
 from .symbolic import MultiplyPlan, build_plan
 
 GRANULARITIES = ("fine4", "coarse16")
-# Gated-kernel variants, widest first: 4, 2 and 1 tiles per slab.
-ISAS = ("avx512f", "avx2", "generic")
-
-_SOURCE = Path(__file__).with_name("_kernel.c")
-_CACHE = Path.home() / ".cache" / "spamm"
-_CC = "cc"
-_CFLAGS = ("-O3", "-ffp-contract=off", "-fPIC", "-shared")
 
 # Floats per batched matmul chunk of the dense-leaf foil (4 MB per operand).
 _CHUNK_FLOATS = 1 << 20
 
-
-def _load_kernel() -> ctypes.CDLL:
-    """Build _kernel.c into the cache unless this source and these flags
-    are built already, then load it and declare its functions."""
-    cmd = [_CC, *_CFLAGS]
-    tag = hashlib.sha256(
-        _SOURCE.read_bytes() + " ".join([*cmd, platform.machine()]).encode()
-    ).hexdigest()[:16]
-    path = _CACHE / f"_kernel-{tag}.so"
-    if not path.exists():
-        try:
-            _CACHE.mkdir(mode=0o700, parents=True, exist_ok=True)
-            fd, tmp = tempfile.mkstemp(suffix=".so", dir=_CACHE)
-            os.close(fd)
-            try:
-                subprocess.run([*cmd, "-o", tmp, str(_SOURCE)],
-                               check=True, capture_output=True, text=True)
-                os.replace(tmp, path)
-            finally:
-                if os.path.exists(tmp):
-                    os.unlink(tmp)
-        except (OSError, subprocess.CalledProcessError) as exc:
-            detail = exc.stderr.strip() if isinstance(exc, subprocess.CalledProcessError) else exc
-            raise RuntimeError(
-                f"spamm needs a C compiler to build its numeric kernel: "
-                f"`{' '.join(cmd)}` into {_CACHE} failed: {detail}"
-            ) from None
-    lib = ctypes.CDLL(str(path))
-    ptr, i64 = ctypes.c_void_p, ctypes.c_int64
-    for name in ("spamm_stream_gated", *(f"spamm_stream_gated_{isa}" for isa in ISAS)):
-        fn = getattr(lib, name, None)  # the x86 variants exist only on x86
-        if fn is not None:
-            fn.argtypes = [i64, i64] + [ptr] * 8 + [ctypes.c_double, ptr]
-            fn.restype = None
-    lib.spamm_kernel_isa.argtypes = [i64]
-    lib.spamm_kernel_isa.restype = ctypes.c_char_p
-    lib.spamm_stream_add.argtypes = [i64, i64, ptr, ptr, ptr]
-    lib.spamm_stream_add.restype = None
-    return lib
-
-
-_lib = _load_kernel()
+# Fewest tasks for which the gated kernel starts threads.
+_MIN_THREAD_TASKS = 512
 
 
 def _kernel_isa(nb: int) -> str:
@@ -111,18 +59,6 @@ def _kernel_isa(nb: int) -> str:
 
 # The variant this CPU runs at block sizes that are a multiple of 16.
 KERNEL_ISA = _kernel_isa(16)
-
-
-def _pointer(arr: np.ndarray, dtype, shape: tuple, name: str) -> int:
-    """Address of arr once it is what the kernel reads: C-contiguous, of
-    this dtype and exactly this shape."""
-    if arr.dtype != dtype or arr.shape != shape or not arr.flags.c_contiguous:
-        raise ValueError(
-            f"{name} must be a C-contiguous {np.dtype(dtype).name} array of shape "
-            f"{shape}, got {arr.dtype.name} {arr.shape}"
-            + ("" if arr.flags.c_contiguous else ", not C-contiguous")
-        )
-    return arr.ctypes.data
 
 
 def _slot_pointer(slots: np.ndarray, count: int, bound: int, name: str) -> int:
@@ -142,17 +78,28 @@ def _acc_pointer(acc: np.ndarray) -> int:
     return _pointer(acc, np.float32, (len(acc), nb, nb), "accumulator stack")
 
 
+def _slot_ranges(c_slot: np.ndarray, slots: int, threads: int) -> np.ndarray:
+    """Bounds of `threads` contiguous ranges of the C slots [0, slots) with
+    about equal task counts: range i is [out[i], out[i + 1]), and each slot
+    goes to the range that holds the middle of its tasks."""
+    per = np.bincount(c_slot, minlength=slots)
+    middle = per.cumsum() - per / 2
+    cuts = np.searchsorted(middle, c_slot.size * np.arange(1, threads) / threads)
+    return np.concatenate(([0], cuts, [slots])).astype(np.int64)
+
+
 def _stream_gated(a_values, a_sub, b_values, b_sub, a_slot, b_slot, c_slot,
-                  acc, gate: float) -> tuple[int, int]:
+                  acc, gate: float, threads: int = 1) -> tuple[int, int]:
     """acc[c_slot[t]] += gated A[a_slot[t]] B[b_slot[t]] for every task t in
-    order; returns the micro products run and skipped."""
+    order, on `threads` threads that each own a range of acc's leaves;
+    returns the micro products run and skipped."""
     c_ptr = _acc_pointer(acc)
     nb = acc.shape[-1]
     s = nb // 4
     la, lb, count = len(a_values), len(b_values), len(a_slot)
-    counts = np.zeros(2, np.int64)
-    _lib.spamm_stream_gated(
-        count, nb,
+    if threads < 1:
+        raise ValueError(f"the gated kernel needs at least one thread, got {threads}")
+    pointers = (
         _pointer(a_values, np.float32, (la, nb, nb), "A values"),
         _pointer(a_sub, np.float32, (la, s, s), "A subnorms"),
         _pointer(b_values, np.float32, (lb, nb, nb), "B values"),
@@ -160,8 +107,11 @@ def _stream_gated(a_values, a_sub, b_values, b_sub, a_slot, b_slot, c_slot,
         _slot_pointer(a_slot, count, la, "a_slot"),
         _slot_pointer(b_slot, count, lb, "b_slot"),
         _slot_pointer(c_slot, count, len(acc), "c_slot"),
-        c_ptr, float(gate), counts.ctypes.data,
     )
+    bounds = _slot_ranges(c_slot, len(acc), threads)
+    counts = np.zeros(2, np.int64)
+    _lib.spamm_stream_gated(count, nb, *pointers, c_ptr, float(gate),
+                            counts.ctypes.data, threads, bounds.ctypes.data)
     return int(counts[0]), int(counts[1])
 
 
@@ -205,11 +155,27 @@ class ExecCounters:
     seconds: float = 0.0
     # block-product code path: a gated-kernel variant, "matmul", or "" if none ran
     kernel: str = ""
+    # threads the block-product pass ran on, 0 if none ran
+    threads: int = 0
 
 
 def _gate(cfg: MultiplyConfig) -> float:
     """Threshold a micro product's sub-norm product must reach to run."""
     return cfg.tau if cfg.granularity == "fine4" else 0.0
+
+
+def _thread_count(tasks: int, leaves: int, wanted: int | None = None) -> int:
+    """Threads of a gated pass over `tasks` tasks into `leaves` product
+    leaves: `wanted`, else the usable cores, or 1 below _MIN_THREAD_TASKS
+    tasks; never more than one per leaf."""
+    if wanted is None:
+        if tasks < _MIN_THREAD_TASKS:
+            return 1
+        try:
+            wanted = len(os.sched_getaffinity(0))
+        except AttributeError:  # no affinity call on this platform
+            wanted = os.cpu_count() or 1
+    return max(1, min(wanted, leaves))
 
 
 def execute_plan(
@@ -231,7 +197,9 @@ def execute_plan(
     return _execute(plan, a, b, c, cfg, dense_kernel=False)
 
 
-def _execute(plan, a, b, c, cfg, dense_kernel):
+def _execute(plan, a, b, c, cfg, dense_kernel, threads=None):
+    """execute_plan, or with dense_kernel its dense-leaf foil; `threads`
+    replaces the usable-core count of the gated kernel."""
     t0 = time.perf_counter()
     if plan.tau != cfg.tau:
         raise ValueError(f"plan built for tau={plan.tau}, config has tau={cfg.tau}")
@@ -249,12 +217,14 @@ def _execute(plan, a, b, c, cfg, dense_kernel):
         )
     if not (np.array_equal(a.keys, plan.a_keys) and np.array_equal(b.keys, plan.b_keys)):
         raise ValueError("plan was built for operands with other leaves (stale handles)")
+    plan.check()  # its arrays may have been reassigned since it was built
     counters = ExecCounters()
     # an overflowing product or sum is caught by _store, which names its leaf
     with np.errstate(over="ignore", invalid="ignore"):
         if plan.a_slot.size and cfg.alpha != 0:
             counters.kernel = "matmul" if dense_kernel else _kernel_isa(nb)
-            keys, stack = _run_stream(plan, a, b, _gate(cfg), counters, dense_kernel)
+            keys, stack = _run_stream(plan, a, b, _gate(cfg), counters, dense_kernel,
+                                      threads)
         else:
             keys, stack = np.empty(0, np.uint64), np.empty((0, nb, nb), np.float32)
         leaves = _compose(c, keys, stack, cfg.alpha, cfg.beta)
@@ -263,13 +233,14 @@ def _execute(plan, a, b, c, cfg, dense_kernel):
     return c, counters
 
 
-def _run_stream(plan, a, b, gate, counters, dense_kernel):
+def _run_stream(plan, a, b, gate, counters, dense_kernel, threads):
     """Accumulate all tasks into per-c_key float32 blocks, in plan order;
     returns the ascending product keys and their (G, n_b, n_b) block stack.
 
-    The gated path is one kernel call over the whole plan.  The dense-leaf
-    foil forms its block products with batched matmul, a bounded chunk of
-    tasks at a time, and the kernel adds them up in plan order.
+    The gated path is one kernel call over the whole plan, on
+    _thread_count threads.  The dense-leaf foil forms its block products
+    with batched matmul, a bounded chunk of tasks at a time, and the kernel
+    adds them up in plan order on one thread.
     """
     nb = a.n_b
     T = plan.a_slot.size
@@ -282,9 +253,12 @@ def _run_stream(plan, a, b, gate, counters, dense_kernel):
                              b.values[plan.b_slot[lo:lo + step]])
             _stream_add(prod, c_slot[lo:lo + step], acc)
         counters.products4 += T * (nb // 4) ** 3
+        counters.threads = 1
     else:
+        counters.threads = _thread_count(T, keys.size, threads)
         run, skipped = _stream_gated(a.values, a.subnorms, b.values, b.subnorms,
-                                     plan.a_slot, plan.b_slot, c_slot, acc, gate)
+                                     plan.a_slot, plan.b_slot, c_slot, acc, gate,
+                                     counters.threads)
         counters.products4 += run
         counters.skipped4 += skipped
     return keys, acc

@@ -61,10 +61,17 @@ class MultiplyPlan:
     stats: PlanStats = field(default_factory=PlanStats)
 
     def __post_init__(self):
+        self.check()
+
+    def check(self) -> None:
+        """Raise ValueError unless the arrays are 1-D of one length and the
+        slots are int64 slots into a_keys and b_keys.  The fields stay
+        assignable, so the executor checks again before it reads a slot."""
         arrays = (self.a_slot, self.b_slot, self.norm_product)
-        if any(x.ndim != 1 or x.size != self.a_slot.size for x in arrays):
+        if (not all(isinstance(x, np.ndarray) and x.ndim == 1 for x in arrays)
+                or len({x.size for x in arrays}) > 1):
             raise ValueError("plan arrays a_slot, b_slot and norm_product must be 1-D "
-                             f"of one length, got shapes {[x.shape for x in arrays]}")
+                             f"of one length, got shapes {[np.shape(x) for x in arrays]}")
         for name, slots, keys in (("a_slot", self.a_slot, self.a_keys),
                                   ("b_slot", self.b_slot, self.b_keys)):
             if slots.dtype != np.int64 or (

@@ -36,6 +36,15 @@ def sub_norms(values: np.ndarray) -> np.ndarray:
     return np.sqrt((vals * vals).reshape(s, 4, s, 4).sum(axis=(1, 3))).astype(np.float32)
 
 
+def subnorm_squares(values: np.ndarray) -> np.ndarray:
+    """float64 sums of squares of the 4x4 sub-blocks of an (L, n_b, n_b) leaf
+    stack, by the numpy expression the library used before its C routine."""
+    s = values.shape[-1] // 4
+    seg = values.astype(np.float64)
+    seg *= seg
+    return seg.reshape(-1, s, 4, s, 4).sum(axis=(2, 4))
+
+
 def leaf_norms(q: QuadtreeMatrix) -> dict[int, float]:
     """Leaf key -> stored block norm."""
     return dict(zip(q.keys.tolist(), q.norms.tolist()))

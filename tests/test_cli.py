@@ -50,7 +50,8 @@ def test_multiply_writes_product_and_tree(tmp_path, capsys):
     printed = capsys.readouterr().out
     assert "plan:" in printed and "products4=" in printed
     exec_line = next(line for line in printed.splitlines() if line.startswith("exec:"))
-    assert exec_line.endswith(f" kernel={numeric.KERNEL_ISA}")  # n_b = 16
+    # n_b = 16; too few tasks to start threads
+    assert exec_line.endswith(f" kernel={numeric.KERNEL_ISA} threads=1")
     ad = load_matrix(a)
     ref = dense_multiply_double(ad, ad)
     got = load_matrix(out)
@@ -91,7 +92,7 @@ def test_multiply_tree_accumulator_matches_library(tmp_path, capsys):
                "--alpha", "-1", "--beta", "2", "--c-in", str(a), "--block-size", "8",
                "--out", str(out), "--tree-out", str(qt)])
     assert rc == 0
-    assert f" kernel={numeric._kernel_isa(8)}\n" in capsys.readouterr().out
+    assert f" kernel={numeric._kernel_isa(8)} threads=" in capsys.readouterr().out
     qa = QuadtreeMatrix.from_dense(load_matrix(a), 8)
     want, _, _ = multiply(qa, qa, MultiplyConfig(1e-8, "fine4", -1.0, 2.0), c=qa)
     assert np.array_equal(load_matrix(out).data, want.to_dense().data.astype(np.float64))
@@ -184,6 +185,36 @@ def test_multiply_into_a_closed_pipe_exits_0_quietly(tmp_path, case):
         want = tmp_path / "want.mtx"
         assert main(argv[:-1] + [str(want)]) == 0
         assert out.read_bytes() == want.read_bytes()
+
+
+def _exec_threads(out: str) -> int:
+    """The threads= count of a `spamm multiply` report."""
+    line = next(x for x in out.splitlines() if x.startswith("exec: "))
+    return int(line.rsplit(" threads=", 1)[1])
+
+
+@pytest.mark.skipif(not hasattr(os, "sched_setaffinity"), reason="no CPU affinity call")
+def test_multiply_pinned_to_one_cpu_runs_one_thread(tmp_path, capsys):
+    # thousands of tasks, enough to start threads
+    a = _gen(tmp_path, n=256, extra=("--kind", "blocked-decay", "--lambda", "0.5",
+                                     "--blocks", "5,15"))
+    argv = ["multiply", str(a), "--scenario", "spamm4", "--tau", "1e-8"]
+    assert main(argv) == 0
+    cores = len(os.sched_getaffinity(0))
+    qa = QuadtreeMatrix.from_dense(load_matrix(a))
+    c, plan, _ = multiply(qa, qa, MultiplyConfig(1e-8))
+    assert plan.stats.emitted > 1000
+    assert _exec_threads(capsys.readouterr().out) == min(cores, c.leaf_count)
+    # the child pins itself, and only itself, to one of the CPUs it may use
+    pin = ("import os, sys; os.sched_setaffinity(0, {min(os.sched_getaffinity(0))}); "
+           "from spamm.cli import main; sys.exit(main(sys.argv[1:]))")
+    src = str(Path(spamm.cli.__file__).parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    proc = subprocess.run([sys.executable, "-c", pin, *argv], capture_output=True,
+                          text=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert _exec_threads(proc.stdout) == 1
+    assert len(os.sched_getaffinity(0)) == cores
 
 
 def test_verify_within_limit(tmp_path, capsys):

@@ -4,9 +4,12 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
-from helpers import assert_norm_invariant, decay_matrix, rng_matrix
-from spamm.core import DenseMatrix, QuadtreeMatrix, tree_depth
+from helpers import assert_norm_invariant, decay_matrix, rng_matrix, subnorm_squares
+from spamm.core import DenseMatrix, QuadtreeMatrix, _subnorm_squares, tree_depth
 from spamm.morton import encode
 
 
@@ -209,6 +212,48 @@ def test_norm_above_float32_max_is_rejected():
     a[0, 0] = a[16, 16] = 3e38
     with pytest.raises(OverflowError, match="matrix norm"):
         QuadtreeMatrix.from_dense(a)
+
+
+F32 = np.finfo(np.float32)
+# values that replace a drawn share of a stack: any finite float32 and the edges
+WILD = st.one_of(
+    st.floats(width=32, allow_nan=False, allow_infinity=False),
+    st.sampled_from([0.0, -0.0, F32.max, -F32.max, F32.tiny, F32.smallest_subnormal,
+                     -F32.smallest_subnormal]),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(nb=st.sampled_from([4, 8, 16]), count=st.integers(0, 3),
+       exponent=st.integers(-160, 126), data=st.data())
+def test_subnorm_squares_equal_the_numpy_sum_bit_for_bit(nb, count, exponent, data):
+    # values in [-2, 2] scaled by 2^exponent, subnormal at the low end: squares of
+    # like size, whose sums round differently when added in another order
+    shape = (count, nb, nb)
+    mantissas = data.draw(arrays(np.float32, shape, elements=st.floats(-2.0, 2.0, width=32)))
+    values = np.ldexp(mantissas, exponent).astype(np.float32)
+    wild = data.draw(arrays(bool, shape))
+    values[wild] = data.draw(arrays(np.float32, shape, elements=WILD))[wild]
+    got = _subnorm_squares(values)
+    assert got.shape == (count, nb // 4, nb // 4) and got.dtype == np.float64
+    assert np.array_equal(got.view(np.uint64), subnorm_squares(values).view(np.uint64))
+
+
+def test_subnorm_squares_of_random_leaves_equal_the_numpy_sum():
+    # a plain 16-term running sum differs from numpy's on about a quarter of these
+    values = np.random.default_rng(5).standard_normal((64, 16, 16)).astype(np.float32)
+    want = subnorm_squares(values)
+    assert np.array_equal(_subnorm_squares(values).view(np.uint64), want.view(np.uint64))
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+def test_non_finite_leaf_names_its_block(bad):
+    keys = np.sort([encode(i, j) for i in range(2) for j in range(2)]).astype(np.uint64)
+    values = rng_matrix(64, 16, seed=3).reshape(4, 16, 16)
+    values[keys.tolist().index(encode(1, 0)), 5, 7] = bad
+    with pytest.raises(OverflowError, match="block row 1, column 0"):
+        QuadtreeMatrix.from_leaves(32, 32, keys, values)
 
 
 # -- stacks and bookkeeping --------------------------------------------------

@@ -12,11 +12,12 @@ import warnings
 import numpy as np
 import pytest
 
-from helpers import block_multiply_16, rng_matrix, sequential_execute
-from spamm import numeric
+from helpers import block_multiply_16, decay_matrix, rng_matrix, sequential_execute
+from spamm import _kernel, numeric
 from spamm.core import DenseMatrix, QuadtreeMatrix
 from spamm.numeric import MultiplyConfig, multiply
 from spamm.reference import dense_multiply_single
+from spamm.symbolic import build_plan
 
 # -- build cache -------------------------------------------------------------
 
@@ -24,7 +25,7 @@ from spamm.reference import dense_multiply_single
 @pytest.fixture
 def cache(tmp_path, monkeypatch):
     path = tmp_path / "cache"
-    monkeypatch.setattr(numeric, "_CACHE", path)
+    monkeypatch.setattr(_kernel, "_CACHE", path)
     return path
 
 
@@ -43,35 +44,35 @@ def compiles(monkeypatch):
 
 
 def test_cold_cache_builds_once_then_reuses(cache, compiles):
-    numeric._load_kernel()
+    _kernel._load_kernel()
     built = list(cache.iterdir())
-    assert len(compiles) == 1 and compiles[0][0] == numeric._CC
+    assert len(compiles) == 1 and compiles[0][0] == _kernel._CC
     assert len(built) == 1 and built[0].suffix == ".so"
     assert stat.S_IMODE(cache.stat().st_mode) & 0o077 == 0
     stamp = built[0].stat().st_mtime_ns
-    lib = numeric._load_kernel()
+    lib = _kernel._load_kernel()
     assert len(compiles) == 1
     assert list(cache.iterdir()) == built
     assert built[0].stat().st_mtime_ns == stamp
-    counts = np.zeros(2, np.int64)
-    lib.spamm_stream_gated(0, 16, *([None] * 8), 0.0, counts.ctypes.data)
+    counts, bounds = np.zeros(2, np.int64), np.zeros(2, np.int64)
+    lib.spamm_stream_gated(0, 16, *([None] * 8), 0.0, counts.ctypes.data, 1, bounds.ctypes.data)
     assert counts.tolist() == [0, 0]
 
 
 def test_changed_source_builds_a_new_file(cache, compiles, tmp_path, monkeypatch):
-    numeric._load_kernel()
+    _kernel._load_kernel()
     edited = tmp_path / "_kernel.c"
-    edited.write_text(numeric._SOURCE.read_text() + "\n/* edited */\n")
-    monkeypatch.setattr(numeric, "_SOURCE", edited)
-    numeric._load_kernel()
+    edited.write_text(_kernel._SOURCE.read_text() + "\n/* edited */\n")
+    monkeypatch.setattr(_kernel, "_SOURCE", edited)
+    _kernel._load_kernel()
     assert len(compiles) == 2
     assert len(list(cache.glob("*.so"))) == 2
 
 
 def test_missing_compiler_raises_one_clear_error(cache, monkeypatch):
-    monkeypatch.setattr(numeric, "_CC", "spamm-no-such-cc")
+    monkeypatch.setattr(_kernel, "_CC", "spamm-no-such-cc")
     with pytest.raises(RuntimeError) as info:
-        numeric._load_kernel()
+        _kernel._load_kernel()
     message = str(info.value)
     assert "spamm-no-such-cc" in message and str(cache) in message
     assert info.value.__cause__ is None and info.value.__suppress_context__
@@ -89,13 +90,14 @@ def test_built_library_has_no_fma_and_every_variant():
     objdump = shutil.which("objdump")
     if objdump is None:
         pytest.skip("objdump is not installed")
-    text = subprocess.run([objdump, "-d", numeric._lib._name],
+    text = subprocess.run([objdump, "-d", _kernel._lib._name],
                           check=True, capture_output=True, text=True).stdout
     # a fused multiply-add rounds once where the float32 loop rounds twice
     assert not re.search(r"\bvfn?m(add|sub)", text)
     if platform.machine() in ("x86_64", "AMD64"):
-        assert "%ymm" in _disassembly("spamm_stream_gated_avx2", text)
-        assert "%zmm" in _disassembly("spamm_stream_gated_avx512f", text)
+        # each variant's slab loop is its _body function, which its threads run
+        assert "%ymm" in _disassembly("spamm_stream_gated_avx2_body", text)
+        assert "%zmm" in _disassembly("spamm_stream_gated_avx512f_body", text)
 
 
 # -- checks at the ctypes boundary -------------------------------------------
@@ -165,8 +167,8 @@ def variant(request, monkeypatch):
     isa = request.param
     if numeric.ISAS.index(isa) < numeric.ISAS.index(numeric.KERNEL_ISA):
         pytest.skip(f"this CPU runs the {numeric.KERNEL_ISA} variant at most, not {isa}")
-    monkeypatch.setattr(numeric._lib, "spamm_stream_gated",
-                        getattr(numeric._lib, f"spamm_stream_gated_{isa}"))
+    monkeypatch.setattr(_kernel._lib, "spamm_stream_gated",
+                        getattr(_kernel._lib, f"spamm_stream_gated_{isa}"))
     return isa
 
 
@@ -315,6 +317,57 @@ def test_stream_add_checks_its_arrays():
         numeric._stream_add(prod, np.array([0, 2, 1], np.int64), acc)
     with pytest.raises(ValueError, match="product stack"):
         numeric._stream_add(prod.astype(np.float64), np.zeros(3, np.int64), acc)
+
+
+# -- threads -----------------------------------------------------------------
+
+
+def _thread_run(case: str, threads: int):
+    """(plan, A, B, C, counters) of one case's product on `threads` threads."""
+    c = None
+    cfg = MultiplyConfig(tau=1e-6)
+    if case in ("decay", "accumulate"):  # 127 tasks into 44 C leaves
+        a = b = QuadtreeMatrix.from_dense(decay_matrix(128, seed=60).data)
+        if case == "accumulate":  # C = 2 A - A A into A, as purification runs it
+            c, cfg = a, MultiplyConfig(tau=1e-6, alpha=-1.0, beta=2.0)
+    elif case == "two-leaves":
+        a = QuadtreeMatrix.from_dense(rng_matrix(32, 32, seed=64))
+        b = QuadtreeMatrix.from_dense(rng_matrix(32, 16, seed=65))
+    else:  # "empty-range": C leaf 0 takes four tasks, leaves 1 and 2 one each
+        dense = np.zeros((48, 64), np.float32)
+        dense[:16] = rng_matrix(16, 64, seed=61)
+        dense[16:, :16] = rng_matrix(32, 16, seed=62)
+        a = QuadtreeMatrix.from_dense(dense)
+        b = QuadtreeMatrix.from_dense(rng_matrix(64, 16, seed=63))
+    plan = build_plan(a, b, cfg.tau)
+    out, counters = numeric._execute(plan, a, b, c, cfg, dense_kernel=False, threads=threads)
+    return plan, a, b, out, counters
+
+
+@pytest.mark.parametrize("case", ["decay", "accumulate", "two-leaves", "empty-range"])
+def test_thread_count_changes_no_result(variant, case):
+    runs = [_thread_run(case, threads) for threads in (1, 2, 3)]
+    plan, a, b, base, counters = runs[0]
+    keys, c_slot = np.unique(plan.c_key, return_inverse=True)
+    assert counters.products4
+    for threads, (_, _, _, out, got) in zip((1, 2, 3), runs):
+        assert got.threads == min(threads, keys.size)
+        assert (got.products4, got.skipped4) == (counters.products4, counters.skipped4)
+        assert np.array_equal(out.keys, base.keys)
+        assert _same_bits(out.values, base.values)
+        assert _same_bits(out.subnorms, base.subnorms) and out.norm == base.norm
+    bounds = numeric._slot_ranges(c_slot, keys.size, 3)
+    assert bounds[0] == 0 and bounds[-1] == keys.size and (np.diff(bounds) >= 0).all()
+    if case == "decay":
+        blocks, want = sequential_execute(plan, a, b, MultiplyConfig(tau=1e-6))
+        assert (want.products4, want.skipped4) == (counters.products4, counters.skipped4)
+        assert counters.skipped4
+        assert _same_bits(base.values, np.stack([blocks[k] for k in base.keys.tolist()]))
+    if case == "two-leaves":
+        assert keys.size == 2
+    if case == "empty-range":
+        assert np.bincount(c_slot).tolist() == [4, 1, 1]
+        assert 0 in np.diff(bounds)
 
 
 # -- floating-point environment ----------------------------------------------

@@ -316,6 +316,26 @@ def test_stale_plan_handles_are_rejected():
                      a.keys, a.keys, 0.0)
 
 
+@pytest.mark.parametrize("dense", [False, True], ids=["gated", "dense-leaf"])
+def test_reassigned_plan_arrays_are_rejected_before_a_slot_is_read(dense):
+    a = QuadtreeMatrix.from_dense(decay_matrix(64, seed=28).data)  # 16 leaves
+    cases = (
+        ("a_slot", lambda v: v + 100, r"a_slot must hold int64 slots in \[0, 16\)"),
+        ("b_slot", lambda v: v - 100, r"b_slot must hold int64 slots in \[0, 16\)"),
+        ("b_slot", lambda v: v.astype(np.int32), "int64 slots"),
+        ("norm_product", lambda v: v[1:], "one length"),
+        ("a_slot", lambda v: v.tolist(), "1-D"),
+    )
+    for name, corrupt, match in cases:
+        plan = build_plan(a, a, 0.0)
+        setattr(plan, name, corrupt(getattr(plan, name)))
+        with pytest.raises(ValueError, match=match):
+            if dense:
+                execute_plan_dense_leaf(plan, a, a, None)
+            else:
+                execute_plan(plan, a, a, None, MultiplyConfig())
+
+
 def test_execute_plan_validation():
     a = QuadtreeMatrix.from_dense(rng_matrix(32, 32, seed=29))
     plan = build_plan(a, a, 1e-8)
