@@ -33,6 +33,6 @@ from .reference import (
     flop_model,
     max_norm_error,
 )
-from .symbolic import MultiplyPlan, PlanStats, ProductTask, build_plan, plan_dump
+from .symbolic import MultiplyPlan, PlanStats, ProductTask, build_plan
 
 __version__ = "0.1.0"

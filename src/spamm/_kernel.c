@@ -15,10 +15,11 @@
  *
  * One body is instantiated three times: W = 4 (16-float rows) for AVX-512F,
  * W = 2 (8-float rows) for AVX2 and W = 1 (4-float rows) for any target.
- * spamm_stream_gated picks the widest the CPU supports and n_b fits at run
- * time, so one build serves every x86-64 CPU.  The vectors are GCC/Clang
- * vector extensions with 4-byte alignment, so they compile to unaligned
- * loads and stores on any float32 stack.
+ * spamm_stream_gated, the one gated entry point, takes the caller's slab
+ * width and lowers it to spamm_slab_tiles(n_b), the widest the CPU supports
+ * and n_b fits, so one build serves every x86-64 CPU.  The vectors are
+ * GCC/Clang vector extensions with 4-byte alignment, so they compile to
+ * unaligned loads and stores on any float32 stack.
  *
  * A gated call is split over threads by C leaf: thread i owns the C slots
  * [bounds[i], bounds[i + 1]) and walks the whole plan in order, running only
@@ -97,23 +98,17 @@ static void run_parts(const struct stream *st, stream_body *body,
  * The 4x4x4 product (p, r, q) runs when the float64 product of sub-norms
  * asub[p, r] * bsub[r, q] reaches gate; otherwise it is skipped and adds
  * nothing.  A slab with no open gate is not written.  counts[0] and
- * counts[1] gain the products run and skipped.  A W-tile variant hands a
- * block size that is not a multiple of 4W to the 1-tile body.  NAME runs
- * the call on nthreads threads, over the C slot ranges of bounds. */
-#define SPAMM_SLAB_KERNEL(NAME, W, ATTR)                                       \
-static ATTR void NAME##_body(const struct stream *st, int64_t lo, int64_t hi,  \
-                             int64_t *counts)                                  \
+ * counts[1] gain the products run and skipped.  NAME is the W-tile body,
+ * which needs a block size that is a multiple of 4W. */
+#define SPAMM_SLAB_BODY(NAME, W, ATTR)                                         \
+static ATTR void NAME(const struct stream *st, int64_t lo, int64_t hi,         \
+                      int64_t *counts)                                         \
 {                                                                              \
     typedef float vf __attribute__((vector_size(16 * (W)), aligned(4)));       \
     typedef int32_t vi __attribute__((vector_size(16 * (W))));                 \
-    const int64_t nb = st->nb;                                                 \
-    if ((W) > 1 && nb % (4 * (W))) {                                           \
-        spamm_stream_gated_generic_body(st, lo, hi, counts);                   \
-        return;                                                                \
-    }                                                                          \
     if (lo >= hi)                                                              \
         return;                                                                \
-    const int64_t s = nb / 4, leaf = nb * nb, grid = s * s;                    \
+    const int64_t nb = st->nb, s = nb / 4, leaf = nb * nb, grid = s * s;       \
     const int64_t *a_slot = st->a_slot, *b_slot = st->b_slot;                  \
     const int64_t *c_slot = st->c_slot;                                        \
     float *restrict c = st->c;                                                 \
@@ -181,27 +176,16 @@ static ATTR void NAME##_body(const struct stream *st, int64_t lo, int64_t hi,  \
     }                                                                          \
     counts[0] += run;                                                          \
     counts[1] += done * s * grid - run;                                        \
-}                                                                              \
-                                                                               \
-void NAME(int64_t ntask, int64_t nb, const float *a, const float *asub,        \
-          const float *b, const float *bsub, const int64_t *a_slot,            \
-          const int64_t *b_slot, const int64_t *c_slot, float *c,              \
-          double gate, int64_t *counts, int64_t nthreads,                      \
-          const int64_t *bounds)                                               \
-{                                                                              \
-    const struct stream st = {ntask, nb, a, asub, b, bsub,                     \
-                              a_slot, b_slot, c_slot, c, gate};                \
-    run_parts(&st, NAME##_body, nthreads, bounds, counts);                     \
 }
 
-SPAMM_SLAB_KERNEL(spamm_stream_gated_generic, 1, )
+SPAMM_SLAB_BODY(slab_generic, 1, )
 #ifdef SPAMM_X86
-SPAMM_SLAB_KERNEL(spamm_stream_gated_avx2, 2, __attribute__((target("avx2"))))
-SPAMM_SLAB_KERNEL(spamm_stream_gated_avx512f, 4, __attribute__((target("avx512f"))))
+SPAMM_SLAB_BODY(slab_avx2, 2, __attribute__((target("avx2"))))
+SPAMM_SLAB_BODY(slab_avx512f, 4, __attribute__((target("avx512f"))))
 #endif
 
-/* Tiles per slab that spamm_stream_gated uses at block size nb. */
-static int slab_tiles(int64_t nb)
+/* The widest slab, in tiles, that this CPU runs and block size nb fits. */
+int spamm_slab_tiles(int64_t nb)
 {
 #ifdef SPAMM_X86
     __builtin_cpu_init();
@@ -214,39 +198,30 @@ static int slab_tiles(int64_t nb)
     return 1;
 }
 
-/* Name of the variant spamm_stream_gated runs at block size nb. */
-const char *spamm_kernel_isa(int64_t nb)
-{
-    switch (slab_tiles(nb)) {
-    case 4: return "avx512f";
-    case 2: return "avx2";
-    default: return "generic";
-    }
-}
-
+/* Runs the gated products on slabs of `tiles` tiles, or of the widest that
+ * spamm_slab_tiles(nb) allows if that is narrower, on nthreads threads over
+ * the C slot ranges of bounds. */
 void spamm_stream_gated(int64_t ntask, int64_t nb,
                         const float *a, const float *asub,
                         const float *b, const float *bsub,
                         const int64_t *a_slot, const int64_t *b_slot,
                         const int64_t *c_slot, float *c, double gate,
                         int64_t *counts, int64_t nthreads,
-                        const int64_t *bounds)
+                        const int64_t *bounds, int64_t tiles)
 {
-    switch (slab_tiles(nb)) {
+    const struct stream st = {ntask, nb, a, asub, b, bsub,
+                              a_slot, b_slot, c_slot, c, gate};
+    const int64_t widest = spamm_slab_tiles(nb);
+    if (tiles > widest)
+        tiles = widest;
+    stream_body *body = slab_generic;
 #ifdef SPAMM_X86
-    case 4:
-        spamm_stream_gated_avx512f(ntask, nb, a, asub, b, bsub, a_slot, b_slot,
-                                   c_slot, c, gate, counts, nthreads, bounds);
-        return;
-    case 2:
-        spamm_stream_gated_avx2(ntask, nb, a, asub, b, bsub, a_slot, b_slot,
-                                c_slot, c, gate, counts, nthreads, bounds);
-        return;
+    if (tiles >= 4)
+        body = slab_avx512f;
+    else if (tiles >= 2)
+        body = slab_avx2;
 #endif
-    default:
-        spamm_stream_gated_generic(ntask, nb, a, asub, b, bsub, a_slot, b_slot,
-                                   c_slot, c, gate, counts, nthreads, bounds);
-    }
+    run_parts(&st, body, nthreads, bounds, counts);
 }
 
 /* acc[c_slot[t]] += prod[t] for every task t, in plan order. */

@@ -5,7 +5,7 @@ The library is compiled when this module is imported, with the C compiler
 source and the flags, and loaded with ctypes.  Its flags keep float32
 arithmetic exact: no FMA contraction, and no -ffast-math, whose start-up
 code would flush subnormals for the whole process.  They name no ISA: the
-wide variants carry their own target attributes, so one build runs on any
+wide slab bodies carry their own target attributes, so one build runs on any
 CPU of the machine type.  -pthread links the threads the gated kernel
 starts and joins within each call.
 """
@@ -21,9 +21,6 @@ import tempfile
 from pathlib import Path
 
 import numpy as np
-
-# Gated-kernel variants, widest first: 4, 2 and 1 tiles per slab.
-ISAS = ("avx512f", "avx2", "generic")
 
 _SOURCE = Path(__file__).with_name("_kernel.c")
 _CACHE = Path.home() / ".cache" / "spamm"
@@ -59,13 +56,10 @@ def _load_kernel() -> ctypes.CDLL:
             ) from None
     lib = ctypes.CDLL(str(path))
     ptr, i64 = ctypes.c_void_p, ctypes.c_int64
-    for name in ("spamm_stream_gated", *(f"spamm_stream_gated_{isa}" for isa in ISAS)):
-        fn = getattr(lib, name, None)  # the x86 variants exist only on x86
-        if fn is not None:
-            fn.argtypes = [i64, i64] + [ptr] * 8 + [ctypes.c_double, ptr, i64, ptr]
-            fn.restype = None
-    lib.spamm_kernel_isa.argtypes = [i64]
-    lib.spamm_kernel_isa.restype = ctypes.c_char_p
+    lib.spamm_stream_gated.argtypes = [i64, i64] + [ptr] * 8 + [ctypes.c_double, ptr, i64, ptr, i64]
+    lib.spamm_stream_gated.restype = None
+    lib.spamm_slab_tiles.argtypes = [i64]
+    lib.spamm_slab_tiles.restype = ctypes.c_int
     lib.spamm_stream_add.argtypes = [i64, i64, ptr, ptr, ptr]
     lib.spamm_stream_add.restype = None
     lib.spamm_subnorm_squares.argtypes = [i64, i64, ptr, ptr]

@@ -11,7 +11,11 @@ Scenarios:
     spamm4            pruned multiply, 4x4 gated micro kernels
     spamm16           pruned multiply, gating at 16x16 blocks only
     spamm-dense-leaf  pruned plan, unconditional library kernel per leaf
-    dense-single      classical float32 product, no tree
+    dense-single      classical float32 product, no tree: the ascending-k
+                      Python loop dense_multiply_single (the tau = 0
+                      oracle), not a BLAS SGEMM, so its seconds cannot
+                      show the paper's SGEMM crossover; perfbench's
+                      ref.sgemm_s is the SGEMM reference
     dense-double      classical float64 product, no tree
 
 CSV output is one fixed header plus one row per run; work ratios

@@ -19,8 +19,10 @@ ascending order; where only some of the slab's gates are open, the closed
 tiles' lanes are bit-selected back.  So every element still sees its terms
 in ascending k: results match a sequential loop of gated block products
 bit for bit and are identical run to run.  The slab width is chosen at run
-time: 4 tiles where the CPU has AVX-512F, 2 with AVX2, else 1, and never
-more than n_b fits.  KERNEL_ISA names the variant for n_b a multiple of 16.
+time: _slab_tiles(n_b) is 4 tiles where the CPU has AVX-512F, 2 with AVX2,
+else 1, and never more than n_b fits.  _stream_gated passes it to the one
+C entry point, which lowers any wider request to it.  _SLAB_ISA names each
+width's variant; KERNEL_ISA is the one for n_b a multiple of 16.
 
 The gated kernel runs on the usable cores (os.sched_getaffinity, else
 os.cpu_count), at most one per product leaf, and on one thread below
@@ -39,7 +41,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._kernel import ISAS, _lib, _pointer  # ISAS: the gated-kernel variants
+from ._kernel import _lib, _pointer
 from .core import QuadtreeMatrix
 from .symbolic import MultiplyPlan, build_plan
 
@@ -52,9 +54,18 @@ _CHUNK_FLOATS = 1 << 20
 _MIN_THREAD_TASKS = 512
 
 
+# The gated-kernel variant of each slab width, in 4x4 tiles.
+_SLAB_ISA = {4: "avx512f", 2: "avx2", 1: "generic"}
+
+
+def _slab_tiles(nb: int) -> int:
+    """Tiles per slab of the widest body this CPU runs at block size nb."""
+    return _lib.spamm_slab_tiles(nb)
+
+
 def _kernel_isa(nb: int) -> str:
     """The gated-kernel variant that runs at block size nb on this CPU."""
-    return _lib.spamm_kernel_isa(nb).decode()
+    return _SLAB_ISA[_slab_tiles(nb)]
 
 
 # The variant this CPU runs at block sizes that are a multiple of 16.
@@ -111,7 +122,8 @@ def _stream_gated(a_values, a_sub, b_values, b_sub, a_slot, b_slot, c_slot,
     bounds = _slot_ranges(c_slot, len(acc), threads)
     counts = np.zeros(2, np.int64)
     _lib.spamm_stream_gated(count, nb, *pointers, c_ptr, float(gate),
-                            counts.ctypes.data, threads, bounds.ctypes.data)
+                            counts.ctypes.data, threads, bounds.ctypes.data,
+                            _slab_tiles(nb))
     return int(counts[0]), int(counts[1])
 
 

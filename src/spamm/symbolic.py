@@ -150,15 +150,6 @@ def _prefix_lengths(na: np.ndarray, nb: np.ndarray, tau: float) -> np.ndarray:
     return count
 
 
-def plan_dump(plan: MultiplyPlan) -> str:
-    """Plan as text lines 'a_key b_key c_key norm_product', plan order."""
-    return "".join(
-        f"{a} {b} {c} {p:.9e}\n"
-        for a, b, c, p in zip(plan.a.tolist(), plan.b.tolist(), plan.c_key.tolist(),
-                              plan.norm_product.tolist())
-    )
-
-
 def build_plan(a: QuadtreeMatrix, b: QuadtreeMatrix, tau: float) -> MultiplyPlan:
     """Full symbolic pipeline for C = A B: products with norm product >= tau.
 

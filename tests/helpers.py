@@ -1,4 +1,5 @@
-"""Shared test helpers: tree invariant checks, brute-force oracles, a slope fit.
+"""Shared test helpers: tree invariant checks, brute-force oracles, plan text,
+a slope fit.
 
 These deliberately reimplement package logic in the dumbest way possible
 (dense scans, all-pairs loops) so the fast paths have something independent
@@ -206,6 +207,15 @@ def sequential_plan(a: QuadtreeMatrix, b: QuadtreeMatrix, tau: float) -> Multipl
     stats.emitted = len(products)
     return MultiplyPlan(np.array(task_a, np.int64), np.array(task_b, np.int64),
                         np.array(products, np.float64), a.keys, b.keys, float(tau), stats)
+
+
+def plan_dump(plan: MultiplyPlan) -> str:
+    """Plan as text lines 'a_key b_key c_key norm_product', plan order."""
+    return "".join(
+        f"{a} {b} {c} {p:.9e}\n"
+        for a, b, c, p in zip(plan.a.tolist(), plan.b.tolist(), plan.c_key.tolist(),
+                              plan.norm_product.tolist())
+    )
 
 
 def assert_plans_equal(got: MultiplyPlan, want: MultiplyPlan) -> None:

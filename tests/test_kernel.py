@@ -55,7 +55,7 @@ def test_cold_cache_builds_once_then_reuses(cache, compiles):
     assert list(cache.iterdir()) == built
     assert built[0].stat().st_mtime_ns == stamp
     counts, bounds = np.zeros(2, np.int64), np.zeros(2, np.int64)
-    lib.spamm_stream_gated(0, 16, *([None] * 8), 0.0, counts.ctypes.data, 1, bounds.ctypes.data)
+    lib.spamm_stream_gated(0, 16, *([None] * 8), 0.0, counts.ctypes.data, 1, bounds.ctypes.data, 1)
     assert counts.tolist() == [0, 0]
 
 
@@ -86,18 +86,30 @@ def _disassembly(symbol: str, text: str) -> str:
     return match.group(1)
 
 
-def test_built_library_has_no_fma_and_every_variant():
+def _objdump(flag: str) -> str:
+    """`objdump flag` of the loaded library; skips without objdump."""
     objdump = shutil.which("objdump")
     if objdump is None:
         pytest.skip("objdump is not installed")
-    text = subprocess.run([objdump, "-d", _kernel._lib._name],
+    return subprocess.run([objdump, flag, _kernel._lib._name],
                           check=True, capture_output=True, text=True).stdout
+
+
+def test_built_library_has_no_fma_and_every_variant():
+    text = _objdump("-d")
     # a fused multiply-add rounds once where the float32 loop rounds twice
     assert not re.search(r"\bvfn?m(add|sub)", text)
     if platform.machine() in ("x86_64", "AMD64"):
-        # each variant's slab loop is its _body function, which its threads run
-        assert "%ymm" in _disassembly("spamm_stream_gated_avx2_body", text)
-        assert "%zmm" in _disassembly("spamm_stream_gated_avx512f_body", text)
+        # each variant's slab loop is its body function, which the threads run
+        assert "%ymm" in _disassembly("slab_avx2", text)
+        assert "%zmm" in _disassembly("slab_avx512f", text)
+
+
+def test_library_exports_one_gated_entry_point():
+    names = {line.split()[-1] for line in _objdump("-T").splitlines()
+             if line.split() and line.split()[-1].startswith("spamm_")}
+    assert names == {"spamm_stream_gated", "spamm_slab_tiles", "spamm_stream_add",
+                     "spamm_subnorm_squares"}
 
 
 # -- checks at the ctypes boundary -------------------------------------------
@@ -157,46 +169,61 @@ def _same_bits(x: np.ndarray, y: np.ndarray) -> bool:
     return np.array_equal(x.view(np.uint32), y.view(np.uint32))
 
 
-TILES = {"avx512f": 4, "avx2": 2, "generic": 1}
+TILES = {isa: tiles for tiles, isa in numeric._SLAB_ISA.items()}
 
 
-@pytest.fixture(params=numeric.ISAS)
+@pytest.fixture(params=list(TILES))
 def variant(request, monkeypatch):
-    """Route the gated kernel calls of a test to one ISA variant; skip the
-    variants this CPU cannot run."""
+    """Run the gated kernel calls of a test on one ISA variant's slab width;
+    skip the variants this CPU cannot run."""
     isa = request.param
-    if numeric.ISAS.index(isa) < numeric.ISAS.index(numeric.KERNEL_ISA):
+    if TILES[isa] > numeric._slab_tiles(16):
         pytest.skip(f"this CPU runs the {numeric.KERNEL_ISA} variant at most, not {isa}")
-    monkeypatch.setattr(_kernel._lib, "spamm_stream_gated",
-                        getattr(_kernel._lib, f"spamm_stream_gated_{isa}"))
+    monkeypatch.setattr(numeric, "_slab_tiles", lambda nb: TILES[isa])
     return isa
 
 
 def _needs_width(isa: str, nb: int) -> None:
     """Skip where n_b holds fewer 4x4 tiles per strip than the variant's slab:
-    such a call runs the 1-tile body, which its own case covers."""
+    such a call runs a narrower body, which its own case covers."""
     if nb % (4 * TILES[isa]):
         pytest.skip(f"n_b={nb} is too narrow for the {TILES[isa]}-tile {isa} slab")
 
 
-@pytest.mark.parametrize("nb", [4, 8, 16, 32])
-def test_variant_stream_matches_the_block_oracle(variant, nb):
-    # a multi-task stream into shared C leaves, half of the gates open, every
-    # stack at an address 4 mod 16
-    _needs_width(variant, nb)
+def _shared_stream(nb: int):
+    """A multi-task stream into shared C leaves with half of the gates open."""
     tree = QuadtreeMatrix.from_dense(rng_matrix(3 * nb, 3 * nb, seed=47), nb)
     rng = np.random.default_rng(48)
     slots = rng.integers(0, len(tree.values), (3, 12))
     sub = tree.subnorms.astype(np.float64)
     acc = rng_matrix(3 * nb, nb, seed=49).reshape(3, nb, nb)
     acc[:, ::3] = -0.0
-    args = {"a_values": tree.values, "a_sub": tree.subnorms,
+    return {"a_values": tree.values, "a_sub": tree.subnorms,
             "b_values": tree.values, "b_sub": tree.subnorms,
             "a_slot": slots[0], "b_slot": slots[1], "c_slot": slots[2] % 3,
             "acc": acc, "gate": float(np.median(np.multiply.outer(sub, sub)))}
+
+
+@pytest.mark.parametrize("nb", [4, 8, 16, 32])
+def test_variant_stream_matches_the_block_oracle(variant, nb):
+    # every stack at an address 4 mod 16
+    _needs_width(variant, nb)
+    args = _shared_stream(nb)
     want, counts = _oracle(args)
     for name in ("a_values", "a_sub", "b_values", "b_sub", "acc"):
         args[name] = _misaligned(args[name])
+    run, skipped = numeric._stream_gated(**args)
+    assert (run, skipped) == counts and run and skipped
+    assert _same_bits(args["acc"], want)
+
+
+@pytest.mark.parametrize("nb", [4, 8])
+def test_too_wide_a_slab_is_lowered_to_one_that_fits(monkeypatch, nb):
+    # a 4-tile slab would read and write past the 4- and 8-float leaf rows
+    assert numeric._slab_tiles(4) == 1 and numeric._slab_tiles(8) <= 2
+    monkeypatch.setattr(numeric, "_slab_tiles", lambda nb: 4)
+    args = _shared_stream(nb)
+    want, counts = _oracle(args)
     run, skipped = numeric._stream_gated(**args)
     assert (run, skipped) == counts and run and skipped
     assert _same_bits(args["acc"], want)

@@ -10,6 +10,7 @@ from helpers import (
     decay_matrix,
     leaf_norms,
     matched_pairs,
+    plan_dump,
     rng_matrix,
     sequential_execute,
     sequential_plan,
@@ -18,7 +19,7 @@ from spamm.core import QuadtreeMatrix
 from spamm.morton import c_index, encode, encode_array
 from spamm.numeric import MultiplyConfig, execute_plan
 from spamm.reference import dense_multiply_single
-from spamm.symbolic import build_plan, plan_dump
+from spamm.symbolic import build_plan
 
 
 def _block_constant(layout: dict[tuple[int, int], float], n: int = 32) -> QuadtreeMatrix:
