@@ -1,5 +1,8 @@
 /* Kernels of the numeric phase and of the norm rebuild, loaded by
- * spamm._kernel through ctypes.
+ * spamm._kernel through ctypes.  The library exports three functions:
+ * spamm_stream_gated, the gated product stream; spamm_slab_tiles, the slab
+ * width it runs at a block size; and spamm_subnorm_squares, the squared
+ * 4x4 sub-block norms of the norm rebuild.
  *
  * Leaves are row-major n_b x n_b float32 blocks, stacked; sub-norm grids are
  * row-major s x s float32 blocks, s = n_b / 4.  Tasks are walked in plan
@@ -222,19 +225,6 @@ void spamm_stream_gated(int64_t ntask, int64_t nb,
         body = slab_avx2;
 #endif
     run_parts(&st, body, nthreads, bounds, counts);
-}
-
-/* acc[c_slot[t]] += prod[t] for every task t, in plan order. */
-void spamm_stream_add(int64_t ntask, int64_t nb, const float *prod,
-                      const int64_t *c_slot, float *restrict acc)
-{
-    const int64_t leaf = nb * nb;
-    for (int64_t t = 0; t < ntask; t++) {
-        const float *pt = prod + t * leaf;
-        float *ct = acc + c_slot[t] * leaf;
-        for (int64_t e = 0; e < leaf; e++)
-            ct[e] += pt[e];
-    }
 }
 
 /* out[l, p, q] = the float64 sum of squares of 4x4 sub-block (p, q) of leaf

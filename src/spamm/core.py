@@ -53,14 +53,17 @@ class DenseMatrix:
     """Dense 2-D matrix with explicit storage precision.
 
     Thin wrapper over a C-contiguous numpy array in float32 or float64.
-    Construction validates shape and finiteness.  The quadtree side of the
-    package is single precision; double precision exists for the oracles.
+    Construction checks that it is real, 2-D, nonempty and finite.  The
+    quadtree side of the package is single precision; double precision
+    exists for the oracles.
     """
 
     __slots__ = ("data",)
 
     def __init__(self, data):
         arr = np.ascontiguousarray(data)
+        if np.iscomplexobj(arr):
+            raise ValueError("matrix elements must be real, got a complex array")
         if arr.dtype not in (np.float32, np.float64):
             arr = arr.astype(np.float64)
         if arr.ndim != 2 or arr.shape[0] < 1 or arr.shape[1] < 1:
@@ -151,8 +154,8 @@ class QuadtreeMatrix:
 
         Keys must be unique, ascending and inside the block grid of an
         m x n matrix, and the padding rows and columns of the edge leaves
-        must be zero; values are copied to float32.  All-zero leaves are
-        kept as given.
+        must be zero; values must be real and are copied to float32.
+        All-zero leaves are kept as given.
         """
         q = cls(m, n, n_b)
         raw = np.asarray(keys)
@@ -161,6 +164,8 @@ class QuadtreeMatrix:
         if raw.size and raw.min() < 0:
             raise ValueError(f"leaf key {raw.min()} is negative")
         keys = raw.astype(np.uint64)
+        if np.iscomplexobj(values):
+            raise ValueError("leaf values must be real, got a complex array")
         vals = np.array(values, np.float32)
         if vals.shape != (keys.size, n_b, n_b):
             raise ValueError(

@@ -81,9 +81,13 @@ def _block_index_map(n: int, blocks: tuple[int, ...]) -> np.ndarray:
 
 
 def envelope(spec: GeneratorSpec, i, j) -> np.ndarray:
-    """Decay envelope env(i, j), float64, broadcasting over i and j."""
+    """Decay envelope env(i, j), float64, broadcasting over i and j;
+    ValueError for an index outside [0, spec.n)."""
     i = np.asarray(i, np.int64)
     j = np.asarray(j, np.int64)
+    for x in (i, j):
+        if x.size and (x.min() < 0 or x.max() >= spec.n):
+            raise ValueError(f"envelope indices must lie in [0, {spec.n})")
     if spec.kind == "random-dense":
         return np.broadcast_to(np.float64(spec.c), np.broadcast_shapes(i.shape, j.shape)).copy()
     if spec.kind == "blocked-decay":

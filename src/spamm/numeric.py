@@ -22,15 +22,18 @@ bit for bit and are identical run to run.  The slab width is chosen at run
 time: _slab_tiles(n_b) is 4 tiles where the CPU has AVX-512F, 2 with AVX2,
 else 1, and never more than n_b fits.  _stream_gated passes it to the one
 C entry point, which lowers any wider request to it.  _SLAB_ISA names each
-width's variant; KERNEL_ISA is the one for n_b a multiple of 16.
+width's variant, and _kernel_isa(n_b) the one that runs at n_b.
 
 The gated kernel runs on the usable cores (os.sched_getaffinity, else
 os.cpu_count), at most one per product leaf, and on one thread below
 _MIN_THREAD_TASKS tasks.  Each thread owns a contiguous range of product
 leaves, balanced by task count, and walks the whole plan, running only the
 tasks into its own leaves; so results and counters do not depend on the
-thread count.  The dense-leaf foil runs on one thread.  The kernel library
-is built and loaded by spamm._kernel.
+thread count.  The dense-leaf foil needs no C: numpy's matmul forms its
+block products and a numpy add sums them into the leaves, on one thread.
+The kernel library is built and loaded by spamm._kernel.  It exports three
+functions: the gated stream spamm_stream_gated, its slab width query
+spamm_slab_tiles, and spamm_subnorm_squares of the norm rebuild in core.
 """
 
 from __future__ import annotations
@@ -43,12 +46,14 @@ import numpy as np
 
 from ._kernel import _lib, _pointer
 from .core import QuadtreeMatrix
+from .morton import k_of_a
 from .symbolic import MultiplyPlan, build_plan
 
 GRANULARITIES = ("fine4", "coarse16")
 
-# Floats per batched matmul chunk of the dense-leaf foil (4 MB per operand).
-_CHUNK_FLOATS = 1 << 20
+# Floats per batched matmul chunk of the dense-leaf foil: 256 KB per operand,
+# so a chunk's operands, products and accumulator rows stay in cache.
+_CHUNK_FLOATS = 1 << 16
 
 # Fewest tasks for which the gated kernel starts threads.
 _MIN_THREAD_TASKS = 512
@@ -66,10 +71,6 @@ def _slab_tiles(nb: int) -> int:
 def _kernel_isa(nb: int) -> str:
     """The gated-kernel variant that runs at block size nb on this CPU."""
     return _SLAB_ISA[_slab_tiles(nb)]
-
-
-# The variant this CPU runs at block sizes that are a multiple of 16.
-KERNEL_ISA = _kernel_isa(16)
 
 
 def _slot_pointer(slots: np.ndarray, count: int, bound: int, name: str) -> int:
@@ -125,19 +126,6 @@ def _stream_gated(a_values, a_sub, b_values, b_sub, a_slot, b_slot, c_slot,
                             counts.ctypes.data, threads, bounds.ctypes.data,
                             _slab_tiles(nb))
     return int(counts[0]), int(counts[1])
-
-
-def _stream_add(prod: np.ndarray, c_slot: np.ndarray, acc: np.ndarray) -> None:
-    """acc[c_slot[t]] += prod[t] for every task t, in order."""
-    c_ptr = _acc_pointer(acc)
-    nb = acc.shape[-1]
-    count = len(prod)
-    _lib.spamm_stream_add(
-        count, nb,
-        _pointer(prod, np.float32, (count, nb, nb), "product stack"),
-        _slot_pointer(c_slot, count, len(acc), "c_slot"),
-        c_ptr,
-    )
 
 
 @dataclass
@@ -251,19 +239,31 @@ def _run_stream(plan, a, b, gate, counters, dense_kernel, threads):
 
     The gated path is one kernel call over the whole plan, on
     _thread_count threads.  The dense-leaf foil forms its block products
-    with batched matmul, a bounded chunk of tasks at a time, and the kernel
-    adds them up in plan order on one thread.
+    with batched matmul, one k lane (cut to a bounded chunk) at a time, on
+    one thread.  A lane of a built plan adds at most one task into each
+    product leaf, so one fancy-indexed add sums each leaf's products in plan
+    order; a lane of a hand-made plan that repeats a leaf is added by
+    np.add.at, in the same order.
     """
     nb = a.n_b
     T = plan.a_slot.size
     keys, c_slot = np.unique(plan.c_key, return_inverse=True)
     acc = np.zeros((keys.size, nb, nb), np.float32)
     if dense_kernel:
+        lane = k_of_a(plan.a)
         step = max(1, _CHUNK_FLOATS // (nb * nb))
-        for lo in range(0, T, step):
-            prod = np.matmul(a.values[plan.a_slot[lo:lo + step]],
-                             b.values[plan.b_slot[lo:lo + step]])
-            _stream_add(prod, c_slot[lo:lo + step], acc)
+        cuts = np.union1d(np.flatnonzero(lane[1:] != lane[:-1]) + 1, range(0, T, step))
+        bounds = [*cuts.tolist(), T]
+        span, seen = np.arange(step), np.empty(keys.size, np.int64)
+        for lo, hi in zip(bounds, bounds[1:]):
+            prod = np.matmul(a.values[plan.a_slot[lo:hi]], b.values[plan.b_slot[lo:hi]])
+            slots = c_slot[lo:hi]
+            # a repeated slot keeps its last position, so its first reads back another
+            seen[slots] = span[:hi - lo]
+            if np.array_equal(seen[slots], span[:hi - lo]):
+                acc[slots] += prod
+            else:
+                np.add.at(acc, slots, prod)
         counters.products4 += T * (nb // 4) ** 3
         counters.threads = 1
     else:

@@ -51,7 +51,7 @@ def test_multiply_writes_product_and_tree(tmp_path, capsys):
     assert "plan:" in printed and "products4=" in printed
     exec_line = next(line for line in printed.splitlines() if line.startswith("exec:"))
     # n_b = 16; too few tasks to start threads
-    assert exec_line.endswith(f" kernel={numeric.KERNEL_ISA} threads=1")
+    assert exec_line.endswith(f" kernel={numeric._kernel_isa(16)} threads=1")
     ad = load_matrix(a)
     ref = dense_multiply_double(ad, ad)
     got = load_matrix(out)

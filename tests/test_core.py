@@ -66,6 +66,16 @@ def test_dense_matrix_validation():
         DenseMatrix(np.array([[np.inf, 1.0]]))
 
 
+def test_complex_input_is_rejected():
+    # casting would drop the imaginary part: 1+2j would be stored as 1.0
+    with pytest.raises(ValueError, match="real"):
+        DenseMatrix(np.array([[1 + 2j, 0], [0, 1]]))
+    with pytest.raises(ValueError, match="real"):
+        QuadtreeMatrix.from_dense(np.eye(16) * (1 + 1j))
+    with pytest.raises(ValueError, match="real"):
+        QuadtreeMatrix.from_leaves(16, 16, [0], np.ones((1, 16, 16), np.complex64))
+
+
 # -- quadtree construction -------------------------------------------------
 
 def test_single_leaf_diagonal_norm():

@@ -45,6 +45,15 @@ def test_blocked_envelope_uses_block_distance():
             assert envelope(spec, i, j) == want
 
 
+@pytest.mark.parametrize("kind", KINDS)
+def test_envelope_rejects_indices_outside_the_matrix(kind):
+    spec = GeneratorSpec(kind=kind, n=4, blocks=(2,) if kind == "blocked-decay" else ())
+    assert envelope(spec, 3, 0) > 0
+    for i, j in ((-1, 0), (0, -1), (4, 0), (0, 10), ([0, 1, 4], 0)):
+        with pytest.raises(ValueError, match=r"\[0, 4\)"):
+            envelope(spec, i, j)
+
+
 @pytest.mark.parametrize("spec", [
     GeneratorSpec(kind="exponential", n=150, lam=0.6, c=1.3, seed=1),
     GeneratorSpec(kind="algebraic", n=150, lam=2.0, c=0.5, seed=2),

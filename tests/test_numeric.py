@@ -14,9 +14,9 @@ from helpers import (
 from spamm.core import DenseMatrix, QuadtreeMatrix
 from spamm.numeric import (
     GRANULARITIES,
-    KERNEL_ISA,
     ExecCounters,
     MultiplyConfig,
+    _kernel_isa,
     execute_plan,
     execute_plan_dense_leaf,
     multiply,
@@ -119,7 +119,7 @@ def test_counters_accounting():
     _, counters = execute_plan(plan, a, a, None, MultiplyConfig(tau=1e-6))
     assert counters.products4 + counters.skipped4 == 64 * len(plan.tasks)
     assert counters.seconds > 0
-    assert counters.kernel == KERNEL_ISA  # n_b = 16
+    assert counters.kernel == _kernel_isa(16)
     _, counters = execute_plan_dense_leaf(plan, a, a, None)
     assert counters.kernel == "matmul"
     # no block product runs: no kernel is named
@@ -350,21 +350,53 @@ def test_execute_plan_validation():
         QuadtreeMatrix.from_dense(rng_matrix(32, 32, seed=30), 2)
 
 
-def test_dense_leaf_executor_matches_matmul_accumulation():
-    a = QuadtreeMatrix.from_dense(decay_matrix(64, seed=31).data)
-    plan = build_plan(a, a, 1e-7)
-    c, counters = execute_plan_dense_leaf(plan, a, a, None)
-    assert counters.products4 == 64 * len(plan.tasks)
+@pytest.mark.parametrize("m,k,n,nb,tau,alpha,beta", [
+    (64, 64, 64, 16, 1e-7, 1.0, 0.0),
+    (64, 64, 64, 16, 1e-7, -1.0, 2.0),
+    *[(m, k, n, nb, tau, 1.0, 0.0)
+      for m, k, n in ((200, 72, 300), (40, 260, 24))
+      for nb in (4, 8, 16, 32) for tau in (0.0, 1e-3)],
+])
+def test_dense_leaf_executor_matches_matmul_accumulation(m, k, n, nb, tau, alpha, beta):
+    # the foil adds a k lane's products at once: each leaf must still see
+    # them in plan order, so the bits (-0.0 included) are the per-task loop's
+    dense = decay_matrix(max(m, k, n), seed=31).data
+    a = QuadtreeMatrix.from_dense(dense[:m, :k], nb)
+    b = QuadtreeMatrix.from_dense(dense[:k, :n], nb)
+    old = QuadtreeMatrix.from_dense(dense[:m, :n], nb)
+    plan = build_plan(a, b, tau)
+    c = QuadtreeMatrix.from_dense(dense[:m, :n], nb) if beta else None
+    c, counters = execute_plan_dense_leaf(plan, a, b, c, alpha, beta)
+    assert counters.products4 == (nb // 4) ** 3 * len(plan.tasks)
     assert counters.skipped4 == 0
-    leaves = dict(zip(a.keys.tolist(), a.values))
-    want: dict[int, np.ndarray] = {}
+    a_leaves = dict(zip(a.keys.tolist(), a.values))
+    b_leaves = dict(zip(b.keys.tolist(), b.values))
+    sums: dict[int, np.ndarray] = {}
     for t in plan.tasks:
-        buf = want.setdefault(t.c_key, np.zeros((16, 16), np.float32))
-        buf += np.matmul(leaves[t.a], leaves[t.b])
+        buf = sums.setdefault(t.c_key, np.zeros((nb, nb), np.float32))
+        buf += np.matmul(a_leaves[t.a], b_leaves[t.b])
+    want = {key: np.float32(alpha) * s for key, s in sums.items()}
+    if beta:
+        for key, v in zip(old.keys.tolist(), old.values):
+            scaled = np.float32(beta) * v
+            want[key] = want[key] + scaled if key in want else scaled
     got = dict(zip(c.keys.tolist(), c.values))
     assert set(got) == set(want)
     for key in want:
-        assert np.array_equal(got[key], want[key])
+        assert np.array_equal(got[key].view(np.uint32), want[key].view(np.uint32))
+
+
+def test_dense_leaf_adds_a_repeated_leaf_of_a_lane_in_plan_order():
+    # a hand-made plan may run one product twice in a lane: both must count
+    a = QuadtreeMatrix.from_dense(rng_matrix(32, 32, seed=35))  # keys 0..3
+    plan = MultiplyPlan(np.array([0, 0, 1]), np.array([0, 0, 2]), np.zeros(3),
+                        a.keys, a.keys, 0.0)
+    c, _ = execute_plan_dense_leaf(plan, a, a, None)
+    want = np.zeros((16, 16), np.float32)
+    for i, j in ((0, 0), (0, 0), (1, 2)):
+        want += np.matmul(a.values[i], a.values[j])
+    assert c.keys.tolist() == [0]
+    assert np.array_equal(c.values[0].view(np.uint32), want.view(np.uint32))
 
 
 def test_dense_leaf_close_to_gated_kernels():
