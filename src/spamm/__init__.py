@@ -1,11 +1,13 @@
 """Sparse approximate matrix multiply (SpAMM) for matrices with decay.
 
-Matrices are stored as columnar quadtrees: a stack of 16x16 single-precision
-leaf blocks with their Frobenius norms and 4x4 sub-block norms.  A multiply
-first runs a symbolic phase that sorts leaf keys and prunes block products
-whose norm product falls below a tolerance tau, then a numeric phase that
-executes the surviving products, gating each 4x4x4 micro product by its
-4x4 sub-block norms.
+Matrices are stored as columnar quadtrees: a stack of n_b x n_b
+single-precision leaf blocks (n_b = 64 unless given) with their Frobenius
+norms and 4x4 sub-block norms.  A multiply first runs a symbolic phase that
+sorts leaf keys and prunes block products whose norm product falls below a
+tolerance tau, then a numeric phase that executes the surviving products,
+gating each 4x4x4 micro product by its 4x4 sub-block norms.  That gate
+decides the work: the fine4 product is the same, bit for bit, at every n_b,
+and the leaf size only sets how the work is scheduled.
 """
 
 from .core import DenseMatrix, QuadtreeMatrix, tree_depth

@@ -9,7 +9,9 @@ seconds are the median over `repeats` runs.
 Scenarios:
 
     spamm4            pruned multiply, 4x4 gated micro kernels
-    spamm16           pruned multiply, gating at 16x16 blocks only
+    spamm16           pruned multiply, gating at the leaf blocks only (the
+                      paper's 16x16 gate when the tree's n_b is 16; the
+                      default n_b is 64)
     spamm-dense-leaf  pruned plan, unconditional library kernel per leaf
     dense-single      classical float32 product, no tree: the ascending-k
                       Python loop dense_multiply_single (the tau = 0
@@ -19,7 +21,7 @@ Scenarios:
     dense-double      classical float64 product, no tree
 
 CSV output is one fixed header plus one row per run; work ratios
-between the two gating granularities go in a separate small table rather
+between the leaf gate and the 4x4 gate go in a separate small table rather
 than extra columns.
 """
 
@@ -219,7 +221,8 @@ def sweep(
 
 
 def ratio_table(reports: Iterable[RunReport]) -> list[tuple[int, float, float, float]]:
-    """(n, tau, c16/c4, t16/t4) for every (n, tau) holding both scenarios."""
+    """(n, tau, c16/c4, t16/t4) for every (n, tau) holding both scenarios:
+    the work and time of the leaf gate (spamm16) over the 4x4 gate (spamm4)."""
     fours = {}
     for r in reports:
         if r.scenario == "spamm4":

@@ -140,7 +140,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="skip the float64 oracle and error column")
     b.add_argument("--out", default="-", help="CSV path (default: stdout)")
     b.add_argument("--ratios-out", default=None,
-                   help="also write the 16-vs-4 ratio table to this path")
+                   help="also write the leaf-vs-4 ratio table to this path")
 
     s = sub.add_parser("sweep-tau",
                        help="calibrate tau to an error target by bisection")

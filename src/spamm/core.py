@@ -20,7 +20,7 @@ import numpy as np
 from ._kernel import _lib, _pointer
 from .morton import decode, decode_array, encode_array
 
-DEFAULT_BLOCK = 16
+DEFAULT_BLOCK = 64
 
 
 def _validate_block_size(n_b: int) -> None:

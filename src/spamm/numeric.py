@@ -1,12 +1,25 @@
 """Numeric multiply phase: gated block products and the compiled stream kernel.
 
-Work is counted in 4x4x4 micro products; one full 16x16x16 block product is
-64 of them.  Each micro product is gated by the float64 product of the
-stored 4x4 sub-block norms: it runs when that product is at least the gate
-threshold, which is tau at fine4 granularity and 0 at coarse16.  Norms are
-finite and nonnegative, so a gate of 0 runs every micro product of a
-planned block.  A gated-off micro product is skipped: it adds nothing, so
+Work is counted in 4x4x4 micro products; one full n_b x n_b x n_b block
+product is (n_b/4)^3 of them.  Each micro product is gated by the float64
+product of the stored 4x4 sub-block norms: it runs when that product is at
+least the gate threshold, which is tau at fine4 granularity and 0 at
+coarse16.  Norms are finite and nonnegative, so a gate of 0 runs every
+micro product of a planned block, and coarse16 gates at the leaf only,
+through the plan's pruning of leaf norm products: the paper's 16x16 gate
+when n_b = 16.  A gated-off micro product is skipped: it adds nothing, so
 it cannot overflow either.
+
+The fine4 product A B does not depend on n_b, bit for bit.  A leaf norm is
+at least each of its sub-norms, so the plan never prunes a leaf pair that
+holds an open micro product gate: for tau > 0 the micro products that run
+are exactly those whose sub-norm product reaches tau, added in ascending k,
+at any leaf size.  At tau = 0 a larger leaf also runs the products of the
+zero sub-blocks it stores, which pass the 0 >= 0 gate and add zeros: the
+bits stay the same, products4 may grow.  So the 4x4 gate decides the work
+and the leaf only schedules it; larger leaves mean fewer tasks, plan rows
+and product leaves.  (The alpha/beta path scales and adds whole leaves, so
+there the sign of a zero element can depend on which leaves are stored.)
 
 Accumulation order is fixed for reproducibility: tasks accumulate into
 their product leaf in plan order, and each block product adds its rank-1
@@ -25,11 +38,11 @@ C entry point, which lowers any wider request to it.  _SLAB_ISA names each
 width's variant, and _kernel_isa(n_b) the one that runs at n_b.
 
 The gated kernel runs on the usable cores (os.sched_getaffinity, else
-os.cpu_count), at most one per product leaf, and on one thread below
-_MIN_THREAD_TASKS tasks.  Each thread owns a contiguous range of product
-leaves, balanced by task count, and walks the whole plan, running only the
-tasks into its own leaves; so results and counters do not depend on the
-thread count.  The dense-leaf foil needs no C: numpy's matmul forms its
+os.cpu_count), at most one per product leaf, and on one thread for a plan
+of fewer than _MIN_THREAD_PRODUCTS micro products.  Each thread owns a
+contiguous range of product leaves, balanced by task count, and walks the
+whole plan, running only the tasks into its own leaves; so results and
+counters do not depend on the thread count.  The dense-leaf foil needs no C: numpy's matmul forms its
 block products and a numpy add sums them into the leaves, on one thread.
 The kernel library is built and loaded by spamm._kernel.  It exports three
 functions: the gated stream spamm_stream_gated, its slab width query
@@ -55,8 +68,9 @@ GRANULARITIES = ("fine4", "coarse16")
 # so a chunk's operands, products and accumulator rows stay in cache.
 _CHUNK_FLOATS = 1 << 16
 
-# Fewest tasks for which the gated kernel starts threads.
-_MIN_THREAD_TASKS = 512
+# Least work, in micro products, for which the gated kernel starts threads:
+# 512 tasks at n_b = 16.
+_MIN_THREAD_PRODUCTS = 512 * 64
 
 
 # The gated-kernel variant of each slab width, in 4x4 tiles.
@@ -164,12 +178,12 @@ def _gate(cfg: MultiplyConfig) -> float:
     return cfg.tau if cfg.granularity == "fine4" else 0.0
 
 
-def _thread_count(tasks: int, leaves: int, wanted: int | None = None) -> int:
-    """Threads of a gated pass over `tasks` tasks into `leaves` product
-    leaves: `wanted`, else the usable cores, or 1 below _MIN_THREAD_TASKS
-    tasks; never more than one per leaf."""
+def _thread_count(tasks: int, nb: int, leaves: int, wanted: int | None = None) -> int:
+    """Threads of a gated pass over `tasks` block products of size nb into
+    `leaves` product leaves: `wanted`, else the usable cores, or 1 below
+    _MIN_THREAD_PRODUCTS micro products; never more than one per leaf."""
     if wanted is None:
-        if tasks < _MIN_THREAD_TASKS:
+        if tasks * (nb // 4) ** 3 < _MIN_THREAD_PRODUCTS:
             return 1
         try:
             wanted = len(os.sched_getaffinity(0))
@@ -267,7 +281,7 @@ def _run_stream(plan, a, b, gate, counters, dense_kernel, threads):
         counters.products4 += T * (nb // 4) ** 3
         counters.threads = 1
     else:
-        counters.threads = _thread_count(T, keys.size, threads)
+        counters.threads = _thread_count(T, nb, keys.size, threads)
         run, skipped = _stream_gated(a.values, a.subnorms, b.values, b.subnorms,
                                      plan.a_slot, plan.b_slot, c_slot, acc, gate,
                                      counters.threads)
@@ -308,7 +322,7 @@ def execute_plan_dense_leaf(
 ) -> tuple[QuadtreeMatrix, ExecCounters]:
     """Execute a plan with unconditional dense leaf products (library
     matmul kernel), the benchmark foil for the gated micro kernels.
-    products4 reports equivalent 4x4x4 units, 64 per block product."""
+    products4 reports equivalent 4x4x4 units, (n_b/4)^3 per block product."""
     cfg = MultiplyConfig(tau=plan.tau, granularity="coarse16", alpha=alpha, beta=beta)
     return _execute(plan, a, b, c, cfg, dense_kernel=True)
 

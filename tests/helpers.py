@@ -254,7 +254,7 @@ def recursive_spamm(
     At every tier, each of the eight child products recurses only when the
     product of child norms reaches tau; the root product itself is gated the
     same way, so tau = inf yields an empty C and zero visits.  Leaf products
-    are dense 16x16 multiplies with no 4x4 gating.  Returns C and the set of
+    are dense n_b x n_b multiplies with no 4x4 gating.  Returns C and the set of
     (a_key, b_key) leaf product pairs visited.
     """
     if np.isnan(tau) or tau < 0:

@@ -16,7 +16,7 @@ import time
 import numpy as np
 
 from helpers import assert_norm_invariant, decay_matrix, fitted_slope, recursive_spamm
-from spamm.bench import calibrate_tau, ratio_table, run_scenario, sweep
+from spamm.bench import calibrate_tau, ratio_table, run_scenario
 from spamm.core import DenseMatrix, QuadtreeMatrix
 from spamm.generators import KINDS, GeneratorSpec, generate
 from spamm.io import load_matrix, load_quadtree, save_matrix, save_quadtree
@@ -249,19 +249,31 @@ def test_criterion_07_error_work_tradeoff():
 
 # -- 8: coarse gating always keeps at least as much work --------------------
 
+def _sweep16(family, sizes, taus) -> list:
+    """sweep's spamm4 and spamm16 reports, on trees of the paper's 16x16
+    leaves, so spamm16 gates at 16x16 blocks."""
+    reports = []
+    for n in sizes:
+        a = family(n)
+        tree = QuadtreeMatrix.from_dense(a.data, 16)
+        for tau in taus:
+            reports.extend(run_scenario(s, a, tau=tau, repeats=1, compute_error=False,
+                                        tree=tree) for s in ("spamm4", "spamm16"))
+    return reports
+
+
 def test_criterion_08_coarse_work_ratio():
     t0 = time.perf_counter()
     rows = []
     for family, sizes in ((_decay_family, (512, 1024)),
                           (_calibration_family, (1024, 2048))):
-        reports = sweep(family, sizes, (1e-8, 1e-6), repeats=1, compute_error=False)
-        rows.extend(ratio_table(reports))
+        rows.extend(ratio_table(_sweep16(family, sizes, (1e-8, 1e-6))))
     assert rows
     for n, tau, c_ratio, _ in rows:
         assert c_ratio >= 1.0, (n, tau, c_ratio)
     # at matched error the coarse gate must pay a clear work premium
     a = _calibration_family(4096)
-    tree = QuadtreeMatrix.from_dense(a.data)
+    tree = QuadtreeMatrix.from_dense(a.data, 16)
     oracle = dense_multiply_double(a, a)
     cal4 = calibrate_tau(tree, oracle, 1e-6, "fine4")
     cal16 = calibrate_tau(tree, oracle, 1e-6, "coarse16")
@@ -287,8 +299,9 @@ def test_criterion_09_flop_model_pinned():
 # -- 10: calibration separates the two gating granularities -----------------
 
 def test_criterion_10_calibrated_tau_separation():
+    # coarse16 gates at the leaf, so 16x16 leaves make it the paper's 16x16 gate
     a = _calibration_family(1024)
-    tree = QuadtreeMatrix.from_dense(a.data)
+    tree = QuadtreeMatrix.from_dense(a.data, 16)
     oracle = dense_multiply_double(a, a)
     cal4 = calibrate_tau(tree, oracle, 1e-6, "fine4")
     cal16 = calibrate_tau(tree, oracle, 1e-6, "coarse16")

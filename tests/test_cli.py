@@ -12,7 +12,7 @@ import spamm.cli
 from spamm import numeric
 from spamm.bench import CSV_HEADER, RATIO_HEADER
 from spamm.cli import CALIBRATION_HEADER, main
-from spamm.core import DenseMatrix, QuadtreeMatrix
+from spamm.core import DEFAULT_BLOCK, DenseMatrix, QuadtreeMatrix
 from spamm.generators import GeneratorSpec, generate
 from spamm.io import load_matrix, load_quadtree, save_matrix
 from spamm.numeric import MultiplyConfig, multiply
@@ -50,8 +50,8 @@ def test_multiply_writes_product_and_tree(tmp_path, capsys):
     printed = capsys.readouterr().out
     assert "plan:" in printed and "products4=" in printed
     exec_line = next(line for line in printed.splitlines() if line.startswith("exec:"))
-    # n_b = 16; too few tasks to start threads
-    assert exec_line.endswith(f" kernel={numeric._kernel_isa(16)} threads=1")
+    # one leaf at the default n_b: too little work to start threads
+    assert exec_line.endswith(f" kernel={numeric._kernel_isa(DEFAULT_BLOCK)} threads=1")
     ad = load_matrix(a)
     ref = dense_multiply_double(ad, ad)
     got = load_matrix(out)
@@ -198,10 +198,10 @@ def test_multiply_pinned_to_one_cpu_runs_one_thread(tmp_path, capsys):
     # thousands of tasks, enough to start threads
     a = _gen(tmp_path, n=256, extra=("--kind", "blocked-decay", "--lambda", "0.5",
                                      "--blocks", "5,15"))
-    argv = ["multiply", str(a), "--scenario", "spamm4", "--tau", "1e-8"]
+    argv = ["multiply", str(a), "--scenario", "spamm4", "--tau", "1e-8", "--block-size", "16"]
     assert main(argv) == 0
     cores = len(os.sched_getaffinity(0))
-    qa = QuadtreeMatrix.from_dense(load_matrix(a))
+    qa = QuadtreeMatrix.from_dense(load_matrix(a), 16)
     c, plan, _ = multiply(qa, qa, MultiplyConfig(1e-8))
     assert plan.stats.emitted > 1000
     assert _exec_threads(capsys.readouterr().out) == min(cores, c.leaf_count)

@@ -90,7 +90,7 @@ def test_from_dense_skips_zero_blocks():
     a = np.zeros((64, 64), np.float32)
     a[:16, :16] = 1.0
     a[48:, 48:] = 2.0
-    q = QuadtreeMatrix.from_dense(a)
+    q = QuadtreeMatrix.from_dense(a, 16)
     assert q.depth == 2
     assert q.leaf_count == 2
     assert q.keys.tolist() == [encode(0, 0), encode(3, 3)]
@@ -98,7 +98,7 @@ def test_from_dense_skips_zero_blocks():
 
 
 def test_from_dense_all_zero_builds_empty_tree():
-    q = QuadtreeMatrix.from_dense(np.zeros((40, 200), np.float32))
+    q = QuadtreeMatrix.from_dense(np.zeros((40, 200), np.float32), 16)
     assert q.depth == 4
     assert q.leaf_count == 0 and q.norms.size == 0
     assert q.norm == 0.0
@@ -106,7 +106,7 @@ def test_from_dense_all_zero_builds_empty_tree():
 
 
 def test_identity_norm():
-    q = QuadtreeMatrix.from_dense(np.eye(32, dtype=np.float32))
+    q = QuadtreeMatrix.from_dense(np.eye(32, dtype=np.float32), 16)
     assert q.leaf_count == 2
     assert q.norm == float(np.float32(math.sqrt(32.0)))
     assert_norm_invariant(q)
@@ -152,7 +152,7 @@ def test_constructor_validation():
 
 def test_from_leaves_matches_from_dense():
     a = rng_matrix(64, 64, seed=21)
-    ref = QuadtreeMatrix.from_dense(a)
+    ref = QuadtreeMatrix.from_dense(a, 16)
     q = QuadtreeMatrix.from_leaves(64, 64, ref.keys, ref.values, 16)
     assert q.values is not ref.values  # copied, not shared
     assert np.array_equal(q.keys, ref.keys)
@@ -216,12 +216,12 @@ def test_from_dense_rejects_float32_overflow():
 def test_norm_above_float32_max_is_rejected():
     # finite float32 values whose leaf norm rounds to inf in float32
     with pytest.raises(OverflowError, match="block row 1, column 0"):
-        QuadtreeMatrix.from_dense(np.vstack([np.eye(16), np.ones((16, 16)) * 1e38]))
+        QuadtreeMatrix.from_dense(np.vstack([np.eye(16), np.ones((16, 16)) * 1e38]), 16)
     # every leaf norm finite, the root norm not
     a = np.zeros((64, 64), np.float32)
     a[0, 0] = a[16, 16] = 3e38
     with pytest.raises(OverflowError, match="matrix norm"):
-        QuadtreeMatrix.from_dense(a)
+        QuadtreeMatrix.from_dense(a, 16)
 
 
 F32 = np.finfo(np.float32)
@@ -263,13 +263,13 @@ def test_non_finite_leaf_names_its_block(bad):
     values = rng_matrix(64, 16, seed=3).reshape(4, 16, 16)
     values[keys.tolist().index(encode(1, 0)), 5, 7] = bad
     with pytest.raises(OverflowError, match="block row 1, column 0"):
-        QuadtreeMatrix.from_leaves(32, 32, keys, values)
+        QuadtreeMatrix.from_leaves(32, 32, keys, values, 16)
 
 
 # -- stacks and bookkeeping --------------------------------------------------
 
 def test_empty_tree_stacks():
-    q = QuadtreeMatrix(32, 32)
+    q = QuadtreeMatrix(32, 32, 16)
     assert q.keys.size == 0 and q.keys.dtype == np.uint64
     assert q.values.shape == (0, 16, 16) and q.subnorms.shape == (0, 4, 4)
     assert q.norms.shape == (0,) and q.norms.dtype == np.float32
@@ -277,7 +277,7 @@ def test_empty_tree_stacks():
 
 
 def test_counts():
-    q = QuadtreeMatrix.from_dense(rng_matrix(32, 32, seed=1))
+    q = QuadtreeMatrix.from_dense(rng_matrix(32, 32, seed=1), 16)
     assert q.leaf_count == 4
     assert q.norms.size == 4
 

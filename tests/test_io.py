@@ -135,7 +135,7 @@ def test_quadtree_dump_layout_pinned(tmp_path):
     a = np.zeros((20, 20), np.float32)
     a[:16, :16] = rng_matrix(16, 16, seed=4)
     a[16:, 16:] = 1.0
-    q = QuadtreeMatrix.from_dense(a)
+    q = QuadtreeMatrix.from_dense(a, 16)
     save_quadtree(p, q)
     raw = p.read_bytes()
     assert raw[:8] == QUADTREE_MAGIC == b"SPAMMQT1"
@@ -160,7 +160,7 @@ def test_quadtree_dump_empty_tree(tmp_path):
 
 def _valid_dump(tmp_path):
     p = tmp_path / "v.qt"
-    q = QuadtreeMatrix.from_dense(rng_matrix(32, 32, seed=5))
+    q = QuadtreeMatrix.from_dense(rng_matrix(32, 32, seed=5), 16)
     save_quadtree(p, q)
     return p.read_bytes()
 

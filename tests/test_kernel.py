@@ -2,6 +2,7 @@
 at its ctypes boundary, its ISA variants, and the floating-point
 environment it leaves in the process."""
 
+import os
 import platform
 import re
 import shutil
@@ -341,18 +342,18 @@ def _thread_run(case: str, threads: int):
     c = None
     cfg = MultiplyConfig(tau=1e-6)
     if case in ("decay", "accumulate"):  # 127 tasks into 44 C leaves
-        a = b = QuadtreeMatrix.from_dense(decay_matrix(128, seed=60).data)
+        a = b = QuadtreeMatrix.from_dense(decay_matrix(128, seed=60).data, 16)
         if case == "accumulate":  # C = 2 A - A A into A, as purification runs it
             c, cfg = a, MultiplyConfig(tau=1e-6, alpha=-1.0, beta=2.0)
     elif case == "two-leaves":
-        a = QuadtreeMatrix.from_dense(rng_matrix(32, 32, seed=64))
-        b = QuadtreeMatrix.from_dense(rng_matrix(32, 16, seed=65))
+        a = QuadtreeMatrix.from_dense(rng_matrix(32, 32, seed=64), 16)
+        b = QuadtreeMatrix.from_dense(rng_matrix(32, 16, seed=65), 16)
     else:  # "empty-range": C leaf 0 takes four tasks, leaves 1 and 2 one each
         dense = np.zeros((48, 64), np.float32)
         dense[:16] = rng_matrix(16, 64, seed=61)
         dense[16:, :16] = rng_matrix(32, 16, seed=62)
-        a = QuadtreeMatrix.from_dense(dense)
-        b = QuadtreeMatrix.from_dense(rng_matrix(64, 16, seed=63))
+        a = QuadtreeMatrix.from_dense(dense, 16)
+        b = QuadtreeMatrix.from_dense(rng_matrix(64, 16, seed=63), 16)
     plan = build_plan(a, b, cfg.tau)
     out, counters = numeric._execute(plan, a, b, c, cfg, dense_kernel=False, threads=threads)
     return plan, a, b, out, counters
@@ -382,6 +383,21 @@ def test_thread_count_changes_no_result(variant, case):
     if case == "empty-range":
         assert np.bincount(c_slot).tolist() == [4, 1, 1]
         assert 0 in np.diff(bounds)
+
+
+def test_threads_start_at_a_fixed_amount_of_work():
+    # the cut is 512 tasks at n_b = 16, and the same micro product count at 64
+    cores = len(os.sched_getaffinity(0))
+    assert numeric._thread_count(511, 16, 100) == 1
+    assert numeric._thread_count(512, 16, 100) == min(cores, 100)
+    assert numeric._thread_count(7, 64, 100) == 1
+    assert numeric._thread_count(8, 64, 100) == min(cores, 100)
+    assert numeric._thread_count(7, 64, 100, wanted=3) == 3
+    # n = 256 at n_b = 64: 64 large tasks run on the usable cores
+    a = QuadtreeMatrix.from_dense(decay_matrix(256, seed=66).data, 64)
+    c, plan, counters = multiply(a, a, MultiplyConfig(tau=1e-8))
+    assert 8 <= plan.a_slot.size < 512
+    assert counters.threads == min(cores, c.leaf_count)
 
 
 # -- floating-point environment ----------------------------------------------

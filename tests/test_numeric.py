@@ -117,9 +117,9 @@ def test_counters_accounting():
     a = QuadtreeMatrix.from_dense(decay_matrix(64, seed=10).data)
     plan = build_plan(a, a, 1e-6)
     _, counters = execute_plan(plan, a, a, None, MultiplyConfig(tau=1e-6))
-    assert counters.products4 + counters.skipped4 == 64 * len(plan.tasks)
+    assert counters.products4 + counters.skipped4 == (a.n_b // 4) ** 3 * len(plan.tasks)
     assert counters.seconds > 0
-    assert counters.kernel == _kernel_isa(16)
+    assert counters.kernel == _kernel_isa(a.n_b)
     _, counters = execute_plan_dense_leaf(plan, a, a, None)
     assert counters.kernel == "matmul"
     # no block product runs: no kernel is named
@@ -161,7 +161,7 @@ def test_tau_zero_multiply_equals_naive_single_dense():
     c, plan, counters = multiply(qa, qb)
     want = dense_multiply_single(DenseMatrix(a), DenseMatrix(b))
     assert np.array_equal(c.to_dense().data, want.data)
-    assert counters.products4 == 64 * len(plan.tasks)
+    assert counters.products4 == (qa.n_b // 4) ** 3 * len(plan.tasks)
     assert counters.skipped4 == 0
 
 
@@ -180,12 +180,13 @@ def test_counter_conservation_under_gating():
     a = QuadtreeMatrix.from_dense(decay_matrix(128, seed=17).data)
     plan = build_plan(a, a, 1e-5)
     _, counters = execute_plan(plan, a, a, None, MultiplyConfig(tau=1e-5))
-    assert counters.products4 + counters.skipped4 == 64 * len(plan.tasks)
-    assert counters.products4 < 64 * len(plan.tasks)  # decay => some gating
+    per_task = (a.n_b // 4) ** 3
+    assert counters.products4 + counters.skipped4 == per_task * len(plan.tasks)
+    assert counters.products4 < per_task * len(plan.tasks)  # decay => some gating
     _, coarse = execute_plan(plan, a, a, None,
                              MultiplyConfig(tau=1e-5, granularity="coarse16"))
     assert coarse.skipped4 == 0
-    assert coarse.products4 == 64 * len(plan.tasks)
+    assert coarse.products4 == per_task * len(plan.tasks)
 
 
 def test_result_norms_are_fresh():
@@ -211,7 +212,7 @@ def test_task_order_across_c_keys_is_free():
 
 
 def test_removing_a_task_row_drops_exactly_that_product():
-    a = QuadtreeMatrix.from_dense(decay_matrix(64, seed=23).data)
+    a = QuadtreeMatrix.from_dense(decay_matrix(64, seed=23).data, 16)
     plan = build_plan(a, a, 0.0)
     rows = list(plan.tasks)
     gone = rows[5]
@@ -283,17 +284,17 @@ def test_beta_one_with_empty_plan_keeps_accumulator():
 
 
 def test_stale_plan_handles_are_rejected():
-    a = QuadtreeMatrix.from_dense(decay_matrix(64, seed=28).data)
+    a = QuadtreeMatrix.from_dense(decay_matrix(64, seed=28).data, 16)
     plan = build_plan(a, a, 0.0)
     base, _ = execute_plan(plan, a, a, None, MultiplyConfig())
     # the same leaf keys in another tree: the plan runs and gives the same bits
-    twin = QuadtreeMatrix.from_leaves(64, 64, a.keys.copy(), a.values)
+    twin = QuadtreeMatrix.from_leaves(64, 64, a.keys.copy(), a.values, 16)
     for x, y in ((twin, twin), (a, twin), (twin, a)):
         c, _ = execute_plan(plan, x, y, None, MultiplyConfig())
         assert np.array_equal(c.keys, base.keys)
         assert np.array_equal(c.values.view(np.uint32), base.values.view(np.uint32))
     # lacks a leaf the plan still references
-    stale = QuadtreeMatrix.from_leaves(64, 64, a.keys[1:], a.values[1:])
+    stale = QuadtreeMatrix.from_leaves(64, 64, a.keys[1:], a.values[1:], 16)
     with pytest.raises(ValueError, match="stale"):
         execute_plan(plan, stale, stale, None, MultiplyConfig())
     with pytest.raises(ValueError, match="stale"):
@@ -301,7 +302,7 @@ def test_stale_plan_handles_are_rejected():
     # holds every leaf the plan references, and one more
     with pytest.raises(ValueError, match="stale"):
         execute_plan(build_plan(stale, stale, 0.0), a, a, None, MultiplyConfig())
-    b = QuadtreeMatrix(64, 64)
+    b = QuadtreeMatrix(64, 64, 16)
     with pytest.raises(ValueError, match="stale"):
         execute_plan(plan, b, b, None, MultiplyConfig())
     with pytest.raises(ValueError, match="stale"):
@@ -318,7 +319,7 @@ def test_stale_plan_handles_are_rejected():
 
 @pytest.mark.parametrize("dense", [False, True], ids=["gated", "dense-leaf"])
 def test_reassigned_plan_arrays_are_rejected_before_a_slot_is_read(dense):
-    a = QuadtreeMatrix.from_dense(decay_matrix(64, seed=28).data)  # 16 leaves
+    a = QuadtreeMatrix.from_dense(decay_matrix(64, seed=28).data, 16)  # 16 leaves
     cases = (
         ("a_slot", lambda v: v + 100, r"a_slot must hold int64 slots in \[0, 16\)"),
         ("b_slot", lambda v: v - 100, r"b_slot must hold int64 slots in \[0, 16\)"),
@@ -388,7 +389,7 @@ def test_dense_leaf_executor_matches_matmul_accumulation(m, k, n, nb, tau, alpha
 
 def test_dense_leaf_adds_a_repeated_leaf_of_a_lane_in_plan_order():
     # a hand-made plan may run one product twice in a lane: both must count
-    a = QuadtreeMatrix.from_dense(rng_matrix(32, 32, seed=35))  # keys 0..3
+    a = QuadtreeMatrix.from_dense(rng_matrix(32, 32, seed=35), 16)  # keys 0..3
     plan = MultiplyPlan(np.array([0, 0, 1]), np.array([0, 0, 2]), np.zeros(3),
                         a.keys, a.keys, 0.0)
     c, _ = execute_plan_dense_leaf(plan, a, a, None)
@@ -414,7 +415,7 @@ def test_leaves_built_by_key_multiply_like_from_dense():
     built = QuadtreeMatrix.from_leaves(32, 32, [0, 3], vals, 16)
     dense = np.zeros((32, 32), np.float32)
     dense[:16, :16], dense[16:, 16:] = vals
-    ref = QuadtreeMatrix.from_dense(dense)
+    ref = QuadtreeMatrix.from_dense(dense, 16)
     for tau in (0.0, 1e-2):
         got, _, k_got = multiply(built, built, MultiplyConfig(tau=tau))
         want, _, k_want = multiply(ref, ref, MultiplyConfig(tau=tau))

@@ -2,7 +2,9 @@
 
 Operands are rectangular (so their trees often differ in depth), carry a
 drawn decay envelope and a share of exactly zero blocks, and use every
-block size whose 4x4 sub-norm grid the numeric phase supports.
+block size whose 4x4 sub-norm grid the numeric phase supports.  The fine4
+product itself does not depend on the block size: the leaf only schedules
+the micro products that the 4x4 gate lets through.
 """
 
 import numpy as np
@@ -11,7 +13,7 @@ from hypothesis import strategies as st
 
 from helpers import assert_plans_equal, matched_pairs, sequential_execute, sequential_plan
 from spamm.core import DenseMatrix, QuadtreeMatrix
-from spamm.numeric import GRANULARITIES, MultiplyConfig, execute_plan
+from spamm.numeric import GRANULARITIES, MultiplyConfig, execute_plan, multiply
 from spamm.reference import dense_multiply_single
 from spamm.symbolic import build_plan
 
@@ -100,3 +102,24 @@ def test_executor_equals_sequential_block_loop(m, k, n, nb, seed, tau, granulari
         assert np.array_equal(vals.view(np.uint32), want[key].view(np.uint32))
     assert (counters.products4, counters.skipped4) == (
         want_counters.products4, want_counters.skipped4)
+
+
+@settings(max_examples=60, deadline=None)
+@given(m=st.integers(1, 160), k=st.integers(1, 160), n=st.integers(1, 160), seed=SEEDS,
+       tau=st.sampled_from([0.0, 1e-6, 1e-3, 1e-1, 1.0]))
+@example(m=150, k=40, n=70, seed=0, tau=1e-3)  # A at depth 6, B at 5 (n_b = 4)
+def test_fine4_product_is_the_same_at_every_block_size(m, k, n, seed, tau):
+    # a leaf norm is at least each of its sub-norms, so leaf pruning drops no
+    # open micro product: the same ones run, in ascending k, at every n_b
+    rng = np.random.default_rng(seed)
+    a, b = _operand(rng, m, k), _operand(rng, k, n)
+    bits, work = [], []
+    for nb in (4, 8, 16, 32, 64):
+        c, _, counters = multiply(QuadtreeMatrix.from_dense(a, nb),
+                                  QuadtreeMatrix.from_dense(b, nb), MultiplyConfig(tau=tau))
+        bits.append(c.to_dense().data.view(np.uint32))  # so -0.0 counts
+        work.append(counters.products4)
+    for got in bits[1:]:
+        assert np.array_equal(got, bits[0])
+    if tau > 0:  # at 0, zero padding sub-blocks pass the 0 >= 0 gate
+        assert work == [work[0]] * len(work)

@@ -84,7 +84,7 @@ def test_recursive_block_diagonal_visits():
     a = np.zeros((32, 32), np.float32)
     a[:16, :16] = rng_matrix(16, 16, seed=1)
     a[16:, 16:] = rng_matrix(16, 16, seed=2)
-    q = QuadtreeMatrix.from_dense(a)
+    q = QuadtreeMatrix.from_dense(a, 16)
     c, visits = recursive_spamm(q, q, 0.0)
     assert visits == {(0, 0), (3, 3)}
     want = a.astype(np.float64) @ a.astype(np.float64)
@@ -130,14 +130,14 @@ def test_recursive_tau_zero_matches_flat_product_within_bound():
 
 
 def test_recursive_validation():
-    q16 = QuadtreeMatrix.from_dense(rng_matrix(16, 16, seed=7))
+    q16 = QuadtreeMatrix.from_dense(rng_matrix(16, 16, seed=7), 16)
     q8 = QuadtreeMatrix.from_dense(rng_matrix(16, 16, seed=8), 8)
     with pytest.raises(ValueError):
         recursive_spamm(q16, q8, 0.0)
     with pytest.raises(ValueError):
-        recursive_spamm(q16, QuadtreeMatrix(32, 16), 0.0)
+        recursive_spamm(q16, QuadtreeMatrix(32, 16, 16), 0.0)
     with pytest.raises(ValueError):
-        recursive_spamm(q16, QuadtreeMatrix(16, 40), 0.0)  # depth 0 vs 2
+        recursive_spamm(q16, QuadtreeMatrix(16, 40, 16), 0.0)  # depth 0 vs 2
     with pytest.raises(ValueError):
         recursive_spamm(q16, q16, -1.0)
     with pytest.raises(ValueError):

@@ -27,7 +27,7 @@ def _block_constant(layout: dict[tuple[int, int], float], n: int = 32) -> Quadtr
     a = np.zeros((n, n), np.float32)
     for (bi, bj), v in layout.items():
         a[16 * bi : 16 * (bi + 1), 16 * bj : 16 * (bj + 1)] = v
-    return QuadtreeMatrix.from_dense(a)
+    return QuadtreeMatrix.from_dense(a, 16)
 
 
 def _leaf_tree(norms: dict[tuple[int, int], float], n: int = 64, nb: int = 4):
@@ -50,8 +50,8 @@ def test_kblocks_descending_norm_ties_on_key():
 
 
 def test_dense_plan_is_complete():
-    a = QuadtreeMatrix.from_dense(rng_matrix(64, 64, seed=1))
-    b = QuadtreeMatrix.from_dense(rng_matrix(64, 64, seed=2))
+    a = QuadtreeMatrix.from_dense(rng_matrix(64, 64, seed=1), 16)
+    b = QuadtreeMatrix.from_dense(rng_matrix(64, 64, seed=2), 16)
     plan = build_plan(a, b, 0.0)
     assert plan.a.size == 64  # 4^3 block triples
     st = plan.stats
