@@ -22,6 +22,7 @@ from dataclasses import replace
 
 from . import __version__
 from .bench import (
+    BENCH_BLOCK,
     SCENARIOS,
     _tree_product,
     calibrate_tau,
@@ -140,7 +141,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="skip the float64 oracle and error column")
     b.add_argument("--out", default="-", help="CSV path (default: stdout)")
     b.add_argument("--ratios-out", default=None,
-                   help="also write the leaf-vs-4 ratio table to this path")
+                   help="also write the 16-vs-4 ratio table to this path")
 
     s = sub.add_parser("sweep-tau",
                        help="calibrate tau to an error target by bisection")
@@ -255,7 +256,7 @@ def _cmd_bench(args) -> int:
 def _cmd_sweep_tau(args) -> int:
     spec = _spec_from_args(args, args.n)
     a = generate(spec)
-    tree = QuadtreeMatrix.from_dense(a.data)
+    tree = QuadtreeMatrix.from_dense(a.data, BENCH_BLOCK)
     oracle = dense_multiply_double(a, a)
     lines = [CALIBRATION_HEADER]
     taus = {}

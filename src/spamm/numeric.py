@@ -42,8 +42,9 @@ os.cpu_count), at most one per product leaf, and on one thread for a plan
 of fewer than _MIN_THREAD_PRODUCTS micro products.  Each thread owns a
 contiguous range of product leaves, balanced by task count, and walks the
 whole plan, running only the tasks into its own leaves; so results and
-counters do not depend on the thread count.  The dense-leaf foil needs no C: numpy's matmul forms its
-block products and a numpy add sums them into the leaves, on one thread.
+counters do not depend on the thread count.  The dense-leaf foil needs no
+C: numpy's matmul forms its block products and a numpy add sums them into
+the leaves, on one thread.
 The kernel library is built and loaded by spamm._kernel.  It exports three
 functions: the gated stream spamm_stream_gated, its slab width query
 spamm_slab_tiles, and spamm_subnorm_squares of the norm rebuild in core.

@@ -13,11 +13,16 @@ import math
 import numpy as np
 
 from spamm.bench import RunReport
-from spamm.core import DenseMatrix, QuadtreeMatrix
+from spamm.core import DEFAULT_BLOCK, DenseMatrix, QuadtreeMatrix
 from spamm.generators import GeneratorSpec, generate
 from spamm.morton import c_index, k_of_a, k_of_b
 from spamm.numeric import ExecCounters, MultiplyConfig, _gate
 from spamm.symbolic import MultiplyPlan, PlanStats
+
+# Leaf sizes for tests of tree structure, plans and leaf composition: the
+# paper's 16x16 leaf, at which small matrices span several tree levels, and
+# the library default.
+LEAF_SIZES = (16, DEFAULT_BLOCK)
 
 
 def rng_matrix(m: int, n: int, seed: int, scale: float = 1.0) -> np.ndarray:

@@ -11,12 +11,19 @@ families keep every run identical; wall-clock limits are asserted only where
 the gate itself is about runtime.
 """
 
+import itertools
 import time
 
 import numpy as np
 
-from helpers import assert_norm_invariant, decay_matrix, fitted_slope, recursive_spamm
-from spamm.bench import calibrate_tau, ratio_table, run_scenario
+from helpers import (
+    LEAF_SIZES,
+    assert_norm_invariant,
+    decay_matrix,
+    fitted_slope,
+    recursive_spamm,
+)
+from spamm.bench import calibrate_tau, ratio_table, run_scenario, sweep
 from spamm.core import DenseMatrix, QuadtreeMatrix
 from spamm.generators import KINDS, GeneratorSpec, generate
 from spamm.io import load_matrix, load_quadtree, save_matrix, save_quadtree
@@ -115,12 +122,13 @@ def test_criterion_02_plan_equals_all_pairs_oracle():
     for i in range(100):
         a = generate(GeneratorSpec(kind="blocked-decay", n=256, lam=lams[i % 4],
                                    blocks=blocks[i % 5], c=1.0, seed=i))
-        tree = QuadtreeMatrix.from_dense(a.data)
-        for tau in (0.0, 1e-8, 1e-4):
-            plan = build_plan(tree, tree, tau)
-            assert _plan_pairs(plan) == _all_pairs_oracle(tree, tau), (i, tau)
-            tasks += plan.a.size
-    print(f"criterion 2: 300 plans / {tasks} tasks matched the all-pairs oracle")
+        for nb in LEAF_SIZES:
+            tree = QuadtreeMatrix.from_dense(a.data, nb)
+            for tau in (0.0, 1e-8, 1e-4):
+                plan = build_plan(tree, tree, tau)
+                assert _plan_pairs(plan) == _all_pairs_oracle(tree, tau), (i, nb, tau)
+                tasks += plan.a.size
+    print(f"criterion 2: 600 plans / {tasks} tasks matched the all-pairs oracle")
 
 
 # -- 3: recursive traversal equals the flat plan ----------------------------
@@ -130,20 +138,21 @@ def test_criterion_03_recursive_matches_flat():
              ("blocked-decay", 256, 13), ("random-dense", 64, 14))
     cfg = MultiplyConfig(tau=0.0, granularity="fine4")
     worst = 0.0
-    for kind, n, seed in cases:
+    for (kind, n, seed), nb in itertools.product(cases, LEAF_SIZES):
         a = decay_matrix(n, seed=seed, kind=kind,
                          **({"blocks": (4, 8)} if kind == "blocked-decay" else {}))
-        tree = QuadtreeMatrix.from_dense(a.data)
+        tree = QuadtreeMatrix.from_dense(a.data, nb)
         plan = build_plan(tree, tree, 0.0)
         flat, _, _ = multiply(tree, tree, cfg)
         rec, visits = recursive_spamm(tree, tree, 0.0)
-        assert visits == _plan_pairs(plan), (kind, n)
+        assert visits == _plan_pairs(plan), (kind, n, nb)
         fro = float(np.linalg.norm(a.data.astype(np.float64)))
         bound = 1e-5 * fro * fro / n
         err = max_norm_error(rec.to_dense(), flat.to_dense()).delta
-        assert err <= bound, (kind, n, err, bound)
+        assert err <= bound, (kind, n, nb, err, bound)
         worst = max(worst, err / bound)
-    print(f"criterion 3: visit sets identical on {len(cases)} matrices, "
+    print(f"criterion 3: visit sets identical on {len(cases)} matrices "
+          f"at n_b {LEAF_SIZES}, "
           f"worst error at {worst:.3f} of bound")
 
 
@@ -249,25 +258,13 @@ def test_criterion_07_error_work_tradeoff():
 
 # -- 8: coarse gating always keeps at least as much work --------------------
 
-def _sweep16(family, sizes, taus) -> list:
-    """sweep's spamm4 and spamm16 reports, on trees of the paper's 16x16
-    leaves, so spamm16 gates at 16x16 blocks."""
-    reports = []
-    for n in sizes:
-        a = family(n)
-        tree = QuadtreeMatrix.from_dense(a.data, 16)
-        for tau in taus:
-            reports.extend(run_scenario(s, a, tau=tau, repeats=1, compute_error=False,
-                                        tree=tree) for s in ("spamm4", "spamm16"))
-    return reports
-
-
 def test_criterion_08_coarse_work_ratio():
     t0 = time.perf_counter()
     rows = []
     for family, sizes in ((_decay_family, (512, 1024)),
                           (_calibration_family, (1024, 2048))):
-        rows.extend(ratio_table(_sweep16(family, sizes, (1e-8, 1e-6))))
+        reports = sweep(family, sizes, (1e-8, 1e-6), repeats=1, compute_error=False)
+        rows.extend(ratio_table(reports))
     assert rows
     for n, tau, c_ratio, _ in rows:
         assert c_ratio >= 1.0, (n, tau, c_ratio)

@@ -8,6 +8,7 @@ import pytest
 
 from helpers import decay_matrix, fitted_slope
 from spamm.bench import (
+    BENCH_BLOCK,
     CSV_HEADER,
     RATIO_HEADER,
     SCENARIOS,
@@ -66,7 +67,7 @@ def test_dense_double_has_zero_error():
 def test_spamm_scenarios_report_work_and_error():
     a = _family(128)
     oracle = dense_multiply_double(a, a)
-    tree = QuadtreeMatrix.from_dense(a.data)
+    tree = QuadtreeMatrix.from_dense(a.data, BENCH_BLOCK)
     r4 = run_scenario("spamm4", a, tau=0.0, repeats=1, tree=tree, oracle=oracle)
     assert r4.granularity == "fine4"
     assert r4.products4 == (128 // 4) ** 3
@@ -116,6 +117,20 @@ def test_sweep_order_and_ratio_table():
     csv = ratios_to_csv(rows)
     assert csv.splitlines()[0] == RATIO_HEADER
     assert len(csv.splitlines()) == 5
+
+
+def test_bench_trees_have_16x16_leaves():
+    # coarse16 gates at the leaf, so spamm16 is the paper's 16x16 gate only
+    # on 16x16 leaves, whatever the library default
+    assert BENCH_BLOCK == 16
+    a = _family(256)
+    tree = QuadtreeMatrix.from_dense(a.data, 16)
+    want = run_scenario("spamm16", a, tau=1e-6, repeats=1, compute_error=False,
+                        tree=tree).products4
+    got = run_scenario("spamm16", a, tau=1e-6, repeats=1, compute_error=False)
+    assert got.products4 == want
+    swept = sweep(lambda n: a, [256], [1e-6], repeats=1, compute_error=False)
+    assert [r.products4 for r in swept if r.scenario == "spamm16"] == [want]
 
 
 def test_sweep_rejects_unknown_scenario():

@@ -10,7 +10,7 @@ import pytest
 
 import spamm.cli
 from spamm import numeric
-from spamm.bench import CSV_HEADER, RATIO_HEADER
+from spamm.bench import BENCH_BLOCK, CSV_HEADER, RATIO_HEADER, calibrate_tau
 from spamm.cli import CALIBRATION_HEADER, main
 from spamm.core import DEFAULT_BLOCK, DenseMatrix, QuadtreeMatrix
 from spamm.generators import GeneratorSpec, generate
@@ -305,6 +305,12 @@ def test_sweep_tau_calibration_table(tmp_path, capsys):
     tau16 = float(rows["coarse16"][3])
     assert tau4 < tau16
     assert "tau(coarse16)/tau(fine4)" in capsys.readouterr().err
+    # calibrated on 16x16 leaves, where coarse16 is the paper's 16x16 gate
+    a = generate(GeneratorSpec(kind="blocked-decay", n=256, lam=0.55, c=0.125,
+                               blocks=(1, 3), seed=7))
+    want = calibrate_tau(QuadtreeMatrix.from_dense(a.data, BENCH_BLOCK),
+                         dense_multiply_double(a, a), 1e-6, "coarse16", iters=6)
+    assert rows["coarse16"][3] == f"{want.tau:.6g}"
 
 
 def test_missing_subcommand_exits_2():

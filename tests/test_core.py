@@ -8,7 +8,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from helpers import assert_norm_invariant, decay_matrix, rng_matrix, subnorm_squares
+from helpers import (
+    LEAF_SIZES,
+    assert_norm_invariant,
+    decay_matrix,
+    rng_matrix,
+    subnorm_squares,
+)
 from spamm.core import DenseMatrix, QuadtreeMatrix, _subnorm_squares, tree_depth
 from spamm.morton import encode
 
@@ -126,19 +132,21 @@ def test_round_trip_various_shapes():
 
 def test_scaling_by_two_scales_all_norms_exactly():
     a = decay_matrix(64, seed=3).data
-    q1 = QuadtreeMatrix.from_dense(a)
-    q2 = QuadtreeMatrix.from_dense(2.0 * a)
-    assert np.array_equal(q1.keys, q2.keys)
-    assert np.array_equal(q2.norms.astype(np.float64), 2.0 * q1.norms.astype(np.float64))
-    assert np.array_equal(q2.subnorms.astype(np.float64), 2.0 * q1.subnorms.astype(np.float64))
-    assert q2.norm == 2.0 * q1.norm
+    for nb in LEAF_SIZES:
+        q1 = QuadtreeMatrix.from_dense(a, nb)
+        q2 = QuadtreeMatrix.from_dense(2.0 * a, nb)
+        assert np.array_equal(q1.keys, q2.keys)
+        assert np.array_equal(q2.norms.astype(np.float64), 2.0 * q1.norms.astype(np.float64))
+        assert np.array_equal(q2.subnorms.astype(np.float64), 2.0 * q1.subnorms.astype(np.float64))
+        assert q2.norm == 2.0 * q1.norm
 
 
 def test_norm_invariant_on_generated_matrices():
     for kind, kw in [("exponential", {}), ("algebraic", {"lam": 1.5}),
                      ("blocked-decay", {"blocks": (5, 15)}), ("random-dense", {})]:
-        q = QuadtreeMatrix.from_dense(decay_matrix(96, seed=1, kind=kind, **kw).data)
-        assert_norm_invariant(q)
+        for nb in LEAF_SIZES:
+            q = QuadtreeMatrix.from_dense(decay_matrix(96, seed=1, kind=kind, **kw).data, nb)
+            assert_norm_invariant(q)
 
 
 def test_constructor_validation():

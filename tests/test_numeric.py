@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from helpers import (
+    LEAF_SIZES,
     assert_norm_invariant,
     block_multiply_16,
     decay_matrix,
@@ -114,17 +115,18 @@ def test_multiply_config_validation():
 
 def test_counters_accounting():
     assert ExecCounters() == ExecCounters(0, 0, 0.0)
-    a = QuadtreeMatrix.from_dense(decay_matrix(64, seed=10).data)
-    plan = build_plan(a, a, 1e-6)
-    _, counters = execute_plan(plan, a, a, None, MultiplyConfig(tau=1e-6))
-    assert counters.products4 + counters.skipped4 == (a.n_b // 4) ** 3 * len(plan.tasks)
-    assert counters.seconds > 0
-    assert counters.kernel == _kernel_isa(a.n_b)
-    _, counters = execute_plan_dense_leaf(plan, a, a, None)
-    assert counters.kernel == "matmul"
-    # no block product runs: no kernel is named
-    _, _, counters = multiply(a, a, MultiplyConfig(alpha=0.0, beta=1.0), c=a)
-    assert counters == ExecCounters(0, 0, counters.seconds, "")
+    for nb in LEAF_SIZES:
+        a = QuadtreeMatrix.from_dense(decay_matrix(64, seed=10).data, nb)
+        plan = build_plan(a, a, 1e-6)
+        _, counters = execute_plan(plan, a, a, None, MultiplyConfig(tau=1e-6))
+        assert counters.products4 + counters.skipped4 == (a.n_b // 4) ** 3 * len(plan.tasks)
+        assert counters.seconds > 0
+        assert counters.kernel == _kernel_isa(a.n_b)
+        _, counters = execute_plan_dense_leaf(plan, a, a, None)
+        assert counters.kernel == "matmul"
+        # no block product runs: no kernel is named
+        _, _, counters = multiply(a, a, MultiplyConfig(alpha=0.0, beta=1.0), c=a)
+        assert counters == ExecCounters(0, 0, counters.seconds, "")
     empty = QuadtreeMatrix(64, 64)
     _, _, counters = multiply(empty, empty)
     assert counters == ExecCounters(0, 0, counters.seconds, "")
@@ -140,29 +142,31 @@ def test_counters_accounting():
     (1e-3, "fine4"),
 ])
 def test_batched_matches_sequential_bitwise(tau, granularity):
-    a = QuadtreeMatrix.from_dense(decay_matrix(96, seed=11, lam=0.3).data)
-    b = QuadtreeMatrix.from_dense(decay_matrix(96, seed=12, lam=0.4).data)
-    cfg = MultiplyConfig(tau=tau, granularity=granularity)
-    plan = build_plan(a, b, tau)
-    c, counters = execute_plan(plan, a, b, None, cfg)
-    want, want_counters = sequential_execute(plan, a, b, cfg)
-    got = dict(zip(c.keys.tolist(), c.values))
-    assert set(got) == set(want)
-    for key, vals in want.items():
-        assert np.array_equal(got[key], vals), f"c leaf {key} differs"
-    assert counters.products4 == want_counters.products4
-    assert counters.skipped4 == want_counters.skipped4
+    for nb in LEAF_SIZES:
+        a = QuadtreeMatrix.from_dense(decay_matrix(96, seed=11, lam=0.3).data, nb)
+        b = QuadtreeMatrix.from_dense(decay_matrix(96, seed=12, lam=0.4).data, nb)
+        cfg = MultiplyConfig(tau=tau, granularity=granularity)
+        plan = build_plan(a, b, tau)
+        c, counters = execute_plan(plan, a, b, None, cfg)
+        want, want_counters = sequential_execute(plan, a, b, cfg)
+        got = dict(zip(c.keys.tolist(), c.values))
+        assert set(got) == set(want)
+        for key, vals in want.items():
+            assert np.array_equal(got[key], vals), f"c leaf {key} differs"
+        assert counters.products4 == want_counters.products4
+        assert counters.skipped4 == want_counters.skipped4
 
 
 def test_tau_zero_multiply_equals_naive_single_dense():
     a = rng_matrix(64, 64, seed=13)
     b = rng_matrix(64, 64, seed=14)
-    qa, qb = QuadtreeMatrix.from_dense(a), QuadtreeMatrix.from_dense(b)
-    c, plan, counters = multiply(qa, qb)
-    want = dense_multiply_single(DenseMatrix(a), DenseMatrix(b))
-    assert np.array_equal(c.to_dense().data, want.data)
-    assert counters.products4 == (qa.n_b // 4) ** 3 * len(plan.tasks)
-    assert counters.skipped4 == 0
+    for nb in LEAF_SIZES:
+        qa, qb = QuadtreeMatrix.from_dense(a, nb), QuadtreeMatrix.from_dense(b, nb)
+        c, plan, counters = multiply(qa, qb)
+        want = dense_multiply_single(DenseMatrix(a), DenseMatrix(b))
+        assert np.array_equal(c.to_dense().data, want.data)
+        assert counters.products4 == (qa.n_b // 4) ** 3 * len(plan.tasks)
+        assert counters.skipped4 == 0
 
 
 def test_tau_zero_multiply_nb8_equals_naive_single_dense():
@@ -177,38 +181,41 @@ def test_tau_zero_multiply_nb8_equals_naive_single_dense():
 
 
 def test_counter_conservation_under_gating():
-    a = QuadtreeMatrix.from_dense(decay_matrix(128, seed=17).data)
-    plan = build_plan(a, a, 1e-5)
-    _, counters = execute_plan(plan, a, a, None, MultiplyConfig(tau=1e-5))
-    per_task = (a.n_b // 4) ** 3
-    assert counters.products4 + counters.skipped4 == per_task * len(plan.tasks)
-    assert counters.products4 < per_task * len(plan.tasks)  # decay => some gating
-    _, coarse = execute_plan(plan, a, a, None,
-                             MultiplyConfig(tau=1e-5, granularity="coarse16"))
-    assert coarse.skipped4 == 0
-    assert coarse.products4 == per_task * len(plan.tasks)
+    for nb in LEAF_SIZES:
+        a = QuadtreeMatrix.from_dense(decay_matrix(128, seed=17).data, nb)
+        plan = build_plan(a, a, 1e-5)
+        _, counters = execute_plan(plan, a, a, None, MultiplyConfig(tau=1e-5))
+        per_task = (a.n_b // 4) ** 3
+        assert counters.products4 + counters.skipped4 == per_task * len(plan.tasks)
+        assert counters.products4 < per_task * len(plan.tasks)  # decay => some gating
+        _, coarse = execute_plan(plan, a, a, None,
+                                 MultiplyConfig(tau=1e-5, granularity="coarse16"))
+        assert coarse.skipped4 == 0
+        assert coarse.products4 == per_task * len(plan.tasks)
 
 
 def test_result_norms_are_fresh():
-    a = QuadtreeMatrix.from_dense(decay_matrix(64, seed=18).data)
-    c, _, _ = multiply(a, a, MultiplyConfig(tau=1e-7))
-    assert_norm_invariant(c)
+    for nb in LEAF_SIZES:
+        a = QuadtreeMatrix.from_dense(decay_matrix(64, seed=18).data, nb)
+        c, _, _ = multiply(a, a, MultiplyConfig(tau=1e-7))
+        assert_norm_invariant(c)
 
 
 def test_task_order_across_c_keys_is_free():
-    a = QuadtreeMatrix.from_dense(decay_matrix(96, seed=19, lam=0.35).data)
-    plan = build_plan(a, a, 1e-7)
-    cfg = MultiplyConfig(tau=1e-7)
-    base, _ = execute_plan(plan, a, a, None, cfg)
-    # permute whole c_key groups, keeping order inside each group
-    keys = np.unique(plan.c_key)
-    group_rank = np.random.default_rng(20).permutation(keys.size)
-    order = np.argsort(group_rank[np.searchsorted(keys, plan.c_key)], kind="stable")
-    assert not np.array_equal(order, np.arange(order.size))
-    permuted = MultiplyPlan(plan.a_slot[order], plan.b_slot[order], plan.norm_product[order],
-                            a.keys, a.keys, plan.tau, plan.stats)
-    perm, _ = execute_plan(permuted, a, a, None, cfg)
-    assert np.array_equal(base.to_dense().data, perm.to_dense().data)
+    for nb in LEAF_SIZES:
+        a = QuadtreeMatrix.from_dense(decay_matrix(96, seed=19, lam=0.35).data, nb)
+        plan = build_plan(a, a, 1e-7)
+        cfg = MultiplyConfig(tau=1e-7)
+        base, _ = execute_plan(plan, a, a, None, cfg)
+        # permute whole c_key groups, keeping order inside each group
+        keys = np.unique(plan.c_key)
+        group_rank = np.random.default_rng(20).permutation(keys.size)
+        order = np.argsort(group_rank[np.searchsorted(keys, plan.c_key)], kind="stable")
+        assert not np.array_equal(order, np.arange(order.size))
+        permuted = MultiplyPlan(plan.a_slot[order], plan.b_slot[order], plan.norm_product[order],
+                                a.keys, a.keys, plan.tau, plan.stats)
+        perm, _ = execute_plan(permuted, a, a, None, cfg)
+        assert np.array_equal(base.to_dense().data, perm.to_dense().data)
 
 
 def test_removing_a_task_row_drops_exactly_that_product():
@@ -240,38 +247,41 @@ def test_removing_a_task_row_drops_exactly_that_product():
 
 
 def test_alpha_scaling_and_beta_accumulation():
-    a = QuadtreeMatrix.from_dense(decay_matrix(64, seed=21).data)
-    c0_dense = rng_matrix(64, 64, seed=22)
-    plan = build_plan(a, a, 0.0)
-    plain, _ = execute_plan(plan, a, a, None, MultiplyConfig())
-    doubled, _ = execute_plan(plan, a, a, None, MultiplyConfig(alpha=2.0))
-    assert np.array_equal(doubled.to_dense().data, 2.0 * plain.to_dense().data)
-    c0 = QuadtreeMatrix.from_dense(c0_dense)
-    mixed, _ = execute_plan(plan, a, a, c0, MultiplyConfig(alpha=2.0, beta=0.5))
-    want = (2.0 * plain.to_dense().data.astype(np.float32)
-            + np.float32(0.5) * c0_dense)
-    assert np.array_equal(mixed.to_dense().data, want)
+    for nb in LEAF_SIZES:
+        a = QuadtreeMatrix.from_dense(decay_matrix(64, seed=21).data, nb)
+        c0_dense = rng_matrix(64, 64, seed=22)
+        plan = build_plan(a, a, 0.0)
+        plain, _ = execute_plan(plan, a, a, None, MultiplyConfig())
+        doubled, _ = execute_plan(plan, a, a, None, MultiplyConfig(alpha=2.0))
+        assert np.array_equal(doubled.to_dense().data, 2.0 * plain.to_dense().data)
+        c0 = QuadtreeMatrix.from_dense(c0_dense, nb)
+        mixed, _ = execute_plan(plan, a, a, c0, MultiplyConfig(alpha=2.0, beta=0.5))
+        want = (2.0 * plain.to_dense().data.astype(np.float32)
+                + np.float32(0.5) * c0_dense)
+        assert np.array_equal(mixed.to_dense().data, want)
 
 
 def test_alpha_zero_skips_the_product_pass():
-    a = QuadtreeMatrix.from_dense(decay_matrix(64, seed=23).data)
-    c0_dense = rng_matrix(64, 64, seed=24)
-    c0 = QuadtreeMatrix.from_dense(c0_dense)
-    plan = build_plan(a, a, 0.0)
-    out, counters = execute_plan(plan, a, a, c0, MultiplyConfig(alpha=0.0, beta=1.0))
-    assert counters.products4 == 0 and counters.skipped4 == 0
-    assert np.array_equal(out.to_dense().data, c0_dense)
+    for nb in LEAF_SIZES:
+        a = QuadtreeMatrix.from_dense(decay_matrix(64, seed=23).data, nb)
+        c0_dense = rng_matrix(64, 64, seed=24)
+        c0 = QuadtreeMatrix.from_dense(c0_dense, nb)
+        plan = build_plan(a, a, 0.0)
+        out, counters = execute_plan(plan, a, a, c0, MultiplyConfig(alpha=0.0, beta=1.0))
+        assert counters.products4 == 0 and counters.skipped4 == 0
+        assert np.array_equal(out.to_dense().data, c0_dense)
 
 
 def test_beta_zero_discards_accumulator_content():
-    a = QuadtreeMatrix.from_dense(decay_matrix(64, seed=25).data)
-    plan = build_plan(a, a, 0.0)
-    fresh, _ = execute_plan(plan, a, a, None, MultiplyConfig())
-    dirty = QuadtreeMatrix.from_dense(rng_matrix(64, 64, seed=26))
-    wiped, _ = execute_plan(plan, a, a, dirty, MultiplyConfig())
-    assert wiped is dirty
-    assert np.array_equal(wiped.to_dense().data, fresh.to_dense().data)
-    assert np.array_equal(wiped.keys, fresh.keys)
+    for nb in LEAF_SIZES:
+        a = QuadtreeMatrix.from_dense(decay_matrix(64, seed=25).data, nb)
+        plan = build_plan(a, a, 0.0)
+        fresh, _ = execute_plan(plan, a, a, None, MultiplyConfig())
+        dirty = QuadtreeMatrix.from_dense(rng_matrix(64, 64, seed=26), nb)
+        wiped, _ = execute_plan(plan, a, a, dirty, MultiplyConfig())
+        assert wiped is dirty
+        assert np.array_equal(wiped.to_dense().data, fresh.to_dense().data)
+        assert np.array_equal(wiped.keys, fresh.keys)
 
 
 def test_beta_one_with_empty_plan_keeps_accumulator():

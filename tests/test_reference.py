@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from helpers import decay_matrix, matched_pairs, recursive_spamm, rng_matrix
+from helpers import LEAF_SIZES, decay_matrix, matched_pairs, recursive_spamm, rng_matrix
 from spamm.core import DenseMatrix, QuadtreeMatrix
 from spamm.reference import (
     dense_multiply_double,
@@ -100,33 +100,36 @@ def test_recursive_huge_tau_prunes_everything():
 
 
 def test_recursive_visits_match_flat_plan():
-    a = QuadtreeMatrix.from_dense(decay_matrix(128, seed=4).data)
-    for tau in (0.0, 1e-8, 1e-5, 1e-2):
-        plan = build_plan(a, a, tau)
-        _, visits = recursive_spamm(a, a, tau)
-        assert visits == set(zip(plan.a.tolist(), plan.b.tolist()))
-        assert visits == matched_pairs(a, a, tau)
+    for nb in LEAF_SIZES:
+        a = QuadtreeMatrix.from_dense(decay_matrix(128, seed=4).data, nb)
+        for tau in (0.0, 1e-8, 1e-5, 1e-2):
+            plan = build_plan(a, a, tau)
+            _, visits = recursive_spamm(a, a, tau)
+            assert visits == set(zip(plan.a.tolist(), plan.b.tolist()))
+            assert visits == matched_pairs(a, a, tau)
 
 
 def test_recursive_visits_shrink_as_tau_grows():
-    a = QuadtreeMatrix.from_dense(decay_matrix(128, seed=5).data)
-    prev = None
-    for tau in (0.0, 1e-8, 1e-5, 1e-2, 1.0):
-        _, visits = recursive_spamm(a, a, tau)
-        if prev is not None:
-            assert visits <= prev
-        prev = visits
+    for nb in LEAF_SIZES:
+        a = QuadtreeMatrix.from_dense(decay_matrix(128, seed=5).data, nb)
+        prev = None
+        for tau in (0.0, 1e-8, 1e-5, 1e-2, 1.0):
+            _, visits = recursive_spamm(a, a, tau)
+            if prev is not None:
+                assert visits <= prev
+            prev = visits
 
 
 def test_recursive_tau_zero_matches_flat_product_within_bound():
     from spamm.numeric import multiply
 
-    a = QuadtreeMatrix.from_dense(decay_matrix(64, seed=6).data)
-    c_rec, _ = recursive_spamm(a, a, 0.0)
-    c_flat, _, _ = multiply(a, a)
-    n = 64
-    bound = 1e-5 * a.norm * a.norm / n
-    assert np.abs(c_rec.to_dense().data - c_flat.to_dense().data).max() <= bound
+    for nb in LEAF_SIZES:
+        a = QuadtreeMatrix.from_dense(decay_matrix(64, seed=6).data, nb)
+        c_rec, _ = recursive_spamm(a, a, 0.0)
+        c_flat, _, _ = multiply(a, a)
+        n = 64
+        bound = 1e-5 * a.norm * a.norm / n
+        assert np.abs(c_rec.to_dense().data - c_flat.to_dense().data).max() <= bound
 
 
 def test_recursive_validation():

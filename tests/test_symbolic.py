@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from helpers import (
+    LEAF_SIZES,
     assert_plans_equal,
     decay_matrix,
     leaf_norms,
@@ -62,18 +63,19 @@ def test_dense_plan_is_complete():
 
 
 def test_plan_names_leaves_by_slot():
-    qa = QuadtreeMatrix.from_dense(decay_matrix(96, seed=6).data[:, :80])
-    qb = QuadtreeMatrix.from_dense(decay_matrix(80, seed=7).data[:, :48])
-    plan = build_plan(qa, qb, 1e-4)
-    assert plan.a_slot.size > 0 and plan.stats.pruned > 0
-    assert plan.a_keys is qa.keys and plan.b_keys is qb.keys  # held, not copied
-    assert plan.a_slot.dtype == plan.b_slot.dtype == np.int64
-    assert np.array_equal(plan.a, qa.keys[plan.a_slot])
-    assert np.array_equal(plan.b, qb.keys[plan.b_slot])
-    assert np.array_equal(plan.c_key, c_index(plan.a, plan.b))
-    for name in ("a", "b", "c_key"):  # derived, so they cannot disagree
-        with pytest.raises(AttributeError):
-            setattr(plan, name, np.zeros_like(plan.c_key))
+    for nb in LEAF_SIZES:
+        qa = QuadtreeMatrix.from_dense(decay_matrix(96, seed=6).data[:, :80], nb)
+        qb = QuadtreeMatrix.from_dense(decay_matrix(80, seed=7).data[:, :48], nb)
+        plan = build_plan(qa, qb, 1e-4)
+        assert plan.a_slot.size > 0 and plan.stats.pruned > 0
+        assert plan.a_keys is qa.keys and plan.b_keys is qb.keys  # held, not copied
+        assert plan.a_slot.dtype == plan.b_slot.dtype == np.int64
+        assert np.array_equal(plan.a, qa.keys[plan.a_slot])
+        assert np.array_equal(plan.b, qb.keys[plan.b_slot])
+        assert np.array_equal(plan.c_key, c_index(plan.a, plan.b))
+        for name in ("a", "b", "c_key"):  # derived, so they cannot disagree
+            with pytest.raises(AttributeError):
+                setattr(plan, name, np.zeros_like(plan.c_key))
 
 
 def test_plan_order_and_dump_pinned():
@@ -130,27 +132,29 @@ def test_plan_equals_brute_force_on_random_sparse_trees():
                         mat[16 * bi : 16 * bi + 16, 16 * bj : 16 * bj + 16] = (
                             rng.random((16, 16)) * rng.choice([1e-6, 1e-3, 1.0])
                         )
-        qa = QuadtreeMatrix.from_dense(a)
-        qb = QuadtreeMatrix.from_dense(b)
-        for tau in (0.0, 1e-9, 1e-4, 1.0, 1e6):
-            plan = build_plan(qa, qb, tau)
-            pairs = set(zip(plan.a.tolist(), plan.b.tolist()))
-            assert pairs == matched_pairs(qa, qb, tau)
-            assert len(pairs) == plan.a.size
-            st = plan.stats
-            assert st.examined == st.emitted + st.pruned
+        for nb in LEAF_SIZES:
+            qa = QuadtreeMatrix.from_dense(a, nb)
+            qb = QuadtreeMatrix.from_dense(b, nb)
+            for tau in (0.0, 1e-9, 1e-4, 1.0, 1e6):
+                plan = build_plan(qa, qb, tau)
+                pairs = set(zip(plan.a.tolist(), plan.b.tolist()))
+                assert pairs == matched_pairs(qa, qb, tau)
+                assert len(pairs) == plan.a.size
+                st = plan.stats
+                assert st.examined == st.emitted + st.pruned
 
 
 def test_plan_deterministic_and_insertion_order_free():
     a = decay_matrix(128, seed=5)
-    qa = QuadtreeMatrix.from_dense(a.data)
-    qb = QuadtreeMatrix.from_dense(a.data)
-    dump1 = plan_dump(build_plan(qa, qb, 1e-6))
-    dump2 = plan_dump(build_plan(qa, qb, 1e-6))
-    assert dump1 == dump2
-    # the same leaves built through the bulk constructor
-    qc = QuadtreeMatrix.from_leaves(128, 128, qa.keys, qa.values, qa.n_b)
-    assert plan_dump(build_plan(qc, qb, 1e-6)) == dump1
+    for nb in LEAF_SIZES:
+        qa = QuadtreeMatrix.from_dense(a.data, nb)
+        qb = QuadtreeMatrix.from_dense(a.data, nb)
+        dump1 = plan_dump(build_plan(qa, qb, 1e-6))
+        dump2 = plan_dump(build_plan(qa, qb, 1e-6))
+        assert dump1 == dump2
+        # the same leaves built through the bulk constructor
+        qc = QuadtreeMatrix.from_leaves(128, 128, qa.keys, qa.values, qa.n_b)
+        assert plan_dump(build_plan(qc, qb, 1e-6)) == dump1
 
 
 def test_empty_operands_give_empty_plan():
@@ -177,11 +181,12 @@ def test_build_plan_validation():
 
 def test_norm_products_are_double_of_stored_singles():
     a = decay_matrix(64, seed=8)
-    qa = QuadtreeMatrix.from_dense(a.data)
-    plan = build_plan(qa, qa, 0.0)
-    norms = leaf_norms(qa)
-    for ka, kb, p in zip(plan.a.tolist(), plan.b.tolist(), plan.norm_product.tolist()):
-        assert p == norms[ka] * norms[kb]
+    for nb in LEAF_SIZES:
+        qa = QuadtreeMatrix.from_dense(a.data, nb)
+        plan = build_plan(qa, qa, 0.0)
+        norms = leaf_norms(qa)
+        for ka, kb, p in zip(plan.a.tolist(), plan.b.tolist(), plan.norm_product.tolist()):
+            assert p == norms[ka] * norms[kb]
 
 
 def test_plan_equals_loop_on_tied_norms():
