@@ -8,13 +8,21 @@
  * row-major s x s float32 blocks, s = n_b / 4.  Tasks are walked in plan
  * order.  The gated kernel works on slabs: W adjacent 4x4 tiles of one
  * 4-row strip of a C leaf, held as four 4W-float vector registers (one per
- * row) while it adds the slab's open 4-wide k blocks, so C is loaded and
- * stored once per slab, not once per k.  Every C element still adds its
- * terms in ascending k with a separate multiply and add, so the result is
- * the float32 loop's bit for bit.  When only some of a slab's gates are open
- * at one k block, the sum is formed in every lane and the closed tiles' lanes
- * are bit-selected back from before, so a closed tile keeps its exact bits
- * (-0.0 included) and a closed product that overflows is thrown away.
+ * row), and it runs the slabs of a strip in adjacent pairs.  For each pair
+ * it first tests every gate once: one pass over the strip's 4-wide k blocks
+ * r forms the pair's gate bits at each r (a bit per tile, from vector
+ * compares), counts the products run by their popcount, and lists the r
+ * with any open gate without a branch on the bits.  Then it adds the listed
+ * k blocks into both slabs at once, each A element broadcast once for the
+ * pair's 8 accumulators, so C is loaded and stored once per pair, not once
+ * per k.  The lone last slabs of strips with an odd number of slabs (one,
+ * at n_b = 4W) pair up across two adjacent strips instead, sharing each B
+ * load.  Every C element still adds its terms in ascending k with a
+ * separate multiply and add, so the result is the float32 loop's bit for
+ * bit.  Where only some of the pair's gates are open at one k block, each
+ * sum is kept only in the open tiles' lanes by a bit select, so a closed
+ * tile keeps its exact bits (-0.0 included) and a closed product that
+ * overflows is thrown away.
  *
  * One body is instantiated three times: W = 4 (16-float rows) for AVX-512F,
  * W = 2 (8-float rows) for AVX2 and W = 1 (4-float rows) for any target.
@@ -38,6 +46,7 @@
  */
 
 #include <pthread.h>
+#include <stddef.h>
 #include <stdint.h>
 
 #if defined(__x86_64__) || defined(__i386__)
@@ -100,26 +109,126 @@ static void run_parts(const struct stream *st, stream_body *body,
 /* Gated products: task t adds A[a_slot[t]] B[b_slot[t]] into C[c_slot[t]].
  * The 4x4x4 product (p, r, q) runs when the float64 product of sub-norms
  * asub[p, r] * bsub[r, q] reaches gate; otherwise it is skipped and adds
- * nothing.  A slab with no open gate is not written.  counts[0] and
- * counts[1] gain the products run and skipped.  NAME is the W-tile body,
- * which needs a block size that is a multiple of 4W. */
-#define SPAMM_SLAB_BODY(NAME, W, ATTR)                                         \
+ * nothing.  counts[0] and counts[1] gain the products run and skipped.
+ * NAME is the W-tile body, which needs a block size that is a multiple of
+ * 4W; LANE_BITS(m) packs a W-lane float64 compare m into W bits.
+ *
+ * NAME walks each 4-row strip of a task by slab pairs, 2W adjacent tiles.
+ * A strip of an odd number of slabs (one, at n_b = 4W) has a lone last
+ * slab; those of strips p and p + 1 run as a vertical pair, sharing each B
+ * load rather than each A broadcast, and a strip left over runs its lone
+ * slab alone.  NAME##_slabs runs NS = 2 or 1 slabs in two steps.  The gate
+ * pass goes once over the k
+ * blocks r: the gate bits of the slabs' tiles at r come from one float64
+ * vector compare per slab, their popcount adds to the products run, and r
+ * goes into the open-k list ks, with its bits in open, at a position that
+ * only advances when some bit is set.  Then NAME##_add runs the listed k
+ * blocks in ascending order, a plain add where every tile is open and a
+ * masked one otherwise.  Slabs with an empty list are not read or
+ * written. */
+#define SPAMM_SLAB_BODY(NAME, W, ATTR, LANE_BITS)                              \
+typedef float NAME##_vf __attribute__((vector_size(16 * (W)), aligned(4)));   \
+typedef int32_t NAME##_vi __attribute__((vector_size(16 * (W))));             \
+typedef float NAME##_vg __attribute__((vector_size(4 * (W)), aligned(4)));    \
+typedef double NAME##_vd __attribute__((vector_size(8 * (W))));               \
+                                                                               \
+/* acc[h][i] += the 4x4 product of A at a[i] + r4 + da h (row i of slab   \
+ * h's strip, k block r4 / 4) and B at br + db h, k ascending, for the NS   \
+ * slabs h: one A broadcast (da = 0) or one B load (db = 0) serves both.     \
+ * Given a mask, each sum is kept only in the lanes where mask[h] is set and \
+ * the other lanes keep their bits. */                                       \
+static inline __attribute__((always_inline)) ATTR void                         \
+NAME##_add(const int NS, const int64_t nb, const float *const a[4],           \
+           const int64_t r4, const float *br, const int64_t da,                \
+           const int64_t db, NAME##_vf acc[2][4], const NAME##_vi *mask)       \
+{                                                                              \
+    for (int64_t k = 0; k < 4; k++) {                                          \
+        NAME##_vf bk[2];                                                       \
+        for (int h = 0; h < NS; h++)                                           \
+            bk[h] = *(const NAME##_vf *)(br + k * nb + db * h);                \
+        for (int i = 0; i < 4; i++) {                                          \
+            for (int h = 0; h < NS; h++) {                                     \
+                const float aik = a[i][r4 + k + da * h];                       \
+                const NAME##_vf sum = acc[h][i] + aik * bk[h];                 \
+                const NAME##_vi kept = (NAME##_vi)acc[h][i];                   \
+                acc[h][i] = !mask ? sum : (NAME##_vf)(((NAME##_vi)sum          \
+                                          & mask[h]) | (kept & ~mask[h]));     \
+            }                                                                  \
+        }                                                                      \
+    }                                                                          \
+}                                                                              \
+                                                                               \
+/* Runs NS slabs from C at cq, with A at ap, B at bq, the strip's A        \
+ * sub-norms at an and the slab's B sub-norms at bn, all at k block 0; the  \
+ * second slab is the next one in the strip, or with V the one below it in  \
+ * the next strip.  ks and open have room for s entries.  Returns the        \
+ * products run. */                                                          \
+static inline __attribute__((always_inline)) ATTR int64_t                      \
+NAME##_slabs(const int NS, const int V, const int64_t nb, float *cq,          \
+             const float *ap, const float *bq, const float *an,                \
+             const float *bn, const double gate, int32_t *ks, uint8_t *open)   \
+{                                                                              \
+    const int64_t s = nb / 4;                                                  \
+    const int64_t dc = V ? 4 * nb : 4 * (W), da = V ? 4 * nb : 0;             \
+    const int64_t db = V ? 0 : 4 * (W), dan = V ? s : 0, dbn = V ? 0 : (W);    \
+    const unsigned all = (1u << (NS * (W))) - 1;                               \
+    int64_t run = 0, nk = 0;                                                   \
+    for (int64_t r = 0; r < s; r++) {                                          \
+        unsigned bits = 0;                                                     \
+        for (int h = 0; h < NS; h++) {                                         \
+            const double apr = an[r + dan * h];                                \
+            const NAME##_vg b = *(const NAME##_vg *)(bn + r * s + dbn * h);    \
+            const NAME##_vd norm =                                             \
+                apr * __builtin_convertvector(b, NAME##_vd);                   \
+            bits |= (unsigned)LANE_BITS(norm >= gate) << ((W) * h);            \
+        }                                                                      \
+        /* the 1-tile body, built for any target, counts its 2 bits without \
+         * a popcount instruction or library call */                         \
+        run += (W) == 1 ? (bits & 1) + (bits >> 1)                             \
+                        : __builtin_popcount(bits);                            \
+        ks[nk] = (int32_t)r;                                                   \
+        open[nk] = (uint8_t)bits;                                              \
+        nk += bits != 0;                                                       \
+    }                                                                          \
+    if (nk == 0)                                                               \
+        return run;                                                            \
+    NAME##_vi tile; /* lane -> its tile in the slab */                         \
+    for (int j = 0; j < 4 * (W); j++)                                          \
+        tile[j] = j / 4;                                                       \
+    NAME##_vf c[2][4];                                                         \
+    for (int h = 0; h < NS; h++)                                               \
+        for (int i = 0; i < 4; i++)                                            \
+            c[h][i] = *(const NAME##_vf *)(cq + i * nb + dc * h);              \
+    const float *const a[4] = {ap, ap + nb, ap + 2 * nb, ap + 3 * nb};         \
+    for (int64_t e = 0; e < nk; e++) {                                         \
+        const int64_t r4 = 4 * (int64_t)ks[e];                                 \
+        const float *br = bq + r4 * nb;                                        \
+        if (open[e] == all) {                                                  \
+            NAME##_add(NS, nb, a, r4, br, da, db, c, NULL);                    \
+        } else {                                                               \
+            NAME##_vi mask[2];                                                 \
+            for (int h = 0; h < NS; h++)                                       \
+                mask[h] = -(((int32_t)open[e] >> ((W) * h + tile)) & 1);       \
+            NAME##_add(NS, nb, a, r4, br, da, db, c, mask);                    \
+        }                                                                      \
+    }                                                                          \
+    for (int h = 0; h < NS; h++)                                               \
+        for (int i = 0; i < 4; i++)                                            \
+            *(NAME##_vf *)(cq + i * nb + dc * h) = c[h][i];                    \
+    return run;                                                                \
+}                                                                              \
+                                                                               \
 static ATTR void NAME(const struct stream *st, int64_t lo, int64_t hi,         \
                       int64_t *counts)                                         \
 {                                                                              \
-    typedef float vf __attribute__((vector_size(16 * (W)), aligned(4)));       \
-    typedef int32_t vi __attribute__((vector_size(16 * (W))));                 \
     if (lo >= hi)                                                              \
         return;                                                                \
     const int64_t nb = st->nb, s = nb / 4, leaf = nb * nb, grid = s * s;       \
     const int64_t *a_slot = st->a_slot, *b_slot = st->b_slot;                  \
     const int64_t *c_slot = st->c_slot;                                        \
-    float *restrict c = st->c;                                                 \
     const double gate = st->gate;                                              \
-    const int all = (1 << (W)) - 1;                                            \
-    vi tile; /* lane -> its tile in the slab */                                \
-    for (int j = 0; j < 4 * (W); j++)                                          \
-        tile[j] = j / 4;                                                       \
+    int32_t ks[s];                                                             \
+    uint8_t open[s];                                                           \
     int64_t run = 0, done = 0;                                                 \
     for (int64_t t = 0; t < st->ntask; t++) {                                  \
         if (c_slot[t] < lo || c_slot[t] >= hi)                                 \
@@ -129,62 +238,44 @@ static ATTR void NAME(const struct stream *st, int64_t lo, int64_t hi,         \
         const float *an = st->asub + a_slot[t] * grid;                         \
         const float *bt = st->b + b_slot[t] * leaf;                            \
         const float *bn = st->bsub + b_slot[t] * grid;                         \
-        float *ct = c + c_slot[t] * leaf;                                      \
+        float *ct = st->c + c_slot[t] * leaf;                                  \
         for (int64_t p = 0; p < s; p++) {                                      \
-            for (int64_t q = 0; q < s; q += (W)) {                             \
-                float *cpq = ct + 4 * (p * nb + q);                            \
-                vf c0 = *(vf *)cpq, c1 = *(vf *)(cpq + nb),                    \
-                   c2 = *(vf *)(cpq + 2 * nb), c3 = *(vf *)(cpq + 3 * nb);     \
-                int touched = 0;                                               \
-                for (int64_t r = 0; r < s; r++) {                              \
-                    const double apr = an[p * s + r];                          \
-                    const float *bnr = bn + r * s + q;                         \
-                    int open = 0;                                              \
-                    for (int j = 0; j < (W); j++) {                            \
-                        const int pass = apr * (double)bnr[j] >= gate;         \
-                        open |= pass << j;                                     \
-                        run += pass;                                           \
-                    }                                                          \
-                    if (!open)                                                 \
-                        continue;                                              \
-                    touched = 1;                                               \
-                    const float *ar = at + 4 * (p * nb + r);                   \
-                    const float *br = bt + 4 * (r * nb + q);                   \
-                    vf d0 = c0, d1 = c1, d2 = c2, d3 = c3;                     \
-                    for (int64_t k = 0; k < 4; k++) {                          \
-                        const vf bk = *(const vf *)(br + k * nb);              \
-                        d0 += ar[k] * bk;                                      \
-                        d1 += ar[nb + k] * bk;                                 \
-                        d2 += ar[2 * nb + k] * bk;                             \
-                        d3 += ar[3 * nb + k] * bk;                             \
-                    }                                                          \
-                    if (open == all) {                                         \
-                        c0 = d0, c1 = d1, c2 = d2, c3 = d3;                    \
-                    } else {                                                   \
-                        const vi m = -((open >> tile) & 1);                    \
-                        c0 = (vf)(((vi)d0 & m) | ((vi)c0 & ~m));               \
-                        c1 = (vf)(((vi)d1 & m) | ((vi)c1 & ~m));               \
-                        c2 = (vf)(((vi)d2 & m) | ((vi)c2 & ~m));               \
-                        c3 = (vf)(((vi)d3 & m) | ((vi)c3 & ~m));               \
-                    }                                                          \
-                }                                                              \
-                if (touched) {                                                 \
-                    *(vf *)cpq = c0;                                           \
-                    *(vf *)(cpq + nb) = c1;                                    \
-                    *(vf *)(cpq + 2 * nb) = c2;                                \
-                    *(vf *)(cpq + 3 * nb) = c3;                                \
-                }                                                              \
-            }                                                                  \
+            const float *ap = at + 4 * p * nb, *anp = an + p * s;              \
+            float *cp = ct + 4 * p * nb;                                       \
+            for (int64_t q = 0; q + 2 * (W) <= s; q += 2 * (W))                \
+                run += NAME##_slabs(2, 0, nb, cp + 4 * q, ap, bt + 4 * q, anp, \
+                                    bn + q, gate, ks, open);                   \
+        }                                                                      \
+        if (s / (W) % 2) {                                                     \
+            const int64_t q = s - (W);                                         \
+            int64_t p = 0;                                                     \
+            for (; p + 1 < s; p += 2)                                          \
+                run += NAME##_slabs(2, 1, nb, ct + 4 * (p * nb + q),           \
+                                    at + 4 * p * nb, bt + 4 * q, an + p * s,   \
+                                    bn + q, gate, ks, open);                   \
+            if (p < s)                                                         \
+                run += NAME##_slabs(1, 0, nb, ct + 4 * (p * nb + q),           \
+                                    at + 4 * p * nb, bt + 4 * q, an + p * s,   \
+                                    bn + q, gate, ks, open);                   \
         }                                                                      \
     }                                                                          \
     counts[0] += run;                                                          \
     counts[1] += done * s * grid - run;                                        \
 }
 
-SPAMM_SLAB_BODY(slab_generic, 1, )
+/* The LANE_BITS of each body: bit j is set where lane j of compare m held
+ * (a lane of all ones); the x86 bodies take the sign bits with movmskpd. */
+#define SPAMM_LANE_BITS_1(m) ((m)[0] & 1)
+SPAMM_SLAB_BODY(slab_generic, 1, , SPAMM_LANE_BITS_1)
 #ifdef SPAMM_X86
-SPAMM_SLAB_BODY(slab_avx2, 2, __attribute__((target("avx2"))))
-SPAMM_SLAB_BODY(slab_avx512f, 4, __attribute__((target("avx512f"))))
+typedef double spamm_v2df __attribute__((vector_size(16)));
+typedef double spamm_v4df __attribute__((vector_size(32)));
+#define SPAMM_LANE_BITS_2(m) __builtin_ia32_movmskpd((spamm_v2df)(m))
+#define SPAMM_LANE_BITS_4(m) __builtin_ia32_movmskpd256((spamm_v4df)(m))
+SPAMM_SLAB_BODY(slab_avx2, 2, __attribute__((target("avx2"))),
+                SPAMM_LANE_BITS_2)
+SPAMM_SLAB_BODY(slab_avx512f, 4, __attribute__((target("avx512f"))),
+                SPAMM_LANE_BITS_4)
 #endif
 
 /* The widest slab, in tiles, that this CPU runs and block size nb fits. */

@@ -263,7 +263,10 @@ class CalibrationResult:
 
     @property
     def converged(self) -> bool:
-        return self.error <= self.target
+        """The error meets the target and some probe missed it, so the
+        target was bracketed; a tau that only the search bound capped is not
+        converged."""
+        return self.error <= self.target and any(e > self.target for _, e in self.trace)
 
 
 def calibrate_tau(
@@ -279,7 +282,9 @@ def calibrate_tau(
 
     Bisection in log tau: each step probes the geometric midpoint and keeps
     the half interval that brackets the target.  The floor `lo` is probed
-    first; if even that misses the target, it is returned unconverged.
+    first; if even that misses the target, it is returned unconverged.  If
+    every probe meets the target, the result is the last probe below `hi`,
+    also unconverged: the bound, not the error, set it.
     """
     if not target > 0:
         raise ValueError(f"target must be positive, got {target}")

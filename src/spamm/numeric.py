@@ -26,12 +26,18 @@ their product leaf in plan order, and each block product adds its rank-1
 terms in ascending k, as a separate float32 multiply and add.  The
 executor is one C function (_kernel.c) that walks the plan's tasks in that
 order into a (G, n_b, n_b) float32 stack, one block per product leaf.
-Within a task it holds a slab of 1, 2 or 4 adjacent 4x4 C tiles of one
-4-row strip in registers while it adds the slab's open k blocks in
-ascending order; where only some of the slab's gates are open, the closed
-tiles' lanes are bit-selected back.  So every element still sees its terms
-in ascending k: results match a sequential loop of gated block products
-bit for bit and are identical run to run.  The slab width is chosen at run
+Within a task it takes each 4-row strip as pairs of slabs, a slab being
+1, 2 or 4 adjacent 4x4 C tiles held in registers.  For each pair one gate
+pass over the k blocks tests every gate once into a bit per tile, counts
+the products run by popcount, and lists the k blocks with any open gate
+without a branch on the bits; then the pair adds its listed k blocks in
+ascending order with each A element broadcast once for both slabs.  The
+lone last slabs of strips with an odd number of slabs (one, at n_b = 4W)
+pair up across two adjacent strips, sharing each B load.  Where only
+some of the gates are open, each sum is kept only in the open tiles'
+lanes by a bit select.  So every element still sees its terms in
+ascending k: results match a sequential loop of gated block products bit
+for bit and are identical run to run.  The slab width is chosen at run
 time: _slab_tiles(n_b) is 4 tiles where the CPU has AVX-512F, 2 with AVX2,
 else 1, and never more than n_b fits.  _stream_gated passes it to the one
 C entry point, which lowers any wider request to it.  _SLAB_ISA names each

@@ -173,6 +173,18 @@ def test_calibrate_tau_unconverged_floor():
     assert len(res.trace) == 1
 
 
+def test_calibrate_tau_capped_by_hi_is_unconverged():
+    # every probe meets a target this loose, so bisection only creeps up to hi
+    a = _family(128, seed=1)
+    tree = QuadtreeMatrix.from_dense(a.data)
+    oracle = dense_multiply_double(a, a)
+    res = calibrate_tau(tree, oracle, 1e30, "fine4", hi=1e-3, iters=3)
+    assert all(e <= 1e30 for _, e in res.trace) and len(res.trace) == 4
+    assert res.error <= res.target
+    assert not res.converged
+    assert res.tau == res.trace[-1][0] < 1e-3
+
+
 def test_calibrate_tau_validation():
     a = _family(64)
     tree = QuadtreeMatrix.from_dense(a.data)

@@ -229,29 +229,43 @@ def test_too_wide_a_slab_is_lowered_to_one_that_fits(monkeypatch, nb):
     assert _same_bits(args["acc"], want)
 
 
-@pytest.mark.parametrize("vary", [False, True], ids=["per-task", "per-r"])
-def test_every_gate_pattern_of_a_slab(variant, vary):
-    # task t opens the tiles q of a 16x16 slab strip whose bit is set in its
-    # pattern, the same at every r or a different one at each r; B holds NaN
-    # wherever only a closed gate reads it, and C starts as -0.0
-    patterns = [[(7 * t + 5 * r) % 16 if vary else t for r in range(4)] for t in range(16)]
-    bits = (np.array(patterns)[:, :, None] >> np.arange(4)) & 1  # [t, r, q]
+def _check_every_gate_pattern(s: int, vary: bool) -> None:
+    # a strip of s tiles, with task t opening the tiles q whose bit is set in
+    # its pattern, the same at every r or a different one at each r; B holds
+    # NaN wherever only a closed gate reads it, and C starts as -0.0
+    nb, count = 4 * s, 1 << s
+    patterns = [[(7 * t + 5 * r) % count if vary else t for r in range(s)] for t in range(count)]
+    bits = (np.array(patterns)[:, :, None] >> np.arange(s)) & 1  # [t, r, q]
     b_sub = np.where(bits == 1, 2.0, 0.5).astype(np.float32)
-    b = rng_matrix(16 * 16, 16, seed=50).reshape(16, 4, 4, 4, 4)  # [t, r, kk, q, jj]
+    b = rng_matrix(count * nb, nb, seed=50).reshape(count, s, 4, s, 4)  # [t, r, kk, q, jj]
     b[np.broadcast_to((bits == 0)[:, :, None, :, None], b.shape)] = np.nan
-    slots = np.arange(16, dtype=np.int64)
-    args = {"a_values": rng_matrix(16, 16, seed=51)[None], "a_sub": np.ones((1, 4, 4), np.float32),
-            "b_values": b.reshape(16, 16, 16), "b_sub": b_sub, "a_slot": np.zeros(16, np.int64),
-            "b_slot": slots, "c_slot": slots, "acc": np.full((16, 16, 16), -0.0, np.float32),
-            "gate": 1.0}
+    slots = np.arange(count, dtype=np.int64)
+    args = {"a_values": rng_matrix(nb, nb, seed=51)[None], "a_sub": np.ones((1, s, s), np.float32),
+            "b_values": b.reshape(count, nb, nb), "b_sub": b_sub,
+            "a_slot": np.zeros(count, np.int64), "b_slot": slots, "c_slot": slots,
+            "acc": np.full((count, nb, nb), -0.0, np.float32), "gate": 1.0}
     want, counts = _oracle(args)
-    assert numeric._stream_gated(**args) == counts == (4 * int(bits.sum()), 4 * int((1 - bits).sum()))
+    assert numeric._stream_gated(**args) == counts == (s * int(bits.sum()), s * int((1 - bits).sum()))
     assert _same_bits(args["acc"], want)
     assert np.isfinite(args["acc"]).all()
     if not vary:  # a tile closed at every r still holds -0.0
-        closed = np.broadcast_to((bits[:, 0] == 0)[:, None, None, :, None], (16, 4, 4, 4, 4))
-        tiles = args["acc"].reshape(16, 4, 4, 4, 4)[closed]
+        shape = (count, s, 4, s, 4)
+        closed = np.broadcast_to((bits[:, 0] == 0)[:, None, None, :, None], shape)
+        tiles = args["acc"].reshape(shape)[closed]
         assert (tiles == 0).all() and np.signbit(tiles).all()
+
+
+@pytest.mark.parametrize("vary", [False, True], ids=["per-task", "per-r"])
+def test_every_gate_pattern_of_a_slab(variant, vary):
+    # 16x16 leaves: a strip of 4 tiles, one slab (paired with the next
+    # strip's), one pair or two pairs
+    _check_every_gate_pattern(4, vary)
+
+
+@pytest.mark.parametrize("vary", [False, True], ids=["per-task", "per-r"])
+def test_every_gate_pattern_of_a_slab_pair(variant, vary):
+    # a strip of one slab pair: 2W tiles, 2^(2W) patterns
+    _check_every_gate_pattern(2 * TILES[variant], vary)
 
 
 def test_closed_product_that_overflows_is_thrown_away(variant):
@@ -272,6 +286,70 @@ def test_closed_product_that_overflows_is_thrown_away(variant):
     assert (counters.products4, counters.skipped4) == (want.products4, want.skipped4) == (1, 63)
     assert _same_bits(c.values, np.stack([blocks[k] for k in c.keys.tolist()]))
     assert c.to_dense().data.tolist() == np.zeros((16, 16)).tolist()
+
+
+def _strip_stream(nb: int, seed: int):
+    """Five tasks of nb x nb leaves, from arrays rather than trees (nb need
+    not be a power of two), into C leaves 0-4.  A leaf t opens, in every
+    strip, no k block (t = 0), only the last (t = 1), every other one
+    (t = 2), all of them (t = 3) or a random half (t = 4), by its sub-norms
+    against unit B sub-norms; it holds NaN in every closed tile, and C
+    starts as -0.0."""
+    s = nb // 4
+    rng = np.random.default_rng(seed)
+    a_sub = np.full((5, s, s), 0.5, np.float32)
+    a_sub[1, :, -1] = a_sub[2, :, ::2] = a_sub[3] = 2.0
+    a_sub[4] = np.where(rng.random((s, s)) < 0.5, 2.0, 0.5)
+    a = rng_matrix(5 * nb, nb, seed=seed + 1).reshape(5, s, 4, s, 4)
+    a[np.broadcast_to((a_sub < 1)[:, :, None, :, None], a.shape)] = np.nan
+    slots = np.arange(5, dtype=np.int64)
+    return {"a_values": a.reshape(5, nb, nb), "a_sub": a_sub,
+            "b_values": rng_matrix(nb, nb, seed=seed + 2)[None],
+            "b_sub": np.ones((1, s, s), np.float32),
+            "a_slot": slots, "b_slot": np.zeros(5, np.int64), "c_slot": slots,
+            "acc": np.full((5, nb, nb), -0.0, np.float32), "gate": 1.0}
+
+
+@pytest.mark.parametrize("slabs", [2, 3, 1], ids=["pairs", "pair-and-lone-slab", "lone-slab"])
+def test_open_k_lists_of_strips_match_the_block_oracle(variant, slabs):
+    # strips with no open k block, only the last, alternate ones, all or a
+    # random half, on pairs alone (n_b = 32) or on 1 or 3 slabs per strip
+    # (n_b = 4W or 12W), whose lone last slabs pair across adjacent strips;
+    # at W = 1 the odd strip count leaves one strip's lone slab alone
+    nb = 4 * TILES[variant] * slabs if slabs != 2 else 32
+    _needs_width(variant, nb)
+    args = _strip_stream(nb, seed=70 + slabs)
+    want, counts = _oracle(args)
+    assert numeric._stream_gated(**args) == counts
+    assert counts[0] == nb // 4 * int((args["a_sub"] >= 1).sum())
+    assert _same_bits(args["acc"], want)
+    assert np.isfinite(args["acc"]).all()
+    closed = args["acc"][0]  # no open k block: not written
+    assert (closed == 0).all() and np.signbit(closed).all()
+
+
+@pytest.fixture(scope="module")
+def wide_strip():
+    """A one-task stream at n_b = 512, a strip of 128 tiles, with half the
+    gates open, and the block oracle's (acc, counts) for it."""
+    nb = 512
+    a = QuadtreeMatrix.from_dense(rng_matrix(nb, nb, seed=80), nb)
+    b = QuadtreeMatrix.from_dense(rng_matrix(nb, nb, seed=81), nb)
+    products = np.multiply.outer(a.subnorms[0].astype(np.float64), b.subnorms[0].astype(np.float64))
+    slot = np.zeros(1, np.int64)
+    args = {"a_values": a.values, "a_sub": a.subnorms, "b_values": b.values, "b_sub": b.subnorms,
+            "a_slot": slot, "b_slot": slot, "c_slot": slot,
+            "acc": rng_matrix(nb, nb, seed=82)[None], "gate": float(np.median(products))}
+    return args, _oracle(args)
+
+
+def test_strip_of_more_than_64_tiles_matches_the_block_oracle(variant, wide_strip):
+    base, (want, counts) = wide_strip
+    args = dict(base, acc=base["acc"].copy())
+    run, skipped = numeric._stream_gated(**args)
+    assert (run, skipped) == counts and run + skipped == 128 ** 3
+    assert 0.4 < run / 128 ** 3 < 0.6
+    assert _same_bits(args["acc"], want)
 
 
 def test_valid_stream_matches_the_block_oracle():
