@@ -2,13 +2,18 @@
  * spamm._kernel through ctypes.  The library exports three functions:
  * spamm_stream_gated, the gated product stream; spamm_slab_tiles, the slab
  * width it runs at a block size; and spamm_subnorm_squares, the squared
- * 4x4 sub-block norms of the norm rebuild.
+ * 4x4 sub-block norms of the norm rebuild and of the tree build.
  *
  * Leaves are row-major n_b x n_b float32 blocks, stacked; sub-norm grids are
- * row-major s x s float32 blocks, s = n_b / 4.  Tasks are walked in plan
- * order.  The gated kernel works on slabs: W adjacent 4x4 tiles of one
- * 4-row strip of a C leaf, held as four 4W-float vector registers (one per
- * row), and it runs the slabs of a strip in adjacent pairs.  For each pair
+ * row-major s x s float32 blocks, s = n_b / 4.  spamm_subnorm_squares reads
+ * any row-major grid of n_b x n_b blocks in place, with a row stride: a leaf
+ * stack is a grid one block wide, and a matrix whose sides are multiples of
+ * n_b is its own grid, so a tree is built from the dense rows in one pass.
+ *
+ * Tasks are walked in plan order.  The gated kernel works on slabs: W
+ * adjacent 4x4 tiles of one 4-row strip of a C leaf, held as four 4W-float
+ * vector registers (one per row), and it runs the slabs of a strip in
+ * adjacent pairs.  For each pair
  * it first tests every gate once: one pass over the strip's 4-wide k blocks
  * r forms the pair's gate bits at each r (a bit per tile, from vector
  * compares), counts the products run by their popcount, and lists the r
@@ -318,40 +323,49 @@ void spamm_stream_gated(int64_t ntask, int64_t nb,
     run_parts(&st, body, nthreads, bounds, counts);
 }
 
-/* out[l, p, q] = the float64 sum of squares of 4x4 sub-block (p, q) of leaf
- * l, added in the order of numpy's sum(axis=(2, 4)) over the (L, s, 4, s, 4)
- * squares: each 4-element row left to right, then the four row sums top to
- * bottom.  At n_b = 4 the sub-block is the whole leaf, whose 16 squares numpy
- * sums as one run in its pairwise order: value j plus value j + 8 for each
- * j < 8, then those eight sums as a balanced tree.  Squares of float32
+/* The float64 sums of squares of the 4x4 sub-blocks of a rows x cols grid
+ * of n_b x n_b float32 blocks whose rows are ld floats apart: block (I, J)
+ * starts at values + I * nb * ld + J * nb, and out[I, J, p, q] is the sum of
+ * its sub-block (p, q).  A leaf stack is the grid rows = L, cols = 1,
+ * ld = n_b; the dense rows of a matrix are the grid ld = cols * n_b.  Each
+ * sum is added in the order of numpy's sum(axis=(2, 4)) over the blocks'
+ * squares as (L, s, 4, s, 4): each 4-element row left to right, then the
+ * four row sums top to bottom.  At n_b = 4 the sub-block is the whole
+ * block, whose 16 squares numpy sums as one run in its pairwise order:
+ * value j plus value j + 8 for each j < 8 (value j being row j / 4, column
+ * j % 4), then those eight sums as a balanced tree.  Squares of float32
  * values are exact in float64, so only the order of the additions matters. */
-void spamm_subnorm_squares(int64_t count, int64_t nb, const float *values,
-                           double *out)
+void spamm_subnorm_squares(int64_t rows, int64_t cols, int64_t nb, int64_t ld,
+                           const float *values, double *out)
 {
     const int64_t s = nb / 4;
-    if (s == 1) {
-        for (int64_t l = 0; l < count; l++) {
-            const float *v = values + 16 * l;
-            double r[8];
-            for (int j = 0; j < 8; j++)
-                r[j] = (double)v[j] * (double)v[j] + (double)v[j + 8] * (double)v[j + 8];
-            out[l] = ((r[0] + r[1]) + (r[2] + r[3])) + ((r[4] + r[5]) + (r[6] + r[7]));
-        }
-        return;
-    }
-    for (int64_t l = 0; l < count; l++) {
-        const float *v = values + l * nb * nb;
-        for (int64_t p = 0; p < s; p++) {
-            for (int64_t q = 0; q < s; q++) {
-                double total = 0.0;
-                for (int64_t i = 0; i < 4; i++) {
-                    const float *row = v + (4 * p + i) * nb + 4 * q;
-                    double sum = 0.0;
-                    for (int64_t j = 0; j < 4; j++)
-                        sum += (double)row[j] * (double)row[j];
-                    total += sum;
+    for (int64_t bi = 0; bi < rows; bi++) {
+        for (int64_t bj = 0; bj < cols; bj++) {
+            const float *v = values + bi * nb * ld + bj * nb;
+            if (s == 1) {
+                const float *row[4] = {v, v + ld, v + 2 * ld, v + 3 * ld};
+                double r[8];
+                for (int j = 0; j < 4; j++) {
+                    r[j] = (double)row[0][j] * (double)row[0][j] +
+                           (double)row[2][j] * (double)row[2][j];
+                    r[j + 4] = (double)row[1][j] * (double)row[1][j] +
+                               (double)row[3][j] * (double)row[3][j];
                 }
-                *out++ = total;
+                *out++ = ((r[0] + r[1]) + (r[2] + r[3])) + ((r[4] + r[5]) + (r[6] + r[7]));
+                continue;
+            }
+            for (int64_t p = 0; p < s; p++) {
+                for (int64_t q = 0; q < s; q++) {
+                    double total = 0.0;
+                    for (int64_t i = 0; i < 4; i++) {
+                        const float *row = v + (4 * p + i) * ld + 4 * q;
+                        double sum = 0.0;
+                        for (int64_t j = 0; j < 4; j++)
+                            sum += (double)row[j] * (double)row[j];
+                        total += sum;
+                    }
+                    *out++ = total;
+                }
             }
         }
     }

@@ -60,7 +60,7 @@ def _load_kernel() -> ctypes.CDLL:
     lib.spamm_stream_gated.restype = None
     lib.spamm_slab_tiles.argtypes = [i64]
     lib.spamm_slab_tiles.restype = ctypes.c_int
-    lib.spamm_subnorm_squares.argtypes = [i64, i64, ptr, ptr]
+    lib.spamm_subnorm_squares.argtypes = [i64] * 4 + [ptr] * 2
     lib.spamm_subnorm_squares.restype = None
     return lib
 

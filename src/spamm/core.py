@@ -7,10 +7,12 @@ Morton key order (keys, blocks, block norms, 4x4 sub-block norms) plus the
 norm of the whole matrix.  An absent key means an exactly zero submatrix.
 The multiply phases prune against the block and sub-block norms; interior
 nodes exist only as key arithmetic and store no norms.  All norms are
-built from the leaf stack by one routine, once per tree and once per
-execute_plan for its accumulator, so they are never stale.  The float64
-sub-block square sums come from one C routine of _kernel.c; the block and
-matrix norms, their float32 rounding and the overflow checks are numpy.
+built by one routine, _store, once per tree and once per execute_plan for
+its accumulator, so they are never stale.  The float64 sub-block square
+sums come from one strided C pass of _kernel.c over a grid of blocks: the
+leaf stack, or in from_dense the dense rows themselves, so that from_dense
+copies only the nonzero blocks.  The block and matrix norms, their float32
+rounding and the overflow checks are numpy.
 """
 
 from __future__ import annotations
@@ -28,14 +30,22 @@ def _validate_block_size(n_b: int) -> None:
         raise ValueError(f"block size must be a power of two of at least 4, got {n_b}")
 
 
-def _subnorm_squares(values: np.ndarray) -> np.ndarray:
-    """float64 sums of squares of the 4x4 sub-blocks of an (L, n_b, n_b)
-    float32 leaf stack, (L, n_b/4, n_b/4), added in the order of numpy's
-    sum(axis=(2, 4)) over the stack's squares as (L, s, 4, s, 4)."""
-    count, nb = len(values), values.shape[-1]
-    out = np.empty((count, nb // 4, nb // 4), np.float64)
+def _subnorm_squares(values: np.ndarray, nb: int | None = None) -> np.ndarray:
+    """float64 sums of squares of the 4x4 sub-blocks of n_b x n_b float32
+    blocks, added in the order of numpy's sum(axis=(2, 4)) over each block's
+    squares as (s, 4, s, 4), s = n_b / 4.  The blocks are an (L, n_b, n_b)
+    leaf stack, giving (L, s, s), or, given nb, the nb x nb blocks of a
+    (br * nb, bc * nb) dense grid, giving (br, bc, s, s).  Either way one
+    strided C pass reads them in place."""
+    if nb is None:  # a leaf stack is a grid one block wide
+        rows, cols, nb = len(values), 1, values.shape[-1]
+        shape, name, lead = (rows, nb, nb), "leaf values", (rows,)
+    else:
+        rows, cols = (d // nb for d in values.shape[:2])
+        shape, name, lead = (rows * nb, cols * nb), "dense grid", (rows, cols)
+    out = np.empty(lead + (nb // 4, nb // 4), np.float64)
     _lib.spamm_subnorm_squares(
-        count, nb, _pointer(values, np.float32, (count, nb, nb), "leaf values"),
+        rows, cols, nb, cols * nb, _pointer(values, np.float32, shape, name),
         out.ctypes.data)
     return out
 
@@ -130,20 +140,31 @@ class QuadtreeMatrix:
 
     @classmethod
     def from_dense(cls, dense, n_b: int = DEFAULT_BLOCK) -> QuadtreeMatrix:
-        """Build the tree from a dense matrix, skipping all-zero blocks."""
+        """Build the tree from a dense matrix, skipping all-zero blocks.
+
+        One strided pass over the float32 rows gives every block's sub-block
+        square sums; a block is stored when their total is nonzero (the
+        square of a float32 subnormal is still nonzero in float64, that of
+        -0 is +0), and only those blocks are copied.  Float32 input whose
+        sides are multiples of n_b is read in place; other input is first
+        cast into one zero-padded float32 grid.
+        """
         if isinstance(dense, np.ndarray):
             dense = DenseMatrix(dense)
         q = cls(dense.m, dense.n, n_b)
         br = -(-q.m // n_b)
         bc = -(-q.n // n_b)
-        grid = np.zeros((br * n_b, bc * n_b), np.float32)
-        with np.errstate(over="ignore"):  # _store names an overflowed leaf
-            grid[: q.m, : q.n] = dense.data
-        blocks = grid.reshape(br, n_b, bc, n_b).transpose(0, 2, 1, 3)
-        bi, bj = np.nonzero(blocks.any(axis=(2, 3)))
+        grid = dense.data
+        if grid.dtype != np.float32 or grid.shape != (br * n_b, bc * n_b):
+            grid = np.zeros((br * n_b, bc * n_b), np.float32)
+            with np.errstate(over="ignore"):  # _store names an overflowed leaf
+                grid[: q.m, : q.n] = dense.data
+        subsq = _subnorm_squares(grid, n_b)
+        bi, bj = np.nonzero(subsq.any(axis=(2, 3)))
         keys = encode_array(bi, bj)
         order = np.argsort(keys)
-        q._store(keys[order], blocks[bi[order], bj[order]])
+        bi, bj = bi[order], bj[order]
+        q._store(keys[order], grid.reshape(br, n_b, bc, n_b)[bi, :, bj, :], subsq[bi, bj])
         return q
 
     @classmethod
@@ -198,18 +219,24 @@ class QuadtreeMatrix:
         q._store(keys, vals)
         return q
 
-    def _store(self, keys: np.ndarray, values: np.ndarray) -> None:
+    def _store(
+        self, keys: np.ndarray, values: np.ndarray, subsq: np.ndarray | None = None
+    ) -> None:
         """Install a leaf stack (keys ascending) and rebuild every norm from it.
 
         Sub-block and block norms come from exact float64 square sums of the
         leaf values, the matrix norm from the float64 total of the block
-        square sums; each is rounded to float32 once.  A norm that is not
-        finite in float32 (a non-finite value, or finite values whose norm
-        exceeds float32 max) raises OverflowError and leaves the tree as it
-        was: a leaf names its block row and column, and a matrix norm that
+        square sums; each is rounded to float32 once.  The sub-block square
+        sums come from _subnorm_squares: from_dense passes those its pass
+        over the dense rows gave, and for every other caller they are
+        computed here from the leaf stack.  A norm that is not finite in
+        float32 (a non-finite value, or finite values whose norm exceeds
+        float32 max) raises OverflowError and leaves the tree as it was: a
+        leaf names its block row and column, and a matrix norm that
         overflows with every leaf norm finite names the matrix.
         """
-        subsq = _subnorm_squares(values)
+        if subsq is None:
+            subsq = _subnorm_squares(values)
         sq = subsq.sum(axis=(1, 2))
         with np.errstate(over="ignore"):  # a norm that overflows is named below
             norms = np.sqrt(sq).astype(np.float32)
@@ -230,14 +257,15 @@ class QuadtreeMatrix:
         self.norm = float(norm)
 
     def to_dense(self) -> DenseMatrix:
+        """The matrix as dense float32 rows; the leaves are written into the
+        zeroed block grid in place, through its 4-D block view."""
         nb = self.n_b
         br = -(-self.m // nb)
         bc = -(-self.n // nb)
-        blocks = np.zeros((br, bc, nb, nb), np.float32)
-        rows, cols = decode_array(self.keys)
-        blocks[rows.astype(np.intp), cols.astype(np.intp)] = self.values
-        out = blocks.transpose(0, 2, 1, 3).reshape(br * nb, bc * nb)
-        return DenseMatrix(np.ascontiguousarray(out[: self.m, : self.n]))
+        out = np.zeros((br * nb, bc * nb), np.float32)
+        rows, cols = (x.astype(np.intp) for x in decode_array(self.keys))
+        out.reshape(br, nb, bc, nb)[rows, :, cols, :] = self.values
+        return DenseMatrix(out[: self.m, : self.n])
 
     def __repr__(self) -> str:
         return (

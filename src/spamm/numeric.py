@@ -45,15 +45,15 @@ width's variant, and _kernel_isa(n_b) the one that runs at n_b.
 
 The gated kernel runs on the usable cores (os.sched_getaffinity, else
 os.cpu_count), at most one per product leaf, and on one thread for a plan
-of fewer than _MIN_THREAD_PRODUCTS micro products.  Each thread owns a
-contiguous range of product leaves, balanced by task count, and walks the
-whole plan, running only the tasks into its own leaves; so results and
-counters do not depend on the thread count.  The dense-leaf foil needs no
-C: numpy's matmul forms its block products and a numpy add sums them into
-the leaves, on one thread.
+of fewer than _MIN_THREAD_TASKS tasks or _MIN_THREAD_PRODUCTS micro
+products.  Each thread owns a contiguous range of product leaves, balanced
+by task count, and walks the whole plan, running only the tasks into its
+own leaves; so results and counters do not depend on the thread count.
+The dense-leaf foil needs no C: numpy's matmul forms its block products and
+a numpy add sums them into the leaves, on one thread.
 The kernel library is built and loaded by spamm._kernel.  It exports three
 functions: the gated stream spamm_stream_gated, its slab width query
-spamm_slab_tiles, and spamm_subnorm_squares of the norm rebuild in core.
+spamm_slab_tiles, and spamm_subnorm_squares of the norm pass in core.
 """
 
 from __future__ import annotations
@@ -75,9 +75,12 @@ GRANULARITIES = ("fine4", "coarse16")
 # so a chunk's operands, products and accumulator rows stay in cache.
 _CHUNK_FLOATS = 1 << 16
 
-# Least work, in micro products, for which the gated kernel starts threads:
-# 512 tasks at n_b = 16.
+# Least work for which the gated kernel starts threads: this many micro
+# products (512 tasks at n_b = 16) and this many tasks (which decide at
+# n_b = 64, where a second thread made plans of 8 tasks 19-28% slower and
+# plans of 16 tasks 2-7% faster).
 _MIN_THREAD_PRODUCTS = 512 * 64
+_MIN_THREAD_TASKS = 16
 
 
 # The gated-kernel variant of each slab width, in 4x4 tiles.
@@ -188,9 +191,10 @@ def _gate(cfg: MultiplyConfig) -> float:
 def _thread_count(tasks: int, nb: int, leaves: int, wanted: int | None = None) -> int:
     """Threads of a gated pass over `tasks` block products of size nb into
     `leaves` product leaves: `wanted`, else the usable cores, or 1 below
-    _MIN_THREAD_PRODUCTS micro products; never more than one per leaf."""
+    _MIN_THREAD_TASKS tasks or _MIN_THREAD_PRODUCTS micro products; never
+    more than one per leaf."""
     if wanted is None:
-        if tasks * (nb // 4) ** 3 < _MIN_THREAD_PRODUCTS:
+        if tasks < _MIN_THREAD_TASKS or tasks * (nb // 4) ** 3 < _MIN_THREAD_PRODUCTS:
             return 1
         try:
             wanted = len(os.sched_getaffinity(0))

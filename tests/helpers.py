@@ -15,7 +15,7 @@ import numpy as np
 from spamm.bench import RunReport
 from spamm.core import DEFAULT_BLOCK, DenseMatrix, QuadtreeMatrix
 from spamm.generators import GeneratorSpec, generate
-from spamm.morton import c_index, k_of_a, k_of_b
+from spamm.morton import c_index, decode_array, encode_array, k_of_a, k_of_b
 from spamm.numeric import ExecCounters, MultiplyConfig, _gate
 from spamm.symbolic import MultiplyPlan, PlanStats
 
@@ -49,6 +49,37 @@ def subnorm_squares(values: np.ndarray) -> np.ndarray:
     seg = values.astype(np.float64)
     seg *= seg
     return seg.reshape(-1, s, 4, s, 4).sum(axis=(2, 4))
+
+
+def padded_from_dense(data: np.ndarray, n_b: int) -> QuadtreeMatrix:
+    """Oracle of QuadtreeMatrix.from_dense, as the library built trees
+    before its one strided pass: cast the matrix into a zero-padded float32
+    grid, keep the blocks with any nonzero element, gather them through the
+    transposed block view and let _store compute every norm from them."""
+    dense = DenseMatrix(data)
+    q = QuadtreeMatrix(dense.m, dense.n, n_b)
+    br, bc = -(-q.m // n_b), -(-q.n // n_b)
+    grid = np.zeros((br * n_b, bc * n_b), np.float32)
+    with np.errstate(over="ignore"):  # _store names an overflowed leaf
+        grid[: q.m, : q.n] = dense.data
+    blocks = grid.reshape(br, n_b, bc, n_b).transpose(0, 2, 1, 3)
+    bi, bj = np.nonzero(blocks.any(axis=(2, 3)))
+    keys = encode_array(bi, bj)
+    order = np.argsort(keys)
+    q._store(keys[order], blocks[bi[order], bj[order]])
+    return q
+
+
+def padded_to_dense(q: QuadtreeMatrix) -> np.ndarray:
+    """Oracle of QuadtreeMatrix.to_dense: the leaves placed in a zeroed
+    (br, bc, n_b, n_b) block array, transposed into rows and cut to m x n."""
+    nb = q.n_b
+    br, bc = -(-q.m // nb), -(-q.n // nb)
+    blocks = np.zeros((br, bc, nb, nb), np.float32)
+    rows, cols = decode_array(q.keys)
+    blocks[rows.astype(np.intp), cols.astype(np.intp)] = q.values
+    out = blocks.transpose(0, 2, 1, 3).reshape(br * nb, bc * nb)
+    return np.ascontiguousarray(out[: q.m, : q.n])
 
 
 def leaf_norms(q: QuadtreeMatrix) -> dict[int, float]:

@@ -1,6 +1,8 @@
 """Dense wrapper, depth arithmetic, columnar quadtree storage."""
 
 import math
+import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -12,11 +14,13 @@ from helpers import (
     LEAF_SIZES,
     assert_norm_invariant,
     decay_matrix,
+    padded_from_dense,
+    padded_to_dense,
     rng_matrix,
     subnorm_squares,
 )
-from spamm.core import DenseMatrix, QuadtreeMatrix, _subnorm_squares, tree_depth
-from spamm.morton import encode
+from spamm.core import DEFAULT_BLOCK, DenseMatrix, QuadtreeMatrix, _subnorm_squares, tree_depth
+from spamm.morton import decode, encode
 
 
 # -- tree_depth --------------------------------------------------------------
@@ -242,19 +246,40 @@ WILD = st.one_of(
 
 
 @settings(max_examples=300, deadline=None)
-@given(nb=st.sampled_from([4, 8, 16]), count=st.integers(0, 3),
+@given(nb=st.sampled_from([4, 8, 16]), count=st.integers(0, 3), grid=st.booleans(),
        exponent=st.integers(-160, 126), data=st.data())
-def test_subnorm_squares_equal_the_numpy_sum_bit_for_bit(nb, count, exponent, data):
+def test_subnorm_squares_equal_the_numpy_sum_bit_for_bit(nb, count, grid, exponent, data):
     # values in [-2, 2] scaled by 2^exponent, subnormal at the low end: squares of
     # like size, whose sums round differently when added in another order
-    shape = (count, nb, nb)
+    br, bc = (count, data.draw(st.integers(1, 3))) if grid else (count, 1)
+    shape = (br * nb, bc * nb) if grid else (count, nb, nb)
     mantissas = data.draw(arrays(np.float32, shape, elements=st.floats(-2.0, 2.0, width=32)))
     values = np.ldexp(mantissas, exponent).astype(np.float32)
     wild = data.draw(arrays(bool, shape))
     values[wild] = data.draw(arrays(np.float32, shape, elements=WILD))[wild]
-    got = _subnorm_squares(values)
-    assert got.shape == (count, nb // 4, nb // 4) and got.dtype == np.float64
-    assert np.array_equal(got.view(np.uint64), subnorm_squares(values).view(np.uint64))
+    s = nb // 4
+    if grid:
+        # the dense rows read in place against the same blocks gathered into a stack
+        got = _subnorm_squares(values, nb)
+        assert got.shape == (br, bc, s, s)
+        stack = values.reshape(br, nb, bc, nb).transpose(0, 2, 1, 3).reshape(-1, nb, nb)
+        want = subnorm_squares(stack).reshape(br, bc, s, s)
+    else:
+        got, want = _subnorm_squares(values), subnorm_squares(values)
+        assert got.shape == (count, s, s)
+    assert got.dtype == np.float64
+    assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
+
+def test_subnorm_squares_reject_a_grid_that_is_not_c_contiguous():
+    grid = rng_matrix(32, 48, seed=9)
+    for strided in (np.asfortranarray(grid), rng_matrix(32, 64, seed=9)[:, :48]):
+        with pytest.raises(ValueError, match="dense grid .* not C-contiguous"):
+            _subnorm_squares(strided, 16)
+    with pytest.raises(ValueError, match="dense grid"):
+        _subnorm_squares(grid[:, :40].copy(), 16)  # not whole blocks
+    with pytest.raises(ValueError, match="dense grid"):
+        _subnorm_squares(grid.astype(np.float64), 16)
 
 
 def test_subnorm_squares_of_random_leaves_equal_the_numpy_sum():
@@ -272,6 +297,81 @@ def test_non_finite_leaf_names_its_block(bad):
     values[keys.tolist().index(encode(1, 0)), 5, 7] = bad
     with pytest.raises(OverflowError, match="block row 1, column 0"):
         QuadtreeMatrix.from_leaves(32, 32, keys, values, 16)
+
+
+# -- from_dense and to_dense against the padded grid ------------------------
+
+# What each block of a drawn matrix holds, at random places: nothing, -0 only,
+# float32 subnormals only, normal values, float64 values that round to 0 in
+# float32, float64 values past float32 max, and float32 values near float32 max,
+# whose block norm may overflow.  A block of -0 or of tiny64 is dropped.
+BLOCK_KINDS = ("zero", "negzero", "subnormal", "normal", "tiny64", "huge64", "big32")
+
+
+def _fill(block: np.ndarray, kind: str, rng: np.random.Generator) -> None:
+    where = rng.random(block.shape) < 0.3
+    count = int(where.sum())
+    sign = np.where(rng.random(count) < 0.5, -1.0, 1.0)
+    block[where] = {
+        "zero": np.zeros(count),
+        "negzero": np.full(count, -0.0),
+        "subnormal": sign * rng.integers(1, 1 << 23, count) * 2.0**-149,
+        "normal": rng.standard_normal(count),
+        "tiny64": sign * rng.random(count) * 7e-46,
+        "huge64": sign * 1e39,
+        "big32": sign * 3e38,
+    }[kind]
+
+
+@settings(max_examples=200, deadline=None)
+@given(nb=st.sampled_from([4, 16, 64]), double=st.booleans(), data=st.data())
+def test_conversions_equal_the_padded_grid_bit_for_bit(nb, double, data):
+    # aligned, ragged, tall and wide shapes of up to 4 x 4 blocks
+    m, n = (data.draw(st.integers(1, 4 * nb)) for _ in range(2))
+    br, bc = -(-m // nb), -(-n // nb)
+    kinds = BLOCK_KINDS if double else BLOCK_KINDS[:4] + BLOCK_KINDS[-1:]
+    layout = data.draw(st.lists(st.sampled_from(kinds), min_size=br * bc, max_size=br * bc))
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    a = np.zeros((m, n), np.float64 if double else np.float32)
+    for (i, j), kind in zip(np.ndindex(br, bc), layout):
+        _fill(a[i * nb : (i + 1) * nb, j * nb : (j + 1) * nb], kind, rng)
+    try:
+        want = padded_from_dense(a, nb)
+    except OverflowError as exc:
+        with pytest.raises(OverflowError, match=f"^{re.escape(str(exc))}$"):
+            QuadtreeMatrix.from_dense(a, nb)
+        return
+    got = QuadtreeMatrix.from_dense(a, nb)
+    for name in ("keys", "values", "norms", "subnorms"):
+        x, y = getattr(got, name), getattr(want, name)
+        assert x.dtype == y.dtype and x.shape == y.shape, name
+        assert x.tobytes() == y.tobytes(), name
+    assert np.float64(got.norm).tobytes() == np.float64(want.norm).tobytes()
+    dense = got.to_dense().data
+    assert dense.flags.c_contiguous and dense.tobytes() == padded_to_dense(want).tobytes()
+    stored = {(i, j) for (i, j), kind in zip(np.ndindex(br, bc), layout)
+              if kind in ("subnormal", "normal", "big32")
+              and a[i * nb : (i + 1) * nb, j * nb : (j + 1) * nb].any()}
+    assert stored == {decode(k) for k in got.keys.tolist()}
+
+
+def test_conversions_allocate_little_beyond_the_matrix():
+    # no padded copy of aligned float32 rows and no block-major intermediate:
+    # each conversion holds about one matrix of output and small norm arrays
+    a = rng_matrix(1024, 1024, seed=12)
+    q = QuadtreeMatrix.from_dense(a)
+    assert q.n_b == DEFAULT_BLOCK and q.leaf_count == (1024 // DEFAULT_BLOCK) ** 2
+    tracemalloc.start()
+    try:
+        for convert in (lambda: QuadtreeMatrix.from_dense(a), q.to_dense):
+            base = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            out = convert()
+            peak = tracemalloc.get_traced_memory()[1] - base
+            del out
+            assert peak < 1.6 * a.nbytes
+    finally:
+        tracemalloc.stop()
 
 
 # -- stacks and bookkeeping --------------------------------------------------

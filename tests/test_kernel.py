@@ -464,17 +464,18 @@ def test_thread_count_changes_no_result(variant, case):
 
 
 def test_threads_start_at_a_fixed_amount_of_work():
-    # the cut is 512 tasks at n_b = 16, and the same micro product count at 64
+    # the cut is 512 tasks at n_b = 16, by micro products, and 16 tasks at 64,
+    # by the task floor (8 tasks there already hold the micro products)
     cores = len(os.sched_getaffinity(0))
     assert numeric._thread_count(511, 16, 100) == 1
     assert numeric._thread_count(512, 16, 100) == min(cores, 100)
-    assert numeric._thread_count(7, 64, 100) == 1
-    assert numeric._thread_count(8, 64, 100) == min(cores, 100)
-    assert numeric._thread_count(7, 64, 100, wanted=3) == 3
+    assert numeric._thread_count(15, 64, 100) == 1
+    assert numeric._thread_count(16, 64, 100) == min(cores, 100)
+    assert numeric._thread_count(15, 64, 100, wanted=3) == 3
     # n = 256 at n_b = 64: 64 large tasks run on the usable cores
     a = QuadtreeMatrix.from_dense(decay_matrix(256, seed=66).data, 64)
     c, plan, counters = multiply(a, a, MultiplyConfig(tau=1e-8))
-    assert 8 <= plan.a_slot.size < 512
+    assert numeric._MIN_THREAD_TASKS <= plan.a_slot.size < 512
     assert counters.threads == min(cores, c.leaf_count)
 
 
