@@ -18,14 +18,19 @@ at any leaf size.  At tau = 0 a larger leaf also runs the products of the
 zero sub-blocks it stores, which pass the 0 >= 0 gate and add zeros: the
 bits stay the same, products4 may grow.  So the 4x4 gate decides the work
 and the leaf only schedules it; larger leaves mean fewer tasks, plan rows
-and product leaves.  (The alpha/beta path scales and adds whole leaves, so
-there the sign of a zero element can depend on which leaves are stored.)
+and product leaves.  C = alpha A B + beta C is laid out once, by one
+np.unique over the product's keys and, when beta != 0, C's old keys.  The
+product adds into that zeroed stack, alpha scales it in place and beta C,
+laid on the same leaves with zeros elsewhere, is added in place: each
+element is alpha S + beta old in float32, a side with no leaf read as +0,
+as where no leaf is stored.  So this too does not depend on n_b, but where
+alpha < 0 and beta <= 0 make alpha (+0) + beta (+0) a -0 in a stored leaf.
 
 Accumulation order is fixed for reproducibility: tasks accumulate into
 their product leaf in plan order, and each block product adds its rank-1
 terms in ascending k, as a separate float32 multiply and add.  The
 executor is one C function (_kernel.c) that walks the plan's tasks in that
-order into a (G, n_b, n_b) float32 stack, one block per product leaf.
+order into a (G, n_b, n_b) float32 stack, one block per leaf of C.
 Within a task it takes each 4-row strip as pairs of slabs, a slab being
 1, 2 or 4 adjacent 4x4 C tiles held in registers.  For each pair one gate
 pass over the k blocks tests every gate once into a bit per tile, counts
@@ -46,7 +51,7 @@ width's variant, and _kernel_isa(n_b) the one that runs at n_b.
 The gated kernel runs on the usable cores (os.sched_getaffinity, else
 os.cpu_count), at most one per product leaf, and on one thread for a plan
 of fewer than _MIN_THREAD_TASKS tasks or _MIN_THREAD_PRODUCTS micro
-products.  Each thread owns a contiguous range of product leaves, balanced
+products.  Each thread owns a contiguous range of C's leaves, balanced
 by task count, and walks the whole plan, running only the tasks into its
 own leaves; so results and counters do not depend on the thread count.
 The dense-leaf foil needs no C: numpy's matmul forms its block products and
@@ -213,8 +218,9 @@ def execute_plan(
     """Run the numeric phase: C = alpha * (planned products) + beta * C.
 
     a and b must hold the leaf keys the plan was built from, else
-    ValueError (stale handles).  C leaves are allocated on demand and zero
-    initialized; C norms are recomputed once after the pass.  A C leaf that
+    ValueError (stale handles).  C's new leaves are the product's and, if
+    beta != 0, its old ones: each element is alpha S + beta old in float32,
+    a missing side read as +0.  Its norms are rebuilt once.  A C leaf that
     overflows float32 raises OverflowError naming its block row and column,
     and c is left as it was.  With alpha = 0 the product pass is skipped
     outright (counters stay zero) and C = beta * C_before exactly.
@@ -244,42 +250,54 @@ def _execute(plan, a, b, c, cfg, dense_kernel, threads=None):
         raise ValueError("plan was built for operands with other leaves (stale handles)")
     plan.check()  # its arrays may have been reassigned since it was built
     counters = ExecCounters()
+    # C's leaves, laid out once: the product's and, when beta != 0, the old ones
+    products = plan.c_key if cfg.alpha else np.empty(0, np.uint64)
+    olds = c.keys if cfg.beta else np.empty(0, np.uint64)
+    keys, slot = np.unique(np.concatenate((products, olds)), return_inverse=True)
+    T = products.size
+    stack = np.zeros((keys.size, nb, nb), np.float32)
     # an overflowing product or sum is caught by _store, which names its leaf
     with np.errstate(over="ignore", invalid="ignore"):
-        if plan.a_slot.size and cfg.alpha != 0:
+        if T:
             counters.kernel = "matmul" if dense_kernel else _kernel_isa(nb)
-            keys, stack = _run_stream(plan, a, b, _gate(cfg), counters, dense_kernel,
-                                      threads)
-        else:
-            keys, stack = np.empty(0, np.uint64), np.empty((0, nb, nb), np.float32)
-        leaves = _compose(c, keys, stack, cfg.alpha, cfg.beta)
-    c._store(*leaves)
+            _run_stream(plan, a, b, slot[:T], stack, _gate(cfg), counters, dense_kernel,
+                        threads)
+        if cfg.alpha != 1:
+            stack *= np.float32(cfg.alpha)
+        if cfg.beta:
+            # alpha = 0 forms no product: the stack itself takes beta * C, exactly
+            old = np.zeros(stack.shape, np.float32) if cfg.alpha else stack
+            old[slot[T:]] = c.values
+            if cfg.beta != 1:
+                old *= np.float32(cfg.beta)
+            if cfg.alpha:
+                stack += old
+    c._store(keys, stack)
     counters.seconds = time.perf_counter() - t0
     return c, counters
 
 
-def _run_stream(plan, a, b, gate, counters, dense_kernel, threads):
-    """Accumulate all tasks into per-c_key float32 blocks, in plan order;
-    returns the ascending product keys and their (G, n_b, n_b) block stack.
+def _run_stream(plan, a, b, c_slot, acc, gate, counters, dense_kernel, threads):
+    """Add every task t's block product into acc[c_slot[t]], in plan order.
 
     The gated path is one kernel call over the whole plan, on
-    _thread_count threads.  The dense-leaf foil forms its block products
-    with batched matmul, one k lane (cut to a bounded chunk) at a time, on
-    one thread.  A lane of a built plan adds at most one task into each
-    product leaf, so one fancy-indexed add sums each leaf's products in plan
-    order; a lane of a hand-made plan that repeats a leaf is added by
-    np.add.at, in the same order.
+    _thread_count threads, at most one per leaf that takes a task.  The
+    dense-leaf foil forms its block products with batched matmul, one k
+    lane (cut to a bounded chunk) at a time, on one thread.  A lane of a
+    built plan adds at most one task into each product leaf, so one
+    fancy-indexed add sums each leaf's products in plan order; a lane of a
+    hand-made plan that repeats a leaf is added by np.add.at, in the same
+    order.
     """
     nb = a.n_b
-    T = plan.a_slot.size
-    keys, c_slot = np.unique(plan.c_key, return_inverse=True)
-    acc = np.zeros((keys.size, nb, nb), np.float32)
+    T = c_slot.size
     if dense_kernel:
         lane = k_of_a(plan.a)
         step = max(1, _CHUNK_FLOATS // (nb * nb))
-        cuts = np.union1d(np.flatnonzero(lane[1:] != lane[:-1]) + 1, range(0, T, step))
-        bounds = [*cuts.tolist(), T]
-        span, seen = np.arange(step), np.empty(keys.size, np.int64)
+        cut = lane[1:] != lane[:-1]
+        cut[step - 1::step] = True  # a chunk ends at a lane change and every step tasks
+        bounds = [0, *(np.flatnonzero(cut) + 1).tolist(), T]
+        span, seen = np.arange(step), np.empty(len(acc), np.int64)
         for lo, hi in zip(bounds, bounds[1:]):
             prod = np.matmul(a.values[plan.a_slot[lo:hi]], b.values[plan.b_slot[lo:hi]])
             slots = c_slot[lo:hi]
@@ -292,35 +310,12 @@ def _run_stream(plan, a, b, gate, counters, dense_kernel, threads):
         counters.products4 += T * (nb // 4) ** 3
         counters.threads = 1
     else:
-        counters.threads = _thread_count(T, nb, keys.size, threads)
+        counters.threads = _thread_count(T, nb, np.count_nonzero(np.bincount(c_slot)), threads)
         run, skipped = _stream_gated(a.values, a.subnorms, b.values, b.subnorms,
                                      plan.a_slot, plan.b_slot, c_slot, acc, gate,
                                      counters.threads)
         counters.products4 += run
         counters.skipped4 += skipped
-    return keys, acc
-
-
-def _compose(c: QuadtreeMatrix, keys: np.ndarray, stack: np.ndarray,
-             alpha: float, beta: float) -> tuple[np.ndarray, np.ndarray]:
-    """New C leaves alpha * stack + beta * old, exact scaling in float32.
-
-    Returns ascending keys and their blocks.  A leaf present on one side
-    only is that side's scaled block, with no added zero.
-    """
-    if alpha != 1:
-        stack = np.float32(alpha) * stack
-    if beta == 0:
-        return keys, stack
-    old = c.values * np.float32(beta) if beta != 1 else c.values
-    merged = np.union1d(c.keys, keys)
-    out = np.empty((merged.size,) + stack.shape[1:], np.float32)
-    out[np.searchsorted(merged, c.keys)] = old
-    slots = np.searchsorted(merged, keys)
-    shared = np.isin(keys, c.keys)
-    out[slots[~shared]] = stack[~shared]
-    out[slots[shared]] = stack[shared] + out[slots[shared]]
-    return merged, out
 
 
 def execute_plan_dense_leaf(

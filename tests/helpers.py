@@ -8,7 +8,9 @@ to be compared against.
 
 from __future__ import annotations
 
+import importlib.util
 import math
+from pathlib import Path
 
 import numpy as np
 
@@ -33,6 +35,16 @@ def rng_matrix(m: int, n: int, seed: int, scale: float = 1.0) -> np.ndarray:
 
 def decay_matrix(n: int, seed: int = 0, kind: str = "exponential", **kw) -> DenseMatrix:
     return generate(GeneratorSpec(kind=kind, n=n, seed=seed, **kw))
+
+
+def bench_purification_start(n: int, seed: int) -> np.ndarray:
+    """X0 of perfbench's purify workload, from its own input module."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "checks.py"
+    spec = importlib.util.spec_from_file_location("perfbench_checks", path)
+    checks = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(checks)
+    h, _ = checks.hamiltonian(n, np.random.default_rng(seed))
+    return checks.purification_start(h)
 
 
 def sub_norms(values: np.ndarray) -> np.ndarray:

@@ -479,6 +479,24 @@ def test_threads_start_at_a_fixed_amount_of_work():
     assert counters.threads == min(cores, c.leaf_count)
 
 
+def test_old_only_leaves_start_no_thread():
+    # 20 tasks of 16^3 micro products into one product leaf, beside three C
+    # leaves that take no task: a thread per C leaf would start an idle one
+    a_dense = np.zeros((128, 1280), np.float32)
+    a_dense[:64] = rng_matrix(64, 1280, seed=67)
+    b_dense = np.zeros((1280, 128), np.float32)
+    b_dense[:, :64] = rng_matrix(1280, 64, seed=68)
+    a = QuadtreeMatrix.from_dense(a_dense, 64)
+    b = QuadtreeMatrix.from_dense(b_dense, 64)
+    c0 = QuadtreeMatrix.from_dense(rng_matrix(128, 128, seed=69), 64)
+    plan = build_plan(a, b, 0.0)
+    assert np.unique(plan.c_key).size == 1
+    assert plan.a_slot.size >= numeric._MIN_THREAD_TASKS
+    assert plan.a_slot.size * 16**3 >= numeric._MIN_THREAD_PRODUCTS
+    out, counters = numeric.execute_plan(plan, a, b, c0, MultiplyConfig(alpha=1.0, beta=1.0))
+    assert out.leaf_count == 4 and counters.threads == 1
+
+
 # -- floating-point environment ----------------------------------------------
 
 

@@ -1,11 +1,15 @@
 """Numeric phase: block products, gating, batched executor, counters, scaling."""
 
+import itertools
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from helpers import (
     LEAF_SIZES,
     assert_norm_invariant,
+    bench_purification_start,
     block_multiply_16,
     decay_matrix,
     rng_matrix,
@@ -246,30 +250,77 @@ def test_removing_a_task_row_drops_exactly_that_product():
     assert full.keys.tolist() == c.keys.tolist() and changed == [gone.c_key]
 
 
+def _scaled(dense_leaf: bool, plan, a, c, alpha: float, beta: float):
+    """alpha A A + beta C and its counters, from the gated executor or the
+    dense-leaf foil."""
+    if dense_leaf:
+        return execute_plan_dense_leaf(plan, a, a, c, alpha, beta)
+    return execute_plan(plan, a, a, c, MultiplyConfig(alpha=alpha, beta=beta))
+
+
+def _bits(x: np.ndarray) -> np.ndarray:
+    return x.view(np.uint32)  # so -0.0 differs from +0.0
+
+
 def test_alpha_scaling_and_beta_accumulation():
-    for nb in LEAF_SIZES:
-        a = QuadtreeMatrix.from_dense(decay_matrix(64, seed=21).data, nb)
-        c0_dense = rng_matrix(64, 64, seed=22)
+    # each element is alpha P + beta C0 in float32, each product rounded
+    # first, a side with no leaf read as +0, so the zeros' signs match too;
+    # P is the executor's own product, gated kernel and dense-leaf foil
+    zero_row = rng_matrix(128, 128, seed=20)
+    zero_row[0] = 0  # the product's leaves along block row 0 hold exact zeros
+    corner = rng_matrix(128, 128, seed=22)
+    corner[:64] = corner[:, :64] = 0  # C0 has no leaf beside them
+    cases = [(decay_matrix(64, seed=21).data, rng_matrix(64, 64, seed=22), 2.0, 0.5),
+             (zero_row, corner, -1.0, 2.0)]
+    for dense_leaf, nb, (a_dense, c0_dense, alpha, beta) in itertools.product(
+            (False, True), LEAF_SIZES, cases):
+        a = QuadtreeMatrix.from_dense(a_dense, nb)
         plan = build_plan(a, a, 0.0)
-        plain, _ = execute_plan(plan, a, a, None, MultiplyConfig())
-        doubled, _ = execute_plan(plan, a, a, None, MultiplyConfig(alpha=2.0))
-        assert np.array_equal(doubled.to_dense().data, 2.0 * plain.to_dense().data)
+        p = _scaled(dense_leaf, plan, a, None, 1.0, 0.0)[0].to_dense().data
+        doubled, _ = _scaled(dense_leaf, plan, a, None, 2.0, 0.0)
+        assert np.array_equal(_bits(doubled.to_dense().data), _bits(np.float32(2) * p))
         c0 = QuadtreeMatrix.from_dense(c0_dense, nb)
-        mixed, _ = execute_plan(plan, a, a, c0, MultiplyConfig(alpha=2.0, beta=0.5))
-        want = (2.0 * plain.to_dense().data.astype(np.float32)
-                + np.float32(0.5) * c0_dense)
-        assert np.array_equal(mixed.to_dense().data, want)
+        mixed, _ = _scaled(dense_leaf, plan, a, c0, alpha, beta)
+        want = np.float32(alpha) * p + np.float32(beta) * c0_dense
+        assert np.array_equal(_bits(mixed.to_dense().data), _bits(want))
 
 
 def test_alpha_zero_skips_the_product_pass():
-    for nb in LEAF_SIZES:
+    # no product is formed: C = beta C exactly, a zero's sign included, and
+    # at beta = 0 C has no leaves; gated kernel and dense-leaf foil alike
+    c0_dense = rng_matrix(64, 64, seed=24)
+    c0_dense[::3] = -0.0
+    c0_dense[1::3, ::2] = 0.0
+    for dense_leaf, nb, beta in itertools.product((False, True), LEAF_SIZES, (1.0, -1.0, 0.0)):
         a = QuadtreeMatrix.from_dense(decay_matrix(64, seed=23).data, nb)
-        c0_dense = rng_matrix(64, 64, seed=24)
         c0 = QuadtreeMatrix.from_dense(c0_dense, nb)
         plan = build_plan(a, a, 0.0)
-        out, counters = execute_plan(plan, a, a, c0, MultiplyConfig(alpha=0.0, beta=1.0))
+        out, counters = _scaled(dense_leaf, plan, a, c0, 0.0, beta)
         assert counters.products4 == 0 and counters.skipped4 == 0
-        assert np.array_equal(out.to_dense().data, c0_dense)
+        if beta:
+            want = np.float32(beta) * c0_dense
+            assert np.array_equal(_bits(out.to_dense().data), _bits(want))
+        else:
+            assert out.leaf_count == 0 and out.norm == 0
+
+
+def test_accumulator_path_holds_about_two_leaf_stacks():
+    # C is laid out once: the peak is its leaf stack and one laid copy of
+    # beta C, on the purification step C = 2 X - X X with C = X
+    x = QuadtreeMatrix.from_dense(bench_purification_start(1024, seed=0), 64)
+    stack = x.values.nbytes
+    cfg = MultiplyConfig(tau=1e-8, alpha=-1.0, beta=2.0)
+    plan = build_plan(x, x, cfg.tau)
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        out, _ = execute_plan(plan, x, x, x, cfg)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert out.values.nbytes == stack
+    assert peak < 2.6 * stack
 
 
 def test_beta_zero_discards_accumulator_content():

@@ -4,7 +4,8 @@ Operands are rectangular (so their trees often differ in depth), carry a
 drawn decay envelope and a share of exactly zero blocks, and use every
 block size whose 4x4 sub-norm grid the numeric phase supports.  The fine4
 product itself does not depend on the block size: the leaf only schedules
-the micro products that the 4x4 gate lets through.
+the micro products that the 4x4 gate lets through; nor, but for the signs
+of some zeros when alpha < 0 and beta <= 0, does alpha A B + beta C.
 """
 
 import numpy as np
@@ -106,17 +107,32 @@ def test_executor_equals_sequential_block_loop(m, k, n, nb, seed, tau, granulari
 
 @settings(max_examples=60, deadline=None)
 @given(m=st.integers(1, 160), k=st.integers(1, 160), n=st.integers(1, 160), seed=SEEDS,
-       tau=st.sampled_from([0.0, 1e-6, 1e-3, 1e-1, 1.0]))
-@example(m=150, k=40, n=70, seed=0, tau=1e-3)  # A at depth 6, B at 5 (n_b = 4)
-def test_fine4_product_is_the_same_at_every_block_size(m, k, n, seed, tau):
-    # a leaf norm is at least each of its sub-norms, so leaf pruning drops no
-    # open micro product: the same ones run, in ascending k, at every n_b
+       tau=st.sampled_from([0.0, 1e-6, 1e-3, 1e-1, 1.0]),
+       alpha_beta=st.sampled_from([(1.0, 0.0), (-1.0, 2.0), (1.0, 1.0), (2.0, -0.5)]))
+@example(m=150, k=40, n=70, seed=0, tau=1e-3, alpha_beta=(1.0, 0.0))  # depths 6, 5 at n_b 4
+@example(m=150, k=40, n=70, seed=0, tau=1e-3, alpha_beta=(-1.0, 2.0))
+def test_fine4_product_is_the_same_at_every_block_size(m, k, n, seed, tau, alpha_beta):
+    """alpha A B + beta C has the same bits at every n_b.
+
+    A leaf norm is at least each of its sub-norms, so leaf pruning drops no
+    open micro product: the same ones run, in ascending k, at every n_b.
+    Each stored element is alpha S + beta old with a side that has no leaf
+    read as +0, which is also what an element reads where no leaf is stored.
+    C holds no -0: one in an all-zero block is dropped at small n_b.  alpha
+    < 0 with beta <= 0 is left out: there alpha (+0) + beta (+0) is -0 in a
+    stored leaf but +0 where no leaf is stored, so the sign of a zero
+    depends on the layout.
+    """
+    alpha, beta = alpha_beta
     rng = np.random.default_rng(seed)
     a, b = _operand(rng, m, k), _operand(rng, k, n)
+    c0 = _operand(rng, m, n) + np.float32(0)
+    cfg = MultiplyConfig(tau=tau, alpha=alpha, beta=beta)
     bits, work = [], []
     for nb in (4, 8, 16, 32, 64):
         c, _, counters = multiply(QuadtreeMatrix.from_dense(a, nb),
-                                  QuadtreeMatrix.from_dense(b, nb), MultiplyConfig(tau=tau))
+                                  QuadtreeMatrix.from_dense(b, nb), cfg,
+                                  QuadtreeMatrix.from_dense(c0, nb))
         bits.append(c.to_dense().data.view(np.uint32))  # so -0.0 counts
         work.append(counters.products4)
     for got in bits[1:]:
