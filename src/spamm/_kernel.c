@@ -1,14 +1,16 @@
-/* Kernels of the numeric phase and of the norm rebuild, loaded by
- * spamm._kernel through ctypes.  The library exports three functions:
- * spamm_stream_gated, the gated product stream; spamm_slab_tiles, the slab
- * width it runs at a block size; and spamm_subnorm_squares, the squared
- * 4x4 sub-block norms of the norm rebuild and of the tree build.
+/* Kernels of the numeric phase and of the tree conversions, loaded by
+ * spamm._kernel through ctypes.  The library exports four functions:
+ * spamm_stream_gated, the gated product stream and the finish of each C leaf;
+ * spamm_slab_tiles, the slab width it runs at a block size;
+ * spamm_subnorm_squares, the squared 4x4 sub-block norms of the tree build;
+ * and spamm_leaves_to_rows, the dense rows of a tree.
  *
  * Leaves are row-major n_b x n_b float32 blocks, stacked; sub-norm grids are
  * row-major s x s float32 blocks, s = n_b / 4.  spamm_subnorm_squares reads
  * any row-major grid of n_b x n_b blocks in place, with a row stride: a leaf
  * stack is a grid one block wide, and a matrix whose sides are multiples of
  * n_b is its own grid, so a tree is built from the dense rows in one pass.
+ * spamm_leaves_to_rows goes the other way, writing each output row once.
  *
  * Tasks are walked in plan order.  The gated kernel works on slabs: W
  * adjacent 4x4 tiles of one 4-row strip of a C leaf, held as four 4W-float
@@ -41,8 +43,11 @@
  * [bounds[i], bounds[i + 1]) and walks the whole plan in order, running only
  * the tasks into its own slots.  So no two threads write one leaf, every C
  * element adds its terms in the same order as on one thread, and results and
- * counters do not depend on the thread count.  The threads are started and
- * joined inside the call; the calling thread runs the first range.
+ * counters do not depend on the thread count.  Each thread also sets its
+ * slots to zero before its tasks and finishes them after: alpha S + beta old
+ * per element in float32, then the leaf's sub-norm squares while it is still
+ * in cache.  The threads are started and joined inside the call; the calling
+ * thread runs the first range.
  *
  * Build without FMA contraction (-ffp-contract=off) and without -ffast-math,
  * which would contract, reassociate or flush subnormals, and with -pthread.
@@ -53,6 +58,7 @@
 #include <pthread.h>
 #include <stddef.h>
 #include <stdint.h>
+#include <string.h>
 
 #if defined(__x86_64__) || defined(__i386__)
 #define SPAMM_X86 1
@@ -64,7 +70,11 @@ struct stream {
     const float *a, *asub, *b, *bsub;
     const int64_t *a_slot, *b_slot, *c_slot;
     float *c;
-    double gate;
+    double gate, alpha, beta;
+    const float *old;
+    const int64_t *old_slot;
+    int64_t zero;
+    double *subsq;
 };
 
 /* Runs the tasks into the C slots [lo, hi) and adds their counters. */
@@ -80,10 +90,19 @@ struct part {
     int started;
 };
 
+static void finish(const struct stream *st, int64_t lo, int64_t hi);
+
+/* One thread's range: set to zero unless the caller summed into it already,
+ * then the tasks into it, then its finish. */
 static void *run_part(void *arg)
 {
     struct part *p = arg;
-    p->body(p->st, p->lo, p->hi, p->counts);
+    const struct stream *st = p->st;
+    if (st->zero && p->lo < p->hi)
+        memset(st->c + p->lo * st->nb * st->nb, 0,
+               (size_t)((p->hi - p->lo) * st->nb * st->nb) * sizeof(float));
+    p->body(st, p->lo, p->hi, p->counts);
+    finish(st, p->lo, p->hi);
     return NULL;
 }
 
@@ -297,19 +316,101 @@ int spamm_slab_tiles(int64_t nb)
     return 1;
 }
 
+/* The float64 sums of squares of the 4x4 sub-blocks of one n_b x n_b block
+ * whose rows are ld floats apart, into out[p * s + q], added in the order of
+ * numpy's sum(axis=(2, 4)) over the block's squares as (s, 4, s, 4): each
+ * 4-element row left to right, then the four row sums top to bottom.  At
+ * n_b = 4 the sub-block is the whole block, whose 16 squares numpy sums as
+ * one run in its pairwise order: value j plus value j + 8 for each j < 8
+ * (value j being row j / 4, column j % 4), then those eight sums as a
+ * balanced tree.  Squares of float32 values are exact in float64, so only
+ * the order of the additions matters. */
+static void block_squares(const float *v, int64_t nb, int64_t ld, double *out)
+{
+    const int64_t s = nb / 4;
+    if (s == 1) {
+        const float *row[4] = {v, v + ld, v + 2 * ld, v + 3 * ld};
+        double r[8];
+        for (int j = 0; j < 4; j++) {
+            r[j] = (double)row[0][j] * (double)row[0][j] +
+                   (double)row[2][j] * (double)row[2][j];
+            r[j + 4] = (double)row[1][j] * (double)row[1][j] +
+                       (double)row[3][j] * (double)row[3][j];
+        }
+        *out = ((r[0] + r[1]) + (r[2] + r[3])) + ((r[4] + r[5]) + (r[6] + r[7]));
+        return;
+    }
+    for (int64_t p = 0; p < s; p++) {
+        for (int64_t q = 0; q < s; q++) {
+            double total = 0.0;
+            for (int64_t i = 0; i < 4; i++) {
+                const float *row = v + (4 * p + i) * ld + 4 * q;
+                double sum = 0.0;
+                for (int64_t j = 0; j < 4; j++)
+                    sum += (double)row[j] * (double)row[j];
+                total += sum;
+            }
+            *out++ = total;
+        }
+    }
+}
+
+/* Finishes the C slots [lo, hi): each element becomes alpha S + beta old in
+ * float32, S being what the slot holds and old the element of leaf
+ * old_slot[g] of the old stack, each product rounded before the add, and a
+ * side with no leaf read as +0; then the leaf's sub-norm squares go to
+ * subsq.  alpha = 1 and beta = 1 skip their multiply, which changes no bit;
+ * beta = 0 adds nothing, and alpha = 0 forms exactly beta old, since no
+ * product was formed.  The zero tests are on the float64 arguments, which
+ * decided the leaves; the arithmetic is on their float32 roundings. */
+static void finish(const struct stream *st, int64_t lo, int64_t hi)
+{
+    const int64_t nb = st->nb, leaf = nb * nb, grid = (nb / 4) * (nb / 4);
+    const float alpha = (float)st->alpha, beta = (float)st->beta;
+    const float zero = beta * 0.0f; /* beta (+0): -0 where beta < 0 */
+    for (int64_t g = lo; g < hi; g++) {
+        float *c = st->c + g * leaf;
+        const float *old = st->old_slot[g] < 0 ? NULL : st->old + st->old_slot[g] * leaf;
+        if (st->alpha == 0) {
+            for (int64_t i = 0; i < leaf; i++)
+                c[i] = old ? beta * old[i] : zero;
+        } else {
+            if (alpha != 1)
+                for (int64_t i = 0; i < leaf; i++)
+                    c[i] = alpha * c[i];
+            if (st->beta != 0 && !old)
+                for (int64_t i = 0; i < leaf; i++)
+                    c[i] = c[i] + zero;
+            else if (st->beta != 0 && beta == 1)
+                for (int64_t i = 0; i < leaf; i++)
+                    c[i] = c[i] + old[i];
+            else if (st->beta != 0)
+                for (int64_t i = 0; i < leaf; i++)
+                    c[i] = c[i] + beta * old[i];
+        }
+        block_squares(c, nb, nb, st->subsq + g * grid);
+    }
+}
+
 /* Runs the gated products on slabs of `tiles` tiles, or of the widest that
  * spamm_slab_tiles(nb) allows if that is narrower, on nthreads threads over
- * the C slot ranges of bounds. */
+ * the C slot ranges of bounds, and finishes every C slot: old is the old
+ * leaf stack, old_slot[g] the old leaf of slot g or -1, subsq a float64
+ * (G, s, s) stack.  With zero the C slots start as +0; without, they start
+ * as the caller left them, holding sums it formed itself. */
 void spamm_stream_gated(int64_t ntask, int64_t nb,
                         const float *a, const float *asub,
                         const float *b, const float *bsub,
                         const int64_t *a_slot, const int64_t *b_slot,
                         const int64_t *c_slot, float *c, double gate,
                         int64_t *counts, int64_t nthreads,
-                        const int64_t *bounds, int64_t tiles)
+                        const int64_t *bounds, int64_t tiles,
+                        double alpha, double beta, const float *old,
+                        const int64_t *old_slot, int64_t zero, double *subsq)
 {
-    const struct stream st = {ntask, nb, a, asub, b, bsub,
-                              a_slot, b_slot, c_slot, c, gate};
+    const struct stream st = {ntask, nb, a, asub, b, bsub, a_slot, b_slot,
+                              c_slot, c, gate, alpha, beta, old, old_slot,
+                              zero, subsq};
     const int64_t widest = spamm_slab_tiles(nb);
     if (tiles > widest)
         tiles = widest;
@@ -326,47 +427,35 @@ void spamm_stream_gated(int64_t ntask, int64_t nb,
 /* The float64 sums of squares of the 4x4 sub-blocks of a rows x cols grid
  * of n_b x n_b float32 blocks whose rows are ld floats apart: block (I, J)
  * starts at values + I * nb * ld + J * nb, and out[I, J, p, q] is the sum of
- * its sub-block (p, q).  A leaf stack is the grid rows = L, cols = 1,
- * ld = n_b; the dense rows of a matrix are the grid ld = cols * n_b.  Each
- * sum is added in the order of numpy's sum(axis=(2, 4)) over the blocks'
- * squares as (L, s, 4, s, 4): each 4-element row left to right, then the
- * four row sums top to bottom.  At n_b = 4 the sub-block is the whole
- * block, whose 16 squares numpy sums as one run in its pairwise order:
- * value j plus value j + 8 for each j < 8 (value j being row j / 4, column
- * j % 4), then those eight sums as a balanced tree.  Squares of float32
- * values are exact in float64, so only the order of the additions matters. */
+ * its sub-block (p, q), in block_squares' order.  A leaf stack is the grid
+ * rows = L, cols = 1, ld = n_b; the dense rows of a matrix are the grid
+ * ld = cols * n_b. */
 void spamm_subnorm_squares(int64_t rows, int64_t cols, int64_t nb, int64_t ld,
                            const float *values, double *out)
 {
-    const int64_t s = nb / 4;
-    for (int64_t bi = 0; bi < rows; bi++) {
-        for (int64_t bj = 0; bj < cols; bj++) {
-            const float *v = values + bi * nb * ld + bj * nb;
-            if (s == 1) {
-                const float *row[4] = {v, v + ld, v + 2 * ld, v + 3 * ld};
-                double r[8];
-                for (int j = 0; j < 4; j++) {
-                    r[j] = (double)row[0][j] * (double)row[0][j] +
-                           (double)row[2][j] * (double)row[2][j];
-                    r[j + 4] = (double)row[1][j] * (double)row[1][j] +
-                               (double)row[3][j] * (double)row[3][j];
-                }
-                *out++ = ((r[0] + r[1]) + (r[2] + r[3])) + ((r[4] + r[5]) + (r[6] + r[7]));
-                continue;
-            }
-            for (int64_t p = 0; p < s; p++) {
-                for (int64_t q = 0; q < s; q++) {
-                    double total = 0.0;
-                    for (int64_t i = 0; i < 4; i++) {
-                        const float *row = v + (4 * p + i) * ld + 4 * q;
-                        double sum = 0.0;
-                        for (int64_t j = 0; j < 4; j++)
-                            sum += (double)row[j] * (double)row[j];
-                        total += sum;
-                    }
-                    *out++ = total;
-                }
-            }
+    const int64_t grid = (nb / 4) * (nb / 4);
+    for (int64_t bi = 0; bi < rows; bi++)
+        for (int64_t bj = 0; bj < cols; bj++)
+            block_squares(values + bi * nb * ld + bj * nb, nb, ld,
+                          out + (bi * cols + bj) * grid);
+}
+
+/* The m x n float32 rows of a tree: index[I * bc + J] is the leaf of block
+ * (I, J) in the stack values, or -1 where none is stored, bc = ceil(n / n_b).
+ * Each row is written once, left to right, as its n_b-wide pieces (the last
+ * one cut to the matrix), each copied from its leaf's row or set to +0. */
+void spamm_leaves_to_rows(int64_t m, int64_t n, int64_t nb,
+                          const int64_t *index, const float *values, float *out)
+{
+    const int64_t bc = (n + nb - 1) / nb;
+    for (int64_t i = 0; i < m; i++, out += n) {
+        const int64_t *leaf = index + i / nb * bc;
+        for (int64_t j = 0; j < bc; j++) {
+            const size_t width = (size_t)(j + 1 < bc ? nb : n - j * nb) * sizeof(float);
+            if (leaf[j] < 0)
+                memset(out + j * nb, 0, width);
+            else
+                memcpy(out + j * nb, values + (leaf[j] * nb + i % nb) * nb, width);
         }
     }
 }

@@ -56,12 +56,16 @@ def _load_kernel() -> ctypes.CDLL:
             ) from None
     lib = ctypes.CDLL(str(path))
     ptr, i64 = ctypes.c_void_p, ctypes.c_int64
-    lib.spamm_stream_gated.argtypes = [i64, i64] + [ptr] * 8 + [ctypes.c_double, ptr, i64, ptr, i64]
+    f64 = ctypes.c_double
+    lib.spamm_stream_gated.argtypes = ([i64, i64] + [ptr] * 8 + [f64, ptr, i64, ptr, i64]
+                                       + [f64, f64, ptr, ptr, i64, ptr])
     lib.spamm_stream_gated.restype = None
     lib.spamm_slab_tiles.argtypes = [i64]
     lib.spamm_slab_tiles.restype = ctypes.c_int
     lib.spamm_subnorm_squares.argtypes = [i64] * 4 + [ptr] * 2
     lib.spamm_subnorm_squares.restype = None
+    lib.spamm_leaves_to_rows.argtypes = [i64] * 3 + [ptr] * 3
+    lib.spamm_leaves_to_rows.restype = None
     return lib
 
 

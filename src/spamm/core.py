@@ -8,11 +8,13 @@ norm of the whole matrix.  An absent key means an exactly zero submatrix.
 The multiply phases prune against the block and sub-block norms; interior
 nodes exist only as key arithmetic and store no norms.  All norms are
 built by one routine, _store, once per tree and once per execute_plan for
-its accumulator, so they are never stale.  The float64 sub-block square
-sums come from one strided C pass of _kernel.c over a grid of blocks: the
-leaf stack, or in from_dense the dense rows themselves, so that from_dense
-copies only the nonzero blocks.  The block and matrix norms, their float32
-rounding and the overflow checks are numpy.
+its accumulator, so they are never stale, and _store makes the arrays
+read-only.  The float64 sub-block square sums come from one C routine of
+_kernel.c: a strided pass over the dense rows in from_dense, so that it
+copies only the nonzero blocks, and the kernel threads' finish of each
+product leaf in execute_plan.  The block and matrix norms, their float32
+rounding and the overflow checks are numpy.  to_dense writes each output
+row once, in one C pass over the leaves.
 """
 
 from __future__ import annotations
@@ -115,9 +117,9 @@ class QuadtreeMatrix:
         norm      Frobenius norm of the whole matrix, a float32 value
 
     A tree is built whole, by from_dense, from_leaves or io.load_quadtree.
-    Its arrays are replaced whole only by _store, and only when the tree is
-    the accumulator of numeric.execute_plan, which stores once after its
-    pass over the operands.
+    Its arrays are read-only; they are replaced whole only by _store, and
+    only when the tree is the accumulator of numeric.execute_plan, which
+    stores once after its pass over the operands.
     """
 
     def __init__(self, m: int, n: int, n_b: int = DEFAULT_BLOCK):
@@ -145,21 +147,30 @@ class QuadtreeMatrix:
         One strided pass over the float32 rows gives every block's sub-block
         square sums; a block is stored when their total is nonzero (the
         square of a float32 subnormal is still nonzero in float64, that of
-        -0 is +0), and only those blocks are copied.  Float32 input whose
-        sides are multiples of n_b is read in place; other input is first
-        cast into one zero-padded float32 grid.
+        -0 is +0), and only those blocks are copied.  A float32 ndarray whose
+        sides are multiples of n_b is read in place, and checked finite
+        through those sums, a non-finite element making its sum non-finite;
+        other input is checked as a DenseMatrix and first cast into one
+        zero-padded float32 grid.
         """
-        if isinstance(dense, np.ndarray):
+        _validate_block_size(n_b)
+        aligned = (isinstance(dense, np.ndarray) and dense.dtype == np.float32
+                   and dense.ndim == 2 and dense.size > 0
+                   and not (dense.shape[0] % n_b or dense.shape[1] % n_b))
+        if isinstance(dense, np.ndarray) and not aligned:
             dense = DenseMatrix(dense)
-        q = cls(dense.m, dense.n, n_b)
+        data = np.ascontiguousarray(dense) if aligned else dense.data
+        q = cls(*data.shape, n_b)
         br = -(-q.m // n_b)
         bc = -(-q.n // n_b)
-        grid = dense.data
+        grid = data
         if grid.dtype != np.float32 or grid.shape != (br * n_b, bc * n_b):
             grid = np.zeros((br * n_b, bc * n_b), np.float32)
             with np.errstate(over="ignore"):  # _store names an overflowed leaf
-                grid[: q.m, : q.n] = dense.data
+                grid[: q.m, : q.n] = data
         subsq = _subnorm_squares(grid, n_b)
+        if aligned and not np.isfinite(subsq).all():
+            raise ValueError("matrix elements must be finite")
         bi, bj = np.nonzero(subsq.any(axis=(2, 3)))
         keys = encode_array(bi, bj)
         order = np.argsort(keys)
@@ -227,13 +238,15 @@ class QuadtreeMatrix:
         Sub-block and block norms come from exact float64 square sums of the
         leaf values, the matrix norm from the float64 total of the block
         square sums; each is rounded to float32 once.  The sub-block square
-        sums come from _subnorm_squares: from_dense passes those its pass
-        over the dense rows gave, and for every other caller they are
-        computed here from the leaf stack.  A norm that is not finite in
-        float32 (a non-finite value, or finite values whose norm exceeds
-        float32 max) raises OverflowError and leaves the tree as it was: a
-        leaf names its block row and column, and a matrix norm that
-        overflows with every leaf norm finite names the matrix.
+        sums are computed here by _subnorm_squares unless the caller passes
+        them: from_dense's pass over the dense rows and the gated kernel's
+        finish of each C leaf form them by the same C routine.  A norm that
+        is not finite in float32 (a non-finite value, or finite values whose
+        norm exceeds float32 max) raises OverflowError and leaves the tree as
+        it was: a leaf names its block row and column, and a matrix norm that
+        overflows with every leaf norm finite names the matrix.  The stored
+        keys, values, norms and subnorms are made read-only, so a stored tree
+        holds only finite values: writing into one raises ValueError.
         """
         if subsq is None:
             subsq = _subnorm_squares(values)
@@ -250,22 +263,32 @@ class QuadtreeMatrix:
             )
         if np.isinf(norm):
             raise OverflowError("matrix norm is not finite in float32")
+        subnorms = np.sqrt(subsq).astype(np.float32)
+        for arr in (keys, values, norms, subnorms):
+            arr.flags.writeable = False
         self.keys = keys
         self.values = values
         self.norms = norms
-        self.subnorms = np.sqrt(subsq).astype(np.float32)
+        self.subnorms = subnorms
         self.norm = float(norm)
 
     def to_dense(self) -> DenseMatrix:
-        """The matrix as dense float32 rows; the leaves are written into the
-        zeroed block grid in place, through its 4-D block view."""
+        """The matrix as dense float32 rows, each written once: one C pass
+        copies every n_b-wide piece of a row from its leaf, or sets it to +0
+        where no leaf is stored.  The values are not checked again, since
+        _store refused every non-finite leaf and stored them read-only."""
         nb = self.n_b
-        br = -(-self.m // nb)
-        bc = -(-self.n // nb)
-        out = np.zeros((br * nb, bc * nb), np.float32)
+        index = np.full((-(-self.m // nb), -(-self.n // nb)), -1, np.int64)
         rows, cols = (x.astype(np.intp) for x in decode_array(self.keys))
-        out.reshape(br, nb, bc, nb)[rows, :, cols, :] = self.values
-        return DenseMatrix(out[: self.m, : self.n])
+        index[rows, cols] = np.arange(self.leaf_count)
+        out = np.empty((self.m, self.n), np.float32)
+        _lib.spamm_leaves_to_rows(
+            self.m, self.n, nb, index.ctypes.data,
+            _pointer(self.values, np.float32, (self.leaf_count, nb, nb), "leaf values"),
+            out.ctypes.data)
+        dense = DenseMatrix.__new__(DenseMatrix)
+        dense.data = out
+        return dense
 
     def __repr__(self) -> str:
         return (

@@ -19,12 +19,16 @@ zero sub-blocks it stores, which pass the 0 >= 0 gate and add zeros: the
 bits stay the same, products4 may grow.  So the 4x4 gate decides the work
 and the leaf only schedules it; larger leaves mean fewer tasks, plan rows
 and product leaves.  C = alpha A B + beta C is laid out once, by one
-np.unique over the product's keys and, when beta != 0, C's old keys.  The
-product adds into that zeroed stack, alpha scales it in place and beta C,
-laid on the same leaves with zeros elsewhere, is added in place: each
-element is alpha S + beta old in float32, a side with no leaf read as +0,
-as where no leaf is stored.  So this too does not depend on n_b, but where
-alpha < 0 and beta <= 0 make alpha (+0) + beta (+0) a -0 in a stored leaf.
+np.unique over the product's keys and, when beta != 0, C's old keys, into
+one uninitialised stack that the kernel call writes whole.  Each thread
+sets its own C leaves to zero, adds its tasks' products into them and then
+finishes them while they are still in cache: each element becomes
+alpha S + beta old in float32, the products rounded before the add and a
+side with no leaf read as +0, as where no leaf is stored (beta = 0 adds
+nothing; alpha = 0 forms no product and gives exactly beta old), and the
+leaf's sub-norm squares go to _store.  So this too does not depend on n_b,
+but where alpha < 0 and beta <= 0 make alpha (+0) + beta (+0) a -0 in a
+stored leaf.
 
 Accumulation order is fixed for reproducibility: tasks accumulate into
 their product leaf in plan order, and each block product adds its rank-1
@@ -54,11 +58,13 @@ of fewer than _MIN_THREAD_TASKS tasks or _MIN_THREAD_PRODUCTS micro
 products.  Each thread owns a contiguous range of C's leaves, balanced
 by task count, and walks the whole plan, running only the tasks into its
 own leaves; so results and counters do not depend on the thread count.
-The dense-leaf foil needs no C: numpy's matmul forms its block products and
-a numpy add sums them into the leaves, on one thread.
-The kernel library is built and loaded by spamm._kernel.  It exports three
-functions: the gated stream spamm_stream_gated, its slab width query
-spamm_slab_tiles, and spamm_subnorm_squares of the norm pass in core.
+The dense-leaf foil forms its block products with numpy's matmul and sums
+them into a zeroed stack with a numpy add, on one thread; then the same
+kernel call, with no tasks, finishes its leaves.
+The kernel library is built and loaded by spamm._kernel.  It exports four
+functions: the gated stream and finish spamm_stream_gated, its slab width
+query spamm_slab_tiles, and spamm_subnorm_squares and spamm_leaves_to_rows
+of the conversions in core.
 """
 
 from __future__ import annotations
@@ -102,10 +108,10 @@ def _kernel_isa(nb: int) -> str:
     return _SLAB_ISA[_slab_tiles(nb)]
 
 
-def _slot_pointer(slots: np.ndarray, count: int, bound: int, name: str) -> int:
+def _slot_pointer(slots: np.ndarray, count: int, bound: int, name: str, least: int = 0) -> int:
     ptr = _pointer(slots, np.int64, (count,), name)
-    if count and (slots.min() < 0 or slots.max() >= bound):
-        raise ValueError(f"{name} holds a slot outside [0, {bound})")
+    if count and (slots.min() < least or slots.max() >= bound):
+        raise ValueError(f"{name} holds a slot outside [{least}, {bound})")
     return ptr
 
 
@@ -130,16 +136,25 @@ def _slot_ranges(c_slot: np.ndarray, slots: int, threads: int) -> np.ndarray:
 
 
 def _stream_gated(a_values, a_sub, b_values, b_sub, a_slot, b_slot, c_slot,
-                  acc, gate: float, threads: int = 1) -> tuple[int, int]:
+                  acc, gate: float, threads: int = 1, alpha: float = 1.0,
+                  beta: float = 0.0, old=None, old_slot=None,
+                  zero: bool = False) -> tuple[int, int, np.ndarray]:
     """acc[c_slot[t]] += gated A[a_slot[t]] B[b_slot[t]] for every task t in
-    order, on `threads` threads that each own a range of acc's leaves;
-    returns the micro products run and skipped."""
+    order, then each leaf g of acc becomes alpha acc[g] + beta
+    old[old_slot[g]] (old_slot[g] = -1: no old leaf, read as +0), on
+    `threads` threads that each own a range of acc's leaves.  With zero,
+    acc starts as +0 and may be uninitialised.  Returns the micro products
+    run and skipped and acc's float64 (G, s, s) sub-block square sums."""
     c_ptr = _acc_pointer(acc)
     nb = acc.shape[-1]
     s = nb // 4
     la, lb, count = len(a_values), len(b_values), len(a_slot)
     if threads < 1:
         raise ValueError(f"the gated kernel needs at least one thread, got {threads}")
+    if old is None:
+        old = np.empty((0, nb, nb), np.float32)
+    if old_slot is None:
+        old_slot = np.full(len(acc), -1, np.int64)
     pointers = (
         _pointer(a_values, np.float32, (la, nb, nb), "A values"),
         _pointer(a_sub, np.float32, (la, s, s), "A subnorms"),
@@ -149,12 +164,18 @@ def _stream_gated(a_values, a_sub, b_values, b_sub, a_slot, b_slot, c_slot,
         _slot_pointer(b_slot, count, lb, "b_slot"),
         _slot_pointer(c_slot, count, len(acc), "c_slot"),
     )
+    finish = (
+        _pointer(old, np.float32, (len(old), nb, nb), "old C values"),
+        _slot_pointer(old_slot, len(acc), len(old), "old_slot", least=-1),
+    )
     bounds = _slot_ranges(c_slot, len(acc), threads)
     counts = np.zeros(2, np.int64)
+    subsq = np.empty((len(acc), s, s), np.float64)
     _lib.spamm_stream_gated(count, nb, *pointers, c_ptr, float(gate),
                             counts.ctypes.data, threads, bounds.ctypes.data,
-                            _slab_tiles(nb))
-    return int(counts[0]), int(counts[1])
+                            _slab_tiles(nb), float(alpha), float(beta), *finish,
+                            int(zero), subsq.ctypes.data)
+    return int(counts[0]), int(counts[1]), subsq
 
 
 @dataclass
@@ -220,10 +241,12 @@ def execute_plan(
     a and b must hold the leaf keys the plan was built from, else
     ValueError (stale handles).  C's new leaves are the product's and, if
     beta != 0, its old ones: each element is alpha S + beta old in float32,
-    a missing side read as +0.  Its norms are rebuilt once.  A C leaf that
-    overflows float32 raises OverflowError naming its block row and column,
-    and c is left as it was.  With alpha = 0 the product pass is skipped
-    outright (counters stay zero) and C = beta * C_before exactly.
+    a missing side read as +0, formed by the kernel thread that summed S.
+    Its norms are rebuilt once, from the sub-norm squares that thread took.
+    A C leaf that overflows float32 raises OverflowError naming its block
+    row and column, and c is left as it was.  With alpha = 0 the product
+    pass is skipped outright (counters stay zero) and C = beta * C_before
+    exactly.
     """
     return _execute(plan, a, b, c, cfg, dense_kernel=False)
 
@@ -255,49 +278,51 @@ def _execute(plan, a, b, c, cfg, dense_kernel, threads=None):
     olds = c.keys if cfg.beta else np.empty(0, np.uint64)
     keys, slot = np.unique(np.concatenate((products, olds)), return_inverse=True)
     T = products.size
-    stack = np.zeros((keys.size, nb, nb), np.float32)
-    # an overflowing product or sum is caught by _store, which names its leaf
-    with np.errstate(over="ignore", invalid="ignore"):
+    old_slot = np.full(keys.size, -1, np.int64)
+    old_slot[slot[T:]] = np.arange(olds.size)
+    tasks = slot[:T]
+    if dense_kernel:  # numpy sums the foil's products; the kernel only finishes them
+        stack = np.zeros((keys.size, nb, nb), np.float32)
         if T:
-            counters.kernel = "matmul" if dense_kernel else _kernel_isa(nb)
-            _run_stream(plan, a, b, slot[:T], stack, _gate(cfg), counters, dense_kernel,
-                        threads)
-        if cfg.alpha != 1:
-            stack *= np.float32(cfg.alpha)
-        if cfg.beta:
-            # alpha = 0 forms no product: the stack itself takes beta * C, exactly
-            old = np.zeros(stack.shape, np.float32) if cfg.alpha else stack
-            old[slot[T:]] = c.values
-            if cfg.beta != 1:
-                old *= np.float32(cfg.beta)
-            if cfg.alpha:
-                stack += old
-    c._store(keys, stack)
+            _dense_products(plan, a, b, tasks, stack)
+            counters.kernel, counters.threads = "matmul", 1
+            counters.products4 = T * (nb // 4) ** 3
+        tasks = tasks[:0]
+    else:
+        stack = np.empty((keys.size, nb, nb), np.float32)
+        if T:
+            counters.kernel = _kernel_isa(nb)
+            counters.threads = _thread_count(T, nb, np.count_nonzero(np.bincount(tasks)),
+                                             threads)
+    # an overflowing product or sum is caught by _store, which names its leaf
+    run, skipped, subsq = _stream_gated(
+        a.values, a.subnorms, b.values, b.subnorms, plan.a_slot[:tasks.size],
+        plan.b_slot[:tasks.size], tasks, stack, _gate(cfg), counters.threads or 1,
+        cfg.alpha, cfg.beta, c.values, old_slot, zero=not dense_kernel)
+    counters.products4 += run
+    counters.skipped4 += skipped
+    c._store(keys, stack, subsq)
     counters.seconds = time.perf_counter() - t0
     return c, counters
 
 
-def _run_stream(plan, a, b, c_slot, acc, gate, counters, dense_kernel, threads):
-    """Add every task t's block product into acc[c_slot[t]], in plan order.
-
-    The gated path is one kernel call over the whole plan, on
-    _thread_count threads, at most one per leaf that takes a task.  The
-    dense-leaf foil forms its block products with batched matmul, one k
-    lane (cut to a bounded chunk) at a time, on one thread.  A lane of a
-    built plan adds at most one task into each product leaf, so one
-    fancy-indexed add sums each leaf's products in plan order; a lane of a
-    hand-made plan that repeats a leaf is added by np.add.at, in the same
-    order.
+def _dense_products(plan, a, b, c_slot, acc):
+    """Add every task t's block product into acc[c_slot[t]], in plan order,
+    by batched matmul: one k lane (cut to a bounded chunk) at a time, on one
+    thread.  A lane of a built plan adds at most one task into each product
+    leaf, so one fancy-indexed add sums each leaf's products in plan order; a
+    lane of a hand-made plan that repeats a leaf is added by np.add.at, in
+    the same order.
     """
     nb = a.n_b
     T = c_slot.size
-    if dense_kernel:
-        lane = k_of_a(plan.a)
-        step = max(1, _CHUNK_FLOATS // (nb * nb))
-        cut = lane[1:] != lane[:-1]
-        cut[step - 1::step] = True  # a chunk ends at a lane change and every step tasks
-        bounds = [0, *(np.flatnonzero(cut) + 1).tolist(), T]
-        span, seen = np.arange(step), np.empty(len(acc), np.int64)
+    lane = k_of_a(plan.a)
+    step = max(1, _CHUNK_FLOATS // (nb * nb))
+    cut = lane[1:] != lane[:-1]
+    cut[step - 1::step] = True  # a chunk ends at a lane change and every step tasks
+    bounds = [0, *(np.flatnonzero(cut) + 1).tolist(), T]
+    span, seen = np.arange(step), np.empty(len(acc), np.int64)
+    with np.errstate(over="ignore", invalid="ignore"):  # _store names the leaf
         for lo, hi in zip(bounds, bounds[1:]):
             prod = np.matmul(a.values[plan.a_slot[lo:hi]], b.values[plan.b_slot[lo:hi]])
             slots = c_slot[lo:hi]
@@ -307,15 +332,6 @@ def _run_stream(plan, a, b, c_slot, acc, gate, counters, dense_kernel, threads):
                 acc[slots] += prod
             else:
                 np.add.at(acc, slots, prod)
-        counters.products4 += T * (nb // 4) ** 3
-        counters.threads = 1
-    else:
-        counters.threads = _thread_count(T, nb, np.count_nonzero(np.bincount(c_slot)), threads)
-        run, skipped = _stream_gated(a.values, a.subnorms, b.values, b.subnorms,
-                                     plan.a_slot, plan.b_slot, c_slot, acc, gate,
-                                     counters.threads)
-        counters.products4 += run
-        counters.skipped4 += skipped
 
 
 def execute_plan_dense_leaf(

@@ -20,7 +20,10 @@ from helpers import (
     subnorm_squares,
 )
 from spamm.core import DEFAULT_BLOCK, DenseMatrix, QuadtreeMatrix, _subnorm_squares, tree_depth
+from spamm.io import load_quadtree, save_quadtree
 from spamm.morton import decode, encode
+from spamm.numeric import MultiplyConfig, execute_plan
+from spamm.symbolic import build_plan
 
 
 # -- tree_depth --------------------------------------------------------------
@@ -259,10 +262,13 @@ def test_subnorm_squares_equal_the_numpy_sum_bit_for_bit(nb, count, grid, expone
     values[wild] = data.draw(arrays(np.float32, shape, elements=WILD))[wild]
     s = nb // 4
     if grid:
-        # the dense rows read in place against the same blocks gathered into a stack
+        # the dense rows read in place against the same blocks gathered into a
+        # stack, a contiguous one as the library's: numpy sums the squares of a
+        # strided view in another order
         got = _subnorm_squares(values, nb)
         assert got.shape == (br, bc, s, s)
-        stack = values.reshape(br, nb, bc, nb).transpose(0, 2, 1, 3).reshape(-1, nb, nb)
+        stack = np.ascontiguousarray(
+            values.reshape(br, nb, bc, nb).transpose(0, 2, 1, 3).reshape(-1, nb, nb))
         want = subnorm_squares(stack).reshape(br, bc, s, s)
     else:
         got, want = _subnorm_squares(values), subnorm_squares(values)
@@ -372,6 +378,56 @@ def test_conversions_allocate_little_beyond_the_matrix():
             assert peak < 1.6 * a.nbytes
     finally:
         tracemalloc.stop()
+
+
+def test_to_dense_of_a_ragged_shape_allocates_only_its_output():
+    # each row is written once into the m x n output: no padded block grid
+    # and no bool array of a finiteness check (the parent peaked at 2.3x)
+    for nb in (16, 64):
+        q = QuadtreeMatrix.from_dense(rng_matrix(1000, 1000, seed=13), nb)
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            out = q.to_dense().data
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert out.shape == (1000, 1000)
+        assert peak < 1.05 * out.nbytes
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_from_dense_rejects_non_finite_elements(bad):
+    # aligned float32 input is checked through its sub-block square sums,
+    # other input as a DenseMatrix: one error either way
+    for shape, dtype, nb in (((64, 32), np.float32, 16), ((64, 64), np.float32, 64),
+                             ((40, 70), np.float32, 16), ((64, 32), np.float64, 16)):
+        for where in ((0, 0), (shape[0] - 1, shape[1] - 1), (37, 19)):
+            for fill in (0.0, 1.0):  # alone in a block of zeros, or among values
+                a = np.full(shape, fill, dtype)
+                a[where] = bad
+                for dense in (a, np.asfortranarray(a)):
+                    with pytest.raises(ValueError, match="^matrix elements must be finite$"):
+                        QuadtreeMatrix.from_dense(dense, nb)
+
+
+def test_stored_arrays_are_read_only(tmp_path):
+    # _store refuses non-finite leaves and stores its arrays read-only, so no
+    # tree, built, multiplied or loaded, can be edited into a non-finite one
+    built = QuadtreeMatrix.from_dense(rng_matrix(64, 64, seed=14), 16)
+    product, _ = execute_plan(build_plan(built, built, 0.0), built, built, None, MultiplyConfig())
+    save_quadtree(tmp_path / "tree.qt", built)
+    loaded = load_quadtree(tmp_path / "tree.qt")
+    for tree in (built, product, loaded, QuadtreeMatrix(16, 16, 16)):
+        for name in ("keys", "values", "norms", "subnorms"):
+            arr = getattr(tree, name)
+            assert not arr.flags.writeable, name
+            with pytest.raises(ValueError, match="read-only"):
+                arr[...] = 0
+            with pytest.raises(ValueError, match="read-only"):
+                arr += arr
+    assert_norm_invariant(built)
 
 
 # -- stacks and bookkeeping --------------------------------------------------

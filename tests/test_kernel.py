@@ -13,9 +13,17 @@ import warnings
 import numpy as np
 import pytest
 
-from helpers import block_multiply_16, decay_matrix, rng_matrix, sequential_execute
+from helpers import (
+    assert_norm_invariant,
+    block_multiply_16,
+    decay_matrix,
+    rng_matrix,
+    sequential_execute,
+    subnorm_squares,
+)
 from spamm import _kernel, numeric
 from spamm.core import DenseMatrix, QuadtreeMatrix
+from spamm.morton import decode
 from spamm.numeric import MultiplyConfig, multiply
 from spamm.reference import dense_multiply_single
 from spamm.symbolic import build_plan
@@ -56,8 +64,13 @@ def test_cold_cache_builds_once_then_reuses(cache, compiles):
     assert list(cache.iterdir()) == built
     assert built[0].stat().st_mtime_ns == stamp
     counts, bounds = np.zeros(2, np.int64), np.zeros(2, np.int64)
-    lib.spamm_stream_gated(0, 16, *([None] * 8), 0.0, counts.ctypes.data, 1, bounds.ctypes.data, 1)
+    lib.spamm_stream_gated(0, 16, *([None] * 8), 0.0, counts.ctypes.data, 1, bounds.ctypes.data, 1,
+                           1.0, 0.0, None, None, 1, None)
     assert counts.tolist() == [0, 0]
+    # a tree of no leaves: every piece of every row is set to +0
+    rows, index = np.full((3, 5), np.nan, np.float32), np.full((1, 2), -1, np.int64)
+    lib.spamm_leaves_to_rows(3, 5, 4, index.ctypes.data, None, rows.ctypes.data)
+    assert rows.tobytes() == np.zeros((3, 5), np.float32).tobytes()
 
 
 def test_changed_source_builds_a_new_file(cache, compiles, tmp_path, monkeypatch):
@@ -109,7 +122,8 @@ def test_built_library_has_no_fma_and_every_variant():
 def test_library_exports_one_gated_entry_point():
     names = {line.split()[-1] for line in _objdump("-T").splitlines()
              if line.split() and line.split()[-1].startswith("spamm_")}
-    assert names == {"spamm_stream_gated", "spamm_slab_tiles", "spamm_subnorm_squares"}
+    assert names == {"spamm_stream_gated", "spamm_slab_tiles", "spamm_subnorm_squares",
+                     "spamm_leaves_to_rows"}
 
 
 # -- checks at the ctypes boundary -------------------------------------------
@@ -169,6 +183,15 @@ def _same_bits(x: np.ndarray, y: np.ndarray) -> bool:
     return np.array_equal(x.view(np.uint32), y.view(np.uint32))
 
 
+def _stream(args) -> tuple[int, int]:
+    """(run, skipped) of the gated kernel on the stream in args, whose finish
+    must also return the sub-norm squares of the leaves it left in acc."""
+    run, skipped, subsq = numeric._stream_gated(**args)
+    want = subnorm_squares(np.ascontiguousarray(args["acc"]))
+    assert np.array_equal(subsq.view(np.uint64), want.view(np.uint64))
+    return run, skipped
+
+
 TILES = {isa: tiles for tiles, isa in numeric._SLAB_ISA.items()}
 
 
@@ -212,7 +235,7 @@ def test_variant_stream_matches_the_block_oracle(variant, nb):
     want, counts = _oracle(args)
     for name in ("a_values", "a_sub", "b_values", "b_sub", "acc"):
         args[name] = _misaligned(args[name])
-    run, skipped = numeric._stream_gated(**args)
+    run, skipped = _stream(args)
     assert (run, skipped) == counts and run and skipped
     assert _same_bits(args["acc"], want)
 
@@ -224,7 +247,7 @@ def test_too_wide_a_slab_is_lowered_to_one_that_fits(monkeypatch, nb):
     monkeypatch.setattr(numeric, "_slab_tiles", lambda nb: 4)
     args = _shared_stream(nb)
     want, counts = _oracle(args)
-    run, skipped = numeric._stream_gated(**args)
+    run, skipped = _stream(args)
     assert (run, skipped) == counts and run and skipped
     assert _same_bits(args["acc"], want)
 
@@ -245,7 +268,7 @@ def _check_every_gate_pattern(s: int, vary: bool) -> None:
             "a_slot": np.zeros(count, np.int64), "b_slot": slots, "c_slot": slots,
             "acc": np.full((count, nb, nb), -0.0, np.float32), "gate": 1.0}
     want, counts = _oracle(args)
-    assert numeric._stream_gated(**args) == counts == (s * int(bits.sum()), s * int((1 - bits).sum()))
+    assert _stream(args) == counts == (s * int(bits.sum()), s * int((1 - bits).sum()))
     assert _same_bits(args["acc"], want)
     assert np.isfinite(args["acc"]).all()
     if not vary:  # a tile closed at every r still holds -0.0
@@ -320,7 +343,7 @@ def test_open_k_lists_of_strips_match_the_block_oracle(variant, slabs):
     _needs_width(variant, nb)
     args = _strip_stream(nb, seed=70 + slabs)
     want, counts = _oracle(args)
-    assert numeric._stream_gated(**args) == counts
+    assert _stream(args) == counts
     assert counts[0] == nb // 4 * int((args["a_sub"] >= 1).sum())
     assert _same_bits(args["acc"], want)
     assert np.isfinite(args["acc"]).all()
@@ -346,7 +369,7 @@ def wide_strip():
 def test_strip_of_more_than_64_tiles_matches_the_block_oracle(variant, wide_strip):
     base, (want, counts) = wide_strip
     args = dict(base, acc=base["acc"].copy())
-    run, skipped = numeric._stream_gated(**args)
+    run, skipped = _stream(args)
     assert (run, skipped) == counts and run + skipped == 128 ** 3
     assert 0.4 < run / 128 ** 3 < 0.6
     assert _same_bits(args["acc"], want)
@@ -355,7 +378,7 @@ def test_strip_of_more_than_64_tiles_matches_the_block_oracle(variant, wide_stri
 def test_valid_stream_matches_the_block_oracle():
     args = _operands()
     want, counts = _oracle(args)
-    assert numeric._stream_gated(**args) == counts == (128, 0)
+    assert _stream(args) == counts == (128, 0)
     assert _same_bits(args["acc"], want)
 
 
@@ -373,7 +396,7 @@ def test_partly_open_tiles_match_the_block_oracle():
             "b_values": b, "b_sub": b_sub, "a_slot": slot, "b_slot": slot, "c_slot": slot,
             "acc": acc, "gate": 1.0}
     want, counts = _oracle(args)
-    assert numeric._stream_gated(**args) == counts == (40, 24)
+    assert _stream(args) == counts == (40, 24)
     assert _same_bits(acc, want)
     assert np.isfinite(acc).all()
     assert (acc[0, :, 4:8] == 0).all() and np.signbit(acc[0, :, 4:8]).all()
@@ -396,7 +419,7 @@ def test_misaligned_stacks_match_the_block_oracle():
     for name in ("a_values", "a_sub", "b_values", "b_sub", "acc"):
         args[name] = _misaligned(args[name])
         assert args[name].ctypes.data % 16 == 4
-    run, skipped = numeric._stream_gated(**args)
+    run, skipped = _stream(args)
     assert (run, skipped) == counts and run and skipped
     assert _same_bits(args["acc"], want)
 
@@ -495,6 +518,116 @@ def test_old_only_leaves_start_no_thread():
     assert plan.a_slot.size * 16**3 >= numeric._MIN_THREAD_PRODUCTS
     out, counters = numeric.execute_plan(plan, a, b, c0, MultiplyConfig(alpha=1.0, beta=1.0))
     assert out.leaf_count == 4 and counters.threads == 1
+
+
+# -- the finish: alpha S + beta old, on the thread that wrote each C leaf ------
+
+FINISH_TAU = 1e-6
+# (alpha, beta): the paths and corners, then pairs drawn from [-3, 3)
+FINISH_PAIRS = [(1.0, 0.0), (-1.0, 2.0), (1.0, 1.0), (2.0, -0.5), (0.0, 0.0), (0.0, -1.0),
+                (0.0, 1.0), (-1.0, -1.0), (-2.0, 0.0), (-0.5, -0.0),
+                *map(tuple, np.random.default_rng(92).uniform(-3, 3, (3, 2)).round(3).tolist())]
+
+
+@pytest.fixture(scope="module", params=[16, 64], ids=["nb16", "nb64"])
+def finish_case(request):
+    """A 4 x 4 block grid at n_b = nb: A banded, so A A stores every block but
+    (0, 3) and (3, 0), with exact zeros along its block row 0; C0 dense with
+    zeros of both signs, but without blocks (1, 1) and (2, 2).  So C holds
+    product-only, shared and old-only leaves, and of two threads each owns an
+    old-only one.  Returns A, C0, the plan and the block oracle's product
+    blocks and (run, skipped)."""
+    nb = request.param
+    n = 4 * nb
+    blk = np.arange(n) // nb
+    a_dense = decay_matrix(n, seed=90).data.copy()
+    a_dense[np.abs(blk[:, None] - blk[None, :]) > 1] = 0
+    a_dense[:3] = 0
+    c0_dense = rng_matrix(n, n, seed=91)
+    c0_dense[::5] = -0.0
+    c0_dense[1::7, ::3] = 0.0
+    c0_dense[(blk[:, None] == blk[None, :]) & ((blk == 1) | (blk == 2))[:, None]] = 0
+    a = QuadtreeMatrix.from_dense(a_dense, nb)
+    plan = build_plan(a, a, FINISH_TAU)
+    blocks, want = sequential_execute(plan, a, a, MultiplyConfig(tau=FINISH_TAU))
+    keys = np.unique(np.concatenate((plan.c_key, QuadtreeMatrix.from_dense(c0_dense, nb).keys)))
+    bounds = numeric._slot_ranges(np.searchsorted(keys, plan.c_key), keys.size, 2)
+    old_only = np.flatnonzero(~np.isin(keys, plan.c_key))
+    assert keys.size == 16 and len(blocks) == 14 and want.skipped4
+    assert (old_only < bounds[1]).any() and (old_only >= bounds[1]).any()
+    return a, c0_dense, plan, blocks, (want.products4, want.skipped4)
+
+
+def _block_mask(keys, n: int, nb: int) -> np.ndarray:
+    """True on the elements of the blocks whose keys are given."""
+    mask = np.zeros((n // nb, n // nb), bool)
+    for key in keys:
+        mask[decode(key)] = True
+    return np.kron(mask, np.ones((nb, nb), bool))
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+@pytest.mark.parametrize("alpha,beta", FINISH_PAIRS)
+def test_finish_forms_alpha_s_plus_beta_old(variant, finish_case, threads, alpha, beta):
+    # each stored element is the dense float32 formula, a side with no leaf
+    # read as +0; beta = 0 adds nothing and alpha = 0 forms no product
+    a, c0_dense, plan, blocks, counts = finish_case
+    nb, n = a.n_b, a.m
+    c0 = QuadtreeMatrix.from_dense(c0_dense, nb)
+    cfg = MultiplyConfig(tau=FINISH_TAU, alpha=alpha, beta=beta)
+    out, counters = numeric._execute(plan, a, a, c0, cfg, dense_kernel=False, threads=threads)
+    p = np.zeros((n, n), np.float32)
+    for key, block in blocks.items():
+        i, j = decode(key)
+        p[i * nb:(i + 1) * nb, j * nb:(j + 1) * nb] = block
+    a32, b32 = np.float32(alpha), np.float32(beta)
+    want = b32 * c0_dense if not alpha else a32 * p if not beta else a32 * p + b32 * c0_dense
+    stored = sorted((set(blocks) if alpha else set()) | (set(c0.keys.tolist()) if beta else set()))
+    assert out.keys.tolist() == stored
+    got = out.to_dense().data
+    assert _same_bits(got, np.where(_block_mask(stored, n, nb), want, np.float32(0)))
+    if alpha and (alpha > 0 or beta > 0):  # no -0 where no leaf is stored
+        assert _same_bits(got, want)
+    assert_norm_invariant(out)
+    if alpha:
+        assert (counters.products4, counters.skipped4) == counts
+        assert (counters.kernel, counters.threads) == (variant, min(threads, len(blocks)))
+    else:
+        assert (counters.products4, counters.skipped4, counters.kernel, counters.threads) == (
+            0, 0, "", 0)
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("threads", [1, 2])
+def test_finish_names_an_overflowing_old_leaf(variant, finish_case, threads):
+    # 2 * 3e38 is inf in float32, in the old-only leaf (3, 0) of the last range
+    a, c0_dense, plan, _, _ = finish_case
+    nb = a.n_b
+    big = c0_dense.copy()
+    big[3 * nb + 1, 2] = 3e38
+    c0 = QuadtreeMatrix.from_dense(big, nb)
+    before = c0.values.copy()
+    cfg = MultiplyConfig(tau=FINISH_TAU, alpha=1.0, beta=2.0)
+    with pytest.raises(OverflowError, match="block row 3, column 0"):
+        numeric._execute(plan, a, a, c0, cfg, dense_kernel=False, threads=threads)
+    assert _same_bits(c0.values, before)
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+def test_finish_of_an_empty_plan_keeps_the_accumulator(variant, finish_case, threads):
+    # no task: every leaf is old-only, alpha (+0) + old, so -0 becomes +0
+    a, c0_dense, _, _, _ = finish_case
+    empty = QuadtreeMatrix(a.m, a.n, a.n_b)
+    c0 = QuadtreeMatrix.from_dense(c0_dense, a.n_b)
+    out, counters = numeric._execute(build_plan(empty, empty, FINISH_TAU), empty, empty, c0,
+                                     MultiplyConfig(tau=FINISH_TAU, beta=1.0),
+                                     dense_kernel=False, threads=threads)
+    got = out.to_dense().data
+    assert _same_bits(got, np.float32(0) + c0_dense)
+    assert np.signbit(c0_dense[c0_dense == 0]).any() and not np.signbit(got[got == 0]).any()
+    assert (counters.products4, counters.skipped4, counters.kernel, counters.threads) == (
+        0, 0, "", 0)
+    assert_norm_invariant(out)
 
 
 # -- floating-point environment ----------------------------------------------

@@ -304,9 +304,10 @@ def test_alpha_zero_skips_the_product_pass():
             assert out.leaf_count == 0 and out.norm == 0
 
 
-def test_accumulator_path_holds_about_two_leaf_stacks():
-    # C is laid out once: the peak is its leaf stack and one laid copy of
-    # beta C, on the purification step C = 2 X - X X with C = X
+def test_accumulator_path_holds_about_one_leaf_stack():
+    # C is laid out once and finished in place: the peak is its leaf stack and
+    # its norm arrays (1.32x measured), on the purification step C = 2 X - X X
+    # with C = X
     x = QuadtreeMatrix.from_dense(bench_purification_start(1024, seed=0), 64)
     stack = x.values.nbytes
     cfg = MultiplyConfig(tau=1e-8, alpha=-1.0, beta=2.0)
@@ -320,7 +321,7 @@ def test_accumulator_path_holds_about_two_leaf_stacks():
     finally:
         tracemalloc.stop()
     assert out.values.nbytes == stack
-    assert peak < 2.6 * stack
+    assert peak < 1.4 * stack
 
 
 def test_beta_zero_discards_accumulator_content():
