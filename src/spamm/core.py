@@ -187,7 +187,9 @@ class QuadtreeMatrix:
         Keys must be unique, ascending and inside the block grid of an
         m x n matrix, and the padding rows and columns of the edge leaves
         must be zero; values must be real and are copied to float32.
-        All-zero leaves are kept as given.
+        All-zero leaves are kept as given.  ValueError names the first leaf,
+        by position, whose key is out of range or not above the one before;
+        a leaf not finite in float32 raises _store's OverflowError.
         """
         q = cls(m, n, n_b)
         raw = np.asarray(keys)
@@ -198,22 +200,24 @@ class QuadtreeMatrix:
         keys = raw.astype(np.uint64)
         if np.iscomplexobj(values):
             raise ValueError("leaf values must be real, got a complex array")
-        vals = np.array(values, np.float32)
+        with np.errstate(over="ignore"):  # _store names an overflowed leaf
+            vals = np.array(values, np.float32)
         if vals.shape != (keys.size, n_b, n_b):
             raise ValueError(
                 f"leaf values must be {keys.size} x {n_b} x {n_b}, got {vals.shape}"
             )
-        if np.any(keys[1:] <= keys[:-1]):
-            raise ValueError("leaf keys must be unique and ascending")
         rows, cols = decode_array(keys)
         br = -(-q.m // n_b)
         bc = -(-q.n // n_b)
-        outside = np.flatnonzero((rows >= br) | (cols >= bc))
-        if outside.size:
-            key = int(keys[outside[0]])
+        outside = (rows >= br) | (cols >= bc)
+        bad = np.flatnonzero(outside | np.append(False, keys[1:] <= keys[:-1]))
+        if bad.size:
+            i, key = bad[0], int(keys[bad[0]])
             raise ValueError(
-                f"leaf key {key} out of range: block {decode(key)} lies outside "
-                f"a {q.m} x {q.n} matrix at block size {n_b}"
+                f"leaf key {key} at position {i} out of range: block {decode(key)} lies "
+                f"outside a {q.m} x {q.n} matrix at block size {n_b}" if outside[i] else
+                f"leaf keys must be unique and ascending: key {key} at position {i} "
+                f"follows {int(keys[i - 1])}"
             )
         # the multiply reads padding like any value, so it must hold zeros
         dirty = np.zeros(keys.size, bool)

@@ -22,13 +22,13 @@ and product leaves.  C = alpha A B + beta C is laid out once, by one
 np.unique over the product's keys and, when beta != 0, C's old keys, into
 one uninitialised stack that the kernel call writes whole.  Each thread
 sets its own C leaves to zero, adds its tasks' products into them and then
-finishes them while they are still in cache: each element becomes
-alpha S + beta old in float32, the products rounded before the add and a
-side with no leaf read as +0, as where no leaf is stored (beta = 0 adds
-nothing; alpha = 0 forms no product and gives exactly beta old), and the
-leaf's sub-norm squares go to _store.  So this too does not depend on n_b,
-but where alpha < 0 and beta <= 0 make alpha (+0) + beta (+0) a -0 in a
-stored leaf.
+finishes them while they are still in cache, by one expression: each
+element becomes alpha S + beta old in float32, the products rounded before
+the add, a side with no leaf read as +0, as where no leaf is stored, and a
+term whose float64 factor is 0 as -0.  As x + (-0) = x, beta = 0 gives
+exactly alpha S and alpha = 0 exactly beta old.  The leaf's sub-norm
+squares go to _store.  So this too does not depend on n_b, but where
+alpha < 0 and beta <= 0 make alpha (+0) + beta (+0) a -0 in a stored leaf.
 
 Accumulation order is fixed for reproducibility: tasks accumulate into
 their product leaf in plan order, and each block product adds its rank-1
@@ -141,10 +141,11 @@ def _stream_gated(a_values, a_sub, b_values, b_sub, a_slot, b_slot, c_slot,
                   zero: bool = False) -> tuple[int, int, np.ndarray]:
     """acc[c_slot[t]] += gated A[a_slot[t]] B[b_slot[t]] for every task t in
     order, then each leaf g of acc becomes alpha acc[g] + beta
-    old[old_slot[g]] (old_slot[g] = -1: no old leaf, read as +0), on
-    `threads` threads that each own a range of acc's leaves.  With zero,
-    acc starts as +0 and may be uninitialised.  Returns the micro products
-    run and skipped and acc's float64 (G, s, s) sub-block square sums."""
+    old[old_slot[g]] in float32 (old_slot[g] = -1: no old leaf, read as
+    +0; a zero factor's term is -0), on `threads` threads that each own a
+    range of acc's leaves.  With zero, acc starts as +0 and may be
+    uninitialised.  Returns the micro products run and skipped and acc's
+    float64 (G, s, s) sub-block square sums."""
     c_ptr = _acc_pointer(acc)
     nb = acc.shape[-1]
     s = nb // 4
@@ -241,7 +242,8 @@ def execute_plan(
     a and b must hold the leaf keys the plan was built from, else
     ValueError (stale handles).  C's new leaves are the product's and, if
     beta != 0, its old ones: each element is alpha S + beta old in float32,
-    a missing side read as +0, formed by the kernel thread that summed S.
+    a missing side read as +0 and a zero factor's term as -0, formed by the
+    kernel thread that summed S.
     Its norms are rebuilt once, from the sub-norm squares that thread took.
     A C leaf that overflows float32 raises OverflowError naming its block
     row and column, and c is left as it was.  With alpha = 0 the product

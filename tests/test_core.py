@@ -221,6 +221,26 @@ def test_from_leaves_validation():
         QuadtreeMatrix.from_leaves(4, 4, [0], np.zeros((1, 2, 2)), 2)
 
 
+def test_from_leaves_names_the_first_bad_leaf():
+    # range and order are tested together: the first bad position decides
+    two = np.zeros((3, 16, 16), np.float32)
+    with pytest.raises(ValueError, match="key 4 at position 0 out of range"):
+        QuadtreeMatrix.from_leaves(32, 32, [4, 1, 2], two, 16)
+    with pytest.raises(ValueError, match="ascending: key 0 at position 2 follows 3"):
+        QuadtreeMatrix.from_leaves(32, 32, [1, 3, 0], two, 16)
+    with pytest.raises(ValueError, match="ascending: key 1 at position 1 follows 2"):
+        QuadtreeMatrix.from_leaves(32, 32, [2, 1, 9], two, 16)
+
+
+@pytest.mark.filterwarnings("error")
+def test_from_leaves_names_a_leaf_that_overflows_float32():
+    # float64 values past float32 max round to inf without a numpy warning
+    v = np.zeros((1, 4, 4))
+    v[0, 0, 0] = 1e300
+    with pytest.raises(OverflowError, match="block row 0, column 0"):
+        QuadtreeMatrix.from_leaves(4, 4, [0], v, 4)
+
+
 @pytest.mark.filterwarnings("error")
 def test_from_dense_rejects_float32_overflow():
     with pytest.raises(OverflowError, match="block row 0, column 0"):

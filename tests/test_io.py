@@ -204,6 +204,36 @@ def test_quadtree_load_rejects_bad_keys(tmp_path):
         load_quadtree(p)
 
 
+def test_quadtree_load_rejects_a_key_outside_a_non_square_grid(tmp_path):
+    # a 32 x 16 matrix at n_b = 16 is a 2 x 1 block grid at depth 1: key 1,
+    # block (0, 1), is below 4**depth but outside the grid
+    p = tmp_path / "bad.qt"
+    p.write_bytes(QUADTREE_MAGIC + struct.pack("<5Q", 32, 16, 16, 1, 1)
+                  + struct.pack("<Q", 1) + np.ones((16, 16), np.float32).tobytes())
+    with pytest.raises(MatrixFormatError, match="range"):
+        load_quadtree(p)
+
+
+def test_quadtree_load_reports_a_key_fault_before_a_non_finite_leaf(tmp_path):
+    raw = bytearray(_valid_dump(tmp_path))
+    record, base = 8 + 256 * 4, 48
+    raw[base + 8 : base + 12] = struct.pack("<f", float("nan"))  # leaf 0
+    raw[base + 3 * record : base + 3 * record + 8] = struct.pack("<Q", 1)  # after key 2
+    p = tmp_path / "bad.qt"
+    p.write_bytes(bytes(raw))
+    with pytest.raises(MatrixFormatError, match="ascending: key 1 at position 3"):
+        load_quadtree(p)
+
+
+def test_quadtree_load_rejects_finite_leaves_whose_norm_overflows(tmp_path):
+    p = tmp_path / "big.qt"
+    v = np.full((16, 16), 1e38, np.float32)  # each value finite, the leaf norm not
+    p.write_bytes(QUADTREE_MAGIC + struct.pack("<5Q", 16, 16, 16, 0, 1)
+                  + struct.pack("<Q", 0) + v.tobytes())
+    with pytest.raises(MatrixFormatError, match="block row 0, column 0 has a norm"):
+        load_quadtree(p)
+
+
 def test_quadtree_load_rejects_non_finite_values(tmp_path):
     raw = bytearray(_valid_dump(tmp_path))
     raw[48 + 8 : 48 + 12] = struct.pack("<f", float("nan"))

@@ -523,9 +523,12 @@ def test_old_only_leaves_start_no_thread():
 # -- the finish: alpha S + beta old, on the thread that wrote each C leaf ------
 
 FINISH_TAU = 1e-6
-# (alpha, beta): the paths and corners, then pairs drawn from [-3, 3)
+# (alpha, beta): the paths and corners; factors nonzero in float64 but +-0
+# in float32, and a -0 alpha, which pin the finish's zero tests to the
+# float64 values; then pairs drawn from [-3, 3)
 FINISH_PAIRS = [(1.0, 0.0), (-1.0, 2.0), (1.0, 1.0), (2.0, -0.5), (0.0, 0.0), (0.0, -1.0),
                 (0.0, 1.0), (-1.0, -1.0), (-2.0, 0.0), (-0.5, -0.0),
+                (1e-50, 1.0), (1.0, -1e-50), (-1e-50, -1e-50), (-0.0, 2.0),
                 *map(tuple, np.random.default_rng(92).uniform(-3, 3, (3, 2)).round(3).tolist())]
 
 
