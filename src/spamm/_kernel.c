@@ -1,9 +1,10 @@
 /* Kernels of the numeric phase and of the tree conversions, loaded by
- * spamm._kernel through ctypes.  The library exports four functions:
+ * spamm._kernel through ctypes.  The library exports five functions:
  * spamm_stream_gated, the gated product stream and the finish of each C leaf;
  * spamm_slab_tiles, the slab width it runs at a block size;
  * spamm_subnorm_squares, the squared 4x4 sub-block norms of the tree build;
- * and spamm_leaves_to_rows, the dense rows of a tree.
+ * spamm_leaves_to_rows, the dense rows of a tree; and spamm_leaves_symmetric,
+ * the value test of a tree's symmetry.
  *
  * Leaves are row-major n_b x n_b float32 blocks, stacked; sub-norm grids are
  * row-major s x s float32 blocks, s = n_b / 4.  spamm_subnorm_squares reads
@@ -37,7 +38,9 @@
  * width and lowers it to spamm_slab_tiles(n_b), the widest the CPU supports
  * and n_b fits, so one build serves every x86-64 CPU.  The vectors are
  * GCC/Clang vector extensions with 4-byte alignment, so they compile to
- * unaligned loads and stores on any float32 stack.
+ * unaligned loads and stores on any float32 stack.  The finish's and the
+ * conversions' loops (finish_leaf, block_squares) get one copy per ISA by
+ * target_clones, with their order of operations unchanged.
  *
  * A gated call is split over threads by C leaf: thread i owns the C slots
  * [bounds[i], bounds[i + 1]) and walks the whole plan in order, running only
@@ -49,6 +52,17 @@
  * term whose factor is 0 read as -0, then the leaf's sub-norm squares while
  * it is still in cache.  The threads are started and joined inside the
  * call; the calling thread runs the first range.
+ *
+ * The mirror path squares a symmetric X: the caller passes each C slot's
+ * mirror (the slot of its transpose) and only the tasks into slots on or
+ * above the diagonal.  The thread that finishes an upper leaf also writes
+ * its transpose into the mirror slot and takes that leaf's own sub-norm
+ * squares; the owner of the lower slot neither zeroes nor finishes it, so
+ * each leaf is still written by one thread.  This is the full product bit
+ * for bit: products commute, both sides add the same terms in ascending k,
+ * and with transposed sub-norm grids every gate decides alike.  The
+ * counters stay the full product's: a task into a leaf with a mirror
+ * counts twice.
  *
  * Build without FMA contraction (-ffp-contract=off) and without -ffast-math,
  * which would contract, reassociate or flush subnormals, and with -pthread.
@@ -65,6 +79,18 @@
 #define SPAMM_X86 1
 #endif
 
+/* The loops of the finish and of the conversions get one copy per ISA,
+ * chosen once when the library loads (an ifunc, so glibc only).  They keep
+ * their order of operations, so every copy gives the same bits. */
+#if defined(SPAMM_X86) && defined(__GLIBC__)
+#define SPAMM_CLONES __attribute__((target_clones("avx512f", "avx2", "default")))
+#else
+#define SPAMM_CLONES
+#endif
+
+/* Four floats, the row of a 4x4 tile, at any float32 address. */
+typedef float spamm_v4sf __attribute__((vector_size(16), aligned(4)));
+
 /* The arguments of one gated call, shared by its threads. */
 struct stream {
     int64_t ntask, nb;
@@ -76,6 +102,7 @@ struct stream {
     const int64_t *old_slot;
     int64_t zero;
     double *subsq;
+    const int64_t *mirror;
 };
 
 /* Runs the tasks into the C slots [lo, hi) and adds their counters. */
@@ -93,15 +120,26 @@ struct part {
 
 static void finish(const struct stream *st, int64_t lo, int64_t hi);
 
+/* The slot of C slot g's transpose on the mirror path, g on the diagonal;
+ * g on the full path, where every slot stands for itself.  So a slot with
+ * mirror_of(g) < g is written as a transpose, one with mirror_of(g) > g
+ * writes one. */
+static inline int64_t mirror_of(const struct stream *st, int64_t g)
+{
+    return st->mirror ? st->mirror[g] : g;
+}
+
 /* One thread's range: set to zero unless the caller summed into it already,
- * then the tasks into it, then its finish. */
+ * then the tasks into it, then its finish.  A strict-lower slot on the
+ * mirror path is written by the thread of its mirror, so it is left alone. */
 static void *run_part(void *arg)
 {
     struct part *p = arg;
     const struct stream *st = p->st;
-    if (st->zero && p->lo < p->hi)
-        memset(st->c + p->lo * st->nb * st->nb, 0,
-               (size_t)((p->hi - p->lo) * st->nb * st->nb) * sizeof(float));
+    const int64_t leaf = st->nb * st->nb;
+    for (int64_t g = p->lo; st->zero && g < p->hi; g++)
+        if (mirror_of(st, g) >= g)
+            memset(st->c + g * leaf, 0, (size_t)leaf * sizeof(float));
     p->body(st, p->lo, p->hi, p->counts);
     finish(st, p->lo, p->hi);
     return NULL;
@@ -258,7 +296,10 @@ static ATTR void NAME(const struct stream *st, int64_t lo, int64_t hi,         \
     for (int64_t t = 0; t < st->ntask; t++) {                                  \
         if (c_slot[t] < lo || c_slot[t] >= hi)                                 \
             continue;                                                          \
-        done++;                                                                \
+        /* a task into a leaf with a mirror counts for the mirror's too */    \
+        const int twice = mirror_of(st, c_slot[t]) > c_slot[t];                \
+        int64_t ran = 0;                                                       \
+        done += 1 + twice;                                                     \
         const float *at = st->a + a_slot[t] * leaf;                            \
         const float *an = st->asub + a_slot[t] * grid;                         \
         const float *bt = st->b + b_slot[t] * leaf;                            \
@@ -268,21 +309,22 @@ static ATTR void NAME(const struct stream *st, int64_t lo, int64_t hi,         \
             const float *ap = at + 4 * p * nb, *anp = an + p * s;              \
             float *cp = ct + 4 * p * nb;                                       \
             for (int64_t q = 0; q + 2 * (W) <= s; q += 2 * (W))                \
-                run += NAME##_slabs(2, 0, nb, cp + 4 * q, ap, bt + 4 * q, anp, \
+                ran += NAME##_slabs(2, 0, nb, cp + 4 * q, ap, bt + 4 * q, anp, \
                                     bn + q, gate, ks, open);                   \
         }                                                                      \
         if (s / (W) % 2) {                                                     \
             const int64_t q = s - (W);                                         \
             int64_t p = 0;                                                     \
             for (; p + 1 < s; p += 2)                                          \
-                run += NAME##_slabs(2, 1, nb, ct + 4 * (p * nb + q),           \
+                ran += NAME##_slabs(2, 1, nb, ct + 4 * (p * nb + q),           \
                                     at + 4 * p * nb, bt + 4 * q, an + p * s,   \
                                     bn + q, gate, ks, open);                   \
             if (p < s)                                                         \
-                run += NAME##_slabs(1, 0, nb, ct + 4 * (p * nb + q),           \
+                ran += NAME##_slabs(1, 0, nb, ct + 4 * (p * nb + q),           \
                                     at + 4 * p * nb, bt + 4 * q, an + p * s,   \
                                     bn + q, gate, ks, open);                   \
         }                                                                      \
+        run += ran << twice;                                                   \
     }                                                                          \
     counts[0] += run;                                                          \
     counts[1] += done * s * grid - run;                                        \
@@ -326,7 +368,8 @@ int spamm_slab_tiles(int64_t nb)
  * (value j being row j / 4, column j % 4), then those eight sums as a
  * balanced tree.  Squares of float32 values are exact in float64, so only
  * the order of the additions matters. */
-static void block_squares(const float *v, int64_t nb, int64_t ld, double *out)
+static SPAMM_CLONES void block_squares(const float *v, int64_t nb, int64_t ld,
+                                       double *out)
 {
     const int64_t s = nb / 4;
     if (s == 1) {
@@ -363,7 +406,7 @@ static void block_squares(const float *v, int64_t nb, int64_t ld, double *out)
  * x, +-0 included, and 1 x = x: alpha = 1 and beta = 1 change no bit,
  * beta = 0 gives alpha S and alpha = 0 beta old.  Out of line, so that the
  * compiler unswitches the loop on no_s and old and vectorizes each copy. */
-static __attribute__((noinline)) void
+static SPAMM_CLONES __attribute__((noinline)) void
 finish_leaf(float *c, const float *old, int64_t leaf, int no_s, float alpha,
             float beta, float none)
 {
@@ -371,8 +414,24 @@ finish_leaf(float *c, const float *old, int64_t leaf, int no_s, float alpha,
         c[i] = (no_s ? -0.0f : alpha * c[i]) + (old ? beta * old[i] : none);
 }
 
+/* t = the transpose of the n_b x n_b leaf c, by 4x4 tiles. */
+static void transpose_leaf(const float *c, float *t, int64_t nb)
+{
+    for (int64_t i = 0; i < nb; i += 4)
+        for (int64_t j = 0; j < nb; j += 4) {
+            spamm_v4sf r[4];
+            for (int k = 0; k < 4; k++)
+                r[k] = *(const spamm_v4sf *)(c + (i + k) * nb + j);
+            for (int k = 0; k < 4; k++)
+                *(spamm_v4sf *)(t + (j + k) * nb + i) =
+                    (spamm_v4sf){r[0][k], r[1][k], r[2][k], r[3][k]};
+        }
+}
+
 /* Finishes the C slots [lo, hi), old being leaf old_slot[g] of the old
- * stack, then takes their sub-norm squares.  The zero tests are on the
+ * stack, then takes their sub-norm squares; on the mirror path each upper
+ * leaf is then copied, transposed, into its mirror slot, whose squares
+ * follow, and a lower slot is left to that copy.  The zero tests are on the
  * float64 alpha and beta, which decided the leaves.  With alpha 1 and beta
  * 0 each leaf is left as summed, 1 S + (-0) = S: that pass over C made
  * perfbench's square-1024 and exact-512 products 3.6% and 5.1% slower (on
@@ -384,11 +443,19 @@ static void finish(const struct stream *st, int64_t lo, int64_t hi)
     const float beta = (float)st->beta;
     const float none = no_o ? -0.0f : beta * 0.0f; /* o where no old leaf is read */
     for (int64_t g = lo; g < hi; g++) {
+        const int64_t h = mirror_of(st, g);
+        if (h < g)
+            continue; /* written below, by the thread of slot h */
         float *c = st->c + g * leaf;
         const float *old = no_o || st->old_slot[g] < 0 ? NULL : st->old + st->old_slot[g] * leaf;
         if (!identity)
             finish_leaf(c, old, leaf, st->alpha == 0, (float)st->alpha, beta, none);
         block_squares(c, nb, nb, st->subsq + g * grid);
+        if (h > g) {
+            transpose_leaf(c, st->c + h * leaf, nb);
+            /* its own squares: the transposed grid would sum in another order */
+            block_squares(st->c + h * leaf, nb, nb, st->subsq + h * grid);
+        }
     }
 }
 
@@ -397,7 +464,9 @@ static void finish(const struct stream *st, int64_t lo, int64_t hi)
  * the C slot ranges of bounds, and finishes every C slot: old is the old
  * leaf stack, old_slot[g] the old leaf of slot g or -1, subsq a float64
  * (G, s, s) stack.  With zero the C slots start as +0; without, they start
- * as the caller left them, holding sums it formed itself. */
+ * as the caller left them, holding sums it formed itself.  mirror is NULL,
+ * or on the mirror path the slot of each slot's transpose: slot g is
+ * written as the transpose of slot mirror[g] where mirror[g] < g. */
 void spamm_stream_gated(int64_t ntask, int64_t nb,
                         const float *a, const float *asub,
                         const float *b, const float *bsub,
@@ -406,11 +475,12 @@ void spamm_stream_gated(int64_t ntask, int64_t nb,
                         int64_t *counts, int64_t nthreads,
                         const int64_t *bounds, int64_t tiles,
                         double alpha, double beta, const float *old,
-                        const int64_t *old_slot, int64_t zero, double *subsq)
+                        const int64_t *old_slot, int64_t zero, double *subsq,
+                        const int64_t *mirror)
 {
     const struct stream st = {ntask, nb, a, asub, b, bsub, a_slot, b_slot,
                               c_slot, c, gate, alpha, beta, old, old_slot,
-                              zero, subsq};
+                              zero, subsq, mirror};
     const int64_t widest = spamm_slab_tiles(nb);
     if (tiles > widest)
         tiles = widest;
@@ -438,6 +508,36 @@ void spamm_subnorm_squares(int64_t rows, int64_t cols, int64_t nb, int64_t ld,
         for (int64_t bj = 0; bj < cols; bj++)
             block_squares(values + bi * nb * ld + bj * nb, nb, ld,
                           out + (bi * cols + bj) * grid);
+}
+
+/* 1 if each of the count leaves of the stack values equals the transpose of
+ * leaf mirror[g] bit for bit, else 0: the value test of a tree's symmetry,
+ * read in place.  Each pair is compared once, from its upper leaf, by 4x4
+ * tiles as transpose_leaf takes them; the compare is on the bits, so -0
+ * differs from +0. */
+int spamm_leaves_symmetric(int64_t count, int64_t nb, const int64_t *mirror,
+                           const float *values)
+{
+    typedef uint32_t v4u __attribute__((vector_size(16)));
+    const int64_t leaf = nb * nb;
+    for (int64_t g = 0; g < count; g++) {
+        if (mirror[g] < g)
+            continue;
+        const float *u = values + g * leaf, *t = values + mirror[g] * leaf;
+        v4u diff = {0, 0, 0, 0};
+        for (int64_t i = 0; i < nb; i += 4)
+            for (int64_t j = 0; j < nb; j += 4) {
+                spamm_v4sf r[4];
+                for (int k = 0; k < 4; k++)
+                    r[k] = *(const spamm_v4sf *)(u + (i + k) * nb + j);
+                for (int k = 0; k < 4; k++)
+                    diff |= (v4u)(spamm_v4sf){r[0][k], r[1][k], r[2][k], r[3][k]}
+                            ^ (v4u)*(const spamm_v4sf *)(t + (j + k) * nb + i);
+            }
+        if (diff[0] | diff[1] | diff[2] | diff[3])
+            return 0;
+    }
+    return 1;
 }
 
 /* The m x n float32 rows of a tree: index[I * bc + J] is the leaf of block

@@ -5,8 +5,9 @@ The library is compiled when this module is imported, with the C compiler
 source and the flags, and loaded with ctypes.  Its flags keep float32
 arithmetic exact: no FMA contraction, and no -ffast-math, whose start-up
 code would flush subnormals for the whole process.  They name no ISA: the
-wide slab bodies carry their own target attributes, so one build runs on any
-CPU of the machine type.  -pthread links the threads the gated kernel
+wide slab bodies carry their own target attributes and the finish's and the
+conversions' loops their per-ISA target_clones, so one build runs on any CPU
+of the machine type.  -pthread links the threads the gated kernel
 starts and joins within each call.
 """
 
@@ -58,7 +59,7 @@ def _load_kernel() -> ctypes.CDLL:
     ptr, i64 = ctypes.c_void_p, ctypes.c_int64
     f64 = ctypes.c_double
     lib.spamm_stream_gated.argtypes = ([i64, i64] + [ptr] * 8 + [f64, ptr, i64, ptr, i64]
-                                       + [f64, f64, ptr, ptr, i64, ptr])
+                                       + [f64, f64, ptr, ptr, i64, ptr, ptr])
     lib.spamm_stream_gated.restype = None
     lib.spamm_slab_tiles.argtypes = [i64]
     lib.spamm_slab_tiles.restype = ctypes.c_int
@@ -66,6 +67,8 @@ def _load_kernel() -> ctypes.CDLL:
     lib.spamm_subnorm_squares.restype = None
     lib.spamm_leaves_to_rows.argtypes = [i64] * 3 + [ptr] * 3
     lib.spamm_leaves_to_rows.restype = None
+    lib.spamm_leaves_symmetric.argtypes = [i64, i64, ptr, ptr]
+    lib.spamm_leaves_symmetric.restype = ctypes.c_int
     return lib
 
 

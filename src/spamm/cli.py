@@ -212,8 +212,8 @@ def _cmd_multiply(args) -> int:
         st = plan.stats
         print(f"plan: tasks={st.emitted} examined={st.examined} pruned={st.pruned}")
         print(f"exec: products4={counters.products4} skipped4={counters.skipped4} "
-              f"seconds={counters.seconds:.6g} kernel={counters.kernel} "
-              f"threads={counters.threads}")
+              f"mirrored={counters.mirrored} seconds={counters.seconds:.6g} "
+              f"kernel={counters.kernel} threads={counters.threads}")
     print(f"C: {result.m}x{result.n} norm={result.frobenius():.6g}")
     if args.out:
         print(f"wrote product to {args.out}")

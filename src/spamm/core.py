@@ -22,7 +22,7 @@ from __future__ import annotations
 import numpy as np
 
 from ._kernel import _lib, _pointer
-from .morton import decode, decode_array, encode_array
+from .morton import decode, decode_array, encode_array, transpose_keys
 
 DEFAULT_BLOCK = 64
 
@@ -50,6 +50,15 @@ def _subnorm_squares(values: np.ndarray, nb: int | None = None) -> np.ndarray:
         rows, cols, nb, cols * nb, _pointer(values, np.float32, shape, name),
         out.ctypes.data)
     return out
+
+
+def _mirror_slots(keys: np.ndarray) -> np.ndarray | None:
+    """The slot of each leaf's transpose among the ascending keys, as int64,
+    or None when some leaf's transpose is not stored.  A leaf above the
+    diagonal maps to a larger slot, one on it to itself."""
+    mirror = transpose_keys(keys)
+    slots = np.searchsorted(keys, mirror).clip(max=max(keys.size - 1, 0))
+    return slots.astype(np.int64) if np.array_equal(keys[slots], mirror) else None
 
 
 def tree_depth(m: int, n: int, n_b: int = DEFAULT_BLOCK) -> int:
@@ -235,7 +244,8 @@ class QuadtreeMatrix:
         return q
 
     def _store(
-        self, keys: np.ndarray, values: np.ndarray, subsq: np.ndarray | None = None
+        self, keys: np.ndarray, values: np.ndarray, subsq: np.ndarray | None = None,
+        mirrored: bool = False,
     ) -> None:
         """Install a leaf stack (keys ascending) and rebuild every norm from it.
 
@@ -251,6 +261,11 @@ class QuadtreeMatrix:
         overflows with every leaf norm finite names the matrix.  The stored
         keys, values, norms and subnorms are made read-only, so a stored tree
         holds only finite values: writing into one raises ValueError.
+
+        It records the tree's symmetry verdict (_symmetric) with these
+        arrays: unknown, or, given mirrored (values that equal their
+        transpose by construction), the outcome of the norm and sub-norm
+        compare alone.
         """
         if subsq is None:
             subsq = _subnorm_squares(values)
@@ -275,6 +290,35 @@ class QuadtreeMatrix:
         self.norms = norms
         self.subnorms = subnorms
         self.norm = float(norm)
+        self._symmetry = ((keys, values, norms, subnorms),
+                          self._transpose_equal(values=False) if mirrored else None)
+
+    def _symmetric(self) -> bool:
+        """Whether the tree equals its transpose bit for bit, norms and
+        sub-norm grids included: square, every leaf's mirror stored, with the
+        same norm, the transposed sub-norm grid and the transposed values.
+        Decided once for the arrays _store installed, so reassigning one of
+        them drops the verdict."""
+        held, verdict = self._symmetry
+        arrays = (self.keys, self.values, self.norms, self.subnorms)
+        if verdict is None or any(x is not y for x, y in zip(arrays, held)):
+            verdict = self._transpose_equal(values=True)
+            self._symmetry = arrays, verdict
+        return verdict
+
+    def _transpose_equal(self, values: bool) -> bool:
+        """The symmetry test, cheapest part first: keys closed under
+        mirroring, norms, sub-norm grids, then, with values, the leaves in
+        one C pass over the stack in place."""
+        mirror = _mirror_slots(self.keys) if self.m == self.n else None
+        if (mirror is None or not np.array_equal(self.norms[mirror], self.norms)
+                or not np.array_equal(self.subnorms[mirror].transpose(0, 2, 1),
+                                      self.subnorms)):
+            return False
+        nb, count = self.n_b, self.leaf_count
+        return not values or bool(_lib.spamm_leaves_symmetric(
+            count, nb, mirror.ctypes.data,
+            _pointer(self.values, np.float32, (count, nb, nb), "leaf values")))
 
     def to_dense(self) -> DenseMatrix:
         """The matrix as dense float32 rows, each written once: one C pass

@@ -64,6 +64,14 @@ def c_index(key_a: int, key_b: int) -> int:
     return (key_a & EVEN_MASK) | (key_b & ODD_MASK)
 
 
+def transpose_keys(keys: np.ndarray) -> np.ndarray:
+    """Keys of the mirrored blocks: (i, j) becomes (j, i), the lanes swapped.
+    A block above the diagonal has the smaller key of its pair, since the
+    highest bit where i and j differ is a row bit only in the lower one."""
+    one = np.uint64(1)
+    return ((keys >> one) & np.uint64(ODD_MASK)) | ((keys & np.uint64(ODD_MASK)) << one)
+
+
 # The one dilation: mask-shift stages on uint64 arrays.  The tree builder
 # and the scalar encode/decode above go through it.
 

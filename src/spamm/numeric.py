@@ -61,10 +61,30 @@ own leaves; so results and counters do not depend on the thread count.
 The dense-leaf foil forms its block products with numpy's matmul and sums
 them into a zeroed stack with a numpy add, on one thread; then the same
 kernel call, with no tasks, finishes its leaves.
-The kernel library is built and loaded by spamm._kernel.  It exports four
+
+A symmetric square takes the mirror path: X X, or alpha X X + beta X into
+X, where b is a, the tree is square and it equals its transpose bit for
+bit, norms and sub-norm grids included.  The operands choose it; there is
+no option.  The plan stays whole; the executor runs only its tasks into C
+leaves with block row <= column, in plan order, and the kernel thread that
+finishes each such leaf writes its transpose into the mirror leaf.  That is
+the full product bit for bit: float32 products commute and both sides add
+the same terms in ascending k; the plan's prune test and every 4x4 gate
+decide alike on both sides, as a leaf's norm and sub-norm grid are its
+mirror's, transposed; and alpha S + beta old is symmetric where old is.
+products4 and skipped4 stay the full product's (the executor still matches
+the block loop, counters included), and ExecCounters.mirrored counts the
+leaves written as transposes.  The dense-leaf foil keeps the full path,
+since its library matmul promises no transposed bits.  The symmetry verdict
+(QuadtreeMatrix._symmetric) is taken once per stored leaf stack: a built or
+loaded tree pays one check at its first square; a mirror-path product is
+symmetric by construction and pays only the norm and sub-norm compare.
+
+The kernel library is built and loaded by spamm._kernel.  It exports five
 functions: the gated stream and finish spamm_stream_gated, its slab width
-query spamm_slab_tiles, and spamm_subnorm_squares and spamm_leaves_to_rows
-of the conversions in core.
+query spamm_slab_tiles, spamm_subnorm_squares and spamm_leaves_to_rows of
+the conversions in core, and spamm_leaves_symmetric, the value test of the
+symmetry verdict.
 """
 
 from __future__ import annotations
@@ -76,7 +96,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._kernel import _lib, _pointer
-from .core import QuadtreeMatrix
+from .core import QuadtreeMatrix, _mirror_slots
 from .morton import k_of_a
 from .symbolic import MultiplyPlan, build_plan
 
@@ -138,14 +158,17 @@ def _slot_ranges(c_slot: np.ndarray, slots: int, threads: int) -> np.ndarray:
 def _stream_gated(a_values, a_sub, b_values, b_sub, a_slot, b_slot, c_slot,
                   acc, gate: float, threads: int = 1, alpha: float = 1.0,
                   beta: float = 0.0, old=None, old_slot=None,
-                  zero: bool = False) -> tuple[int, int, np.ndarray]:
+                  zero: bool = False, mirror=None) -> tuple[int, int, np.ndarray]:
     """acc[c_slot[t]] += gated A[a_slot[t]] B[b_slot[t]] for every task t in
     order, then each leaf g of acc becomes alpha acc[g] + beta
     old[old_slot[g]] in float32 (old_slot[g] = -1: no old leaf, read as
     +0; a zero factor's term is -0), on `threads` threads that each own a
     range of acc's leaves.  With zero, acc starts as +0 and may be
-    uninitialised.  Returns the micro products run and skipped and acc's
-    float64 (G, s, s) sub-block square sums."""
+    uninitialised.  Given mirror, the slot of each leaf's transpose, a
+    leaf g with mirror[g] < g takes no task and becomes the transpose of
+    leaf mirror[g] once that is finished, and a task into a leaf g with
+    mirror[g] > g counts twice.  Returns the micro products run and skipped
+    and acc's float64 (G, s, s) sub-block square sums."""
     c_ptr = _acc_pointer(acc)
     nb = acc.shape[-1]
     s = nb // 4
@@ -169,13 +192,14 @@ def _stream_gated(a_values, a_sub, b_values, b_sub, a_slot, b_slot, c_slot,
         _pointer(old, np.float32, (len(old), nb, nb), "old C values"),
         _slot_pointer(old_slot, len(acc), len(old), "old_slot", least=-1),
     )
+    mirror_ptr = None if mirror is None else _slot_pointer(mirror, len(acc), len(acc), "mirror")
     bounds = _slot_ranges(c_slot, len(acc), threads)
     counts = np.zeros(2, np.int64)
     subsq = np.empty((len(acc), s, s), np.float64)
     _lib.spamm_stream_gated(count, nb, *pointers, c_ptr, float(gate),
                             counts.ctypes.data, threads, bounds.ctypes.data,
                             _slab_tiles(nb), float(alpha), float(beta), *finish,
-                            int(zero), subsq.ctypes.data)
+                            int(zero), subsq.ctypes.data, mirror_ptr)
     return int(counts[0]), int(counts[1]), subsq
 
 
@@ -208,6 +232,8 @@ class ExecCounters:
     kernel: str = ""
     # threads the block-product pass ran on, 0 if none ran
     threads: int = 0
+    # C leaves written as the transpose of their mirror, 0 off the mirror path
+    mirrored: int = 0
 
 
 def _gate(cfg: MultiplyConfig) -> float:
@@ -248,7 +274,10 @@ def execute_plan(
     A C leaf that overflows float32 raises OverflowError naming its block
     row and column, and c is left as it was.  With alpha = 0 the product
     pass is skipped outright (counters stay zero) and C = beta * C_before
-    exactly.
+    exactly.  A symmetric square (b is a, and beta = 0 or c is a) runs only
+    the leaves on and above the diagonal and writes the rest as their
+    transposes, with the same bits and counters; counters.mirrored counts
+    those leaves.
     """
     return _execute(plan, a, b, c, cfg, dense_kernel=False)
 
@@ -283,6 +312,14 @@ def _execute(plan, a, b, c, cfg, dense_kernel, threads=None):
     old_slot = np.full(keys.size, -1, np.int64)
     old_slot[slot[T:]] = np.arange(olds.size)
     tasks = slot[:T]
+    a_slot, b_slot, mirror = plan.a_slot, plan.b_slot, None
+    # the mirror path: run the leaves on and above the diagonal only
+    if not dense_kernel and b is a and (not cfg.beta or c is a) and a._symmetric():
+        mirror = _mirror_slots(keys)
+    if mirror is not None:
+        upper = mirror[tasks] >= tasks
+        a_slot, b_slot, tasks = a_slot[upper], b_slot[upper], tasks[upper]
+        counters.mirrored = int(np.count_nonzero(mirror < np.arange(keys.size)))
     if dense_kernel:  # numpy sums the foil's products; the kernel only finishes them
         stack = np.zeros((keys.size, nb, nb), np.float32)
         if T:
@@ -294,16 +331,16 @@ def _execute(plan, a, b, c, cfg, dense_kernel, threads=None):
         stack = np.empty((keys.size, nb, nb), np.float32)
         if T:
             counters.kernel = _kernel_isa(nb)
-            counters.threads = _thread_count(T, nb, np.count_nonzero(np.bincount(tasks)),
-                                             threads)
+            counters.threads = _thread_count(tasks.size, nb,
+                                             np.count_nonzero(np.bincount(tasks)), threads)
     # an overflowing product or sum is caught by _store, which names its leaf
     run, skipped, subsq = _stream_gated(
-        a.values, a.subnorms, b.values, b.subnorms, plan.a_slot[:tasks.size],
-        plan.b_slot[:tasks.size], tasks, stack, _gate(cfg), counters.threads or 1,
-        cfg.alpha, cfg.beta, c.values, old_slot, zero=not dense_kernel)
+        a.values, a.subnorms, b.values, b.subnorms, a_slot[:tasks.size],
+        b_slot[:tasks.size], tasks, stack, _gate(cfg), counters.threads or 1,
+        cfg.alpha, cfg.beta, c.values, old_slot, zero=not dense_kernel, mirror=mirror)
     counters.products4 += run
     counters.skipped4 += skipped
-    c._store(keys, stack, subsq)
+    c._store(keys, stack, subsq, mirrored=mirror is not None)
     counters.seconds = time.perf_counter() - t0
     return c, counters
 

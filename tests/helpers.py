@@ -121,6 +121,20 @@ def assert_norm_invariant(q: QuadtreeMatrix) -> None:
     assert q.norm == float(np.float32(math.sqrt(math.fsum(squares))))
 
 
+def copy_tree(q: QuadtreeMatrix) -> QuadtreeMatrix:
+    """A distinct tree equal to q, whose symmetry is not yet known."""
+    return QuadtreeMatrix.from_leaves(q.m, q.n, q.keys, q.values, q.n_b)
+
+
+def assert_same_tree(got: QuadtreeMatrix, want: QuadtreeMatrix) -> None:
+    """Equal keys, and values, norms and sub-norms bit for bit (-0 != +0)."""
+    assert np.array_equal(got.keys, want.keys)
+    for x, y in ((got.values, want.values), (got.norms, want.norms),
+                 (got.subnorms, want.subnorms)):
+        assert np.array_equal(x.view(np.uint32), y.view(np.uint32))
+    assert got.norm == want.norm
+
+
 def matched_pairs(a: QuadtreeMatrix, b: QuadtreeMatrix, tau: float) -> set:
     """All-pairs oracle for the symbolic phase.
 

@@ -52,12 +52,23 @@ def test_multiply_writes_product_and_tree(tmp_path, capsys):
     exec_line = next(line for line in printed.splitlines() if line.startswith("exec:"))
     # one leaf at the default n_b: too little work to start threads
     assert exec_line.endswith(f" kernel={numeric._kernel_isa(DEFAULT_BLOCK)} threads=1")
+    assert " mirrored=0 " in exec_line
     ad = load_matrix(a)
     ref = dense_multiply_double(ad, ad)
     got = load_matrix(out)
     assert max_norm_error(got, ref).delta < 1e-5
     tree = load_quadtree(qt)
     assert np.array_equal(tree.to_dense().data.astype(np.float64), got.data)
+    # a symmetric operand on a 4 x 4 block grid: the square's 6 leaves below
+    # the diagonal are written as the transposes of those above it
+    sym = _gen(tmp_path, "s.mtx", extra=("--symmetrize",))
+    assert main(["multiply", str(sym), "--tau", "1e-8", "--block-size", "16",
+                 "--out", str(out)]) == 0
+    exec_line = next(line for line in capsys.readouterr().out.splitlines()
+                     if line.startswith("exec:"))
+    assert int(exec_line.split(" mirrored=")[1].split()[0]) == 6
+    got = load_matrix(out).data
+    assert np.array_equal(got, got.T)
 
 
 def test_multiply_two_operands_dense_double(tmp_path):

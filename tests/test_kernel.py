@@ -12,10 +12,14 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from helpers import (
     assert_norm_invariant,
+    assert_same_tree,
     block_multiply_16,
+    copy_tree,
     decay_matrix,
     rng_matrix,
     sequential_execute,
@@ -65,7 +69,7 @@ def test_cold_cache_builds_once_then_reuses(cache, compiles):
     assert built[0].stat().st_mtime_ns == stamp
     counts, bounds = np.zeros(2, np.int64), np.zeros(2, np.int64)
     lib.spamm_stream_gated(0, 16, *([None] * 8), 0.0, counts.ctypes.data, 1, bounds.ctypes.data, 1,
-                           1.0, 0.0, None, None, 1, None)
+                           1.0, 0.0, None, None, 1, None, None)
     assert counts.tolist() == [0, 0]
     # a tree of no leaves: every piece of every row is set to +0
     rows, index = np.full((3, 5), np.nan, np.float32), np.full((1, 2), -1, np.int64)
@@ -117,13 +121,17 @@ def test_built_library_has_no_fma_and_every_variant():
         # each variant's slab loop is its body function, which the threads run
         assert "%ymm" in _disassembly("slab_avx2", text)
         assert "%zmm" in _disassembly("slab_avx512f", text)
+        # the finish and the sub-norm squares have one copy per ISA too
+        for name in ("finish_leaf", "block_squares"):
+            assert "%ymm" in _disassembly(f"{name}.avx2", text)
+            assert "%zmm" in _disassembly(f"{name}.avx512f", text)
 
 
 def test_library_exports_one_gated_entry_point():
     names = {line.split()[-1] for line in _objdump("-T").splitlines()
              if line.split() and line.split()[-1].startswith("spamm_")}
     assert names == {"spamm_stream_gated", "spamm_slab_tiles", "spamm_subnorm_squares",
-                     "spamm_leaves_to_rows"}
+                     "spamm_leaves_to_rows", "spamm_leaves_symmetric"}
 
 
 # -- checks at the ctypes boundary -------------------------------------------
@@ -162,6 +170,11 @@ BAD_ARGS = {
     "2-d accumulator": ("acc", lambda v: v[0]),
     "strided accumulator": ("acc", _strided),
     "read-only accumulator": ("acc", lambda v: np.broadcast_to(v, v.shape)),
+    # the mirror map is absent from a valid stream: each case sets one
+    "mirror past the stack": ("mirror", lambda v: np.ones(1, np.int64)),
+    "negative mirror": ("mirror", lambda v: -np.ones(1, np.int64)),
+    "int32 mirror": ("mirror", lambda v: np.zeros(1, np.int32)),
+    "short mirror": ("mirror", lambda v: np.zeros(0, np.int64)),
 }
 
 
@@ -428,7 +441,7 @@ def test_misaligned_stacks_match_the_block_oracle():
 def test_bad_arrays_are_rejected_before_the_call(case):
     args = _operands()
     name, corrupt = BAD_ARGS[case]
-    args[name] = corrupt(args[name])
+    args[name] = corrupt(args.get(name))
     before = np.array(args["acc"])
     with pytest.raises(ValueError):
         numeric._stream_gated(**args)
@@ -631,6 +644,51 @@ def test_finish_of_an_empty_plan_keeps_the_accumulator(variant, finish_case, thr
     assert (counters.products4, counters.skipped4, counters.kernel, counters.threads) == (
         0, 0, "", 0)
     assert_norm_invariant(out)
+
+
+# -- the mirror path: a symmetric square runs its upper leaves ----------------
+
+
+def _symmetric_dense(rng: np.random.Generator, n: int, nb: int) -> np.ndarray:
+    """A bitwise-symmetric float32 n x n matrix under a drawn decay envelope,
+    with a drawn share of its block pairs off the diagonal set to zero (but
+    never blocks (0, 1) and (1, 0)) and a share of -0 elements."""
+    i = np.arange(n)
+    width = rng.uniform(0.5, 3.0) * nb
+    vals = (rng.standard_normal((n, n))
+            * np.exp(-np.abs(i[:, None] - i[None, :]) / width)).astype(np.float32)
+    vals[rng.random((n, n)) < 0.05] = -0.0
+    blk = i // nb
+    gone = rng.random((blk[-1] + 1,) * 2) < rng.uniform(0.0, 0.4)
+    gone[0, 1] = False
+    vals[np.triu(gone, 1)[blk][:, blk]] = 0
+    return np.where(i[:, None] <= i[None, :], vals, vals.T)
+
+
+@settings(max_examples=40, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(nb=st.sampled_from([4, 8, 16, 32, 64]), extra=st.integers(1, 3 * 64),
+       seed=st.integers(0, 2**32 - 1), tau=st.sampled_from([0.0, 1e-6, 1e-3]),
+       pair=st.sampled_from([(1.0, 0.0), (-1.0, 2.0), (2.0, -0.5)]),
+       threads=st.sampled_from([1, 2]))
+def test_mirror_path_equals_the_full_path(variant, nb, extra, seed, tau, pair, threads):
+    # X X, or alpha X X + beta X into X, on a symmetric X runs the leaves on
+    # and above the diagonal and writes the rest as their transposes: the
+    # full product of distinct equal trees, bit for bit, counters included
+    n = nb + 1 + extra % (3 * nb)  # two block rows at least; ragged sizes included
+    x = QuadtreeMatrix.from_dense(_symmetric_dense(np.random.default_rng(seed), n, nb), nb)
+    y, z = copy_tree(x), copy_tree(x)
+    alpha, beta = pair
+    cfg = MultiplyConfig(tau=tau, alpha=alpha, beta=beta)
+    full, want = numeric._execute(build_plan(y, z, tau), y, z, y if beta else None, cfg,
+                                  dense_kernel=False, threads=threads)
+    out, got = numeric._execute(build_plan(x, x, tau), x, x, x if beta else None, cfg,
+                                dense_kernel=False, threads=threads)
+    assert want.mirrored == 0 and got.mirrored > 0
+    assert (got.products4, got.skipped4) == (want.products4, want.skipped4)
+    assert_same_tree(out, full)
+    dense = out.to_dense().data
+    assert _same_bits(dense, dense.T)
 
 
 # -- floating-point environment ----------------------------------------------

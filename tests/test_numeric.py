@@ -9,7 +9,9 @@ import pytest
 from helpers import (
     LEAF_SIZES,
     assert_norm_invariant,
+    assert_same_tree,
     bench_purification_start,
+    copy_tree,
     block_multiply_16,
     decay_matrix,
     rng_matrix,
@@ -322,6 +324,90 @@ def test_accumulator_path_holds_about_one_leaf_stack():
         tracemalloc.stop()
     assert out.values.nbytes == stack
     assert peak < 1.4 * stack
+
+
+# -- the mirror path: a symmetric square runs its upper leaves ----------------
+
+
+@pytest.mark.parametrize("nb", LEAF_SIZES)
+@pytest.mark.parametrize("dense_leaf", [False, True], ids=["gated", "dense-leaf"])
+def test_purification_chain_on_the_mirror_path_equals_the_full_path(nb, dense_leaf):
+    # perfbench's seed-0 TC2 chain, X X or 2 X - X X into X, step by step
+    # against the full product of distinct equal trees.  The gated executor
+    # takes the mirror path at every step; the dense-leaf foil always runs
+    # the full path, as its library matmul promises no transposed bits
+    def step(a, b, c, cfg):
+        plan = build_plan(a, b, cfg.tau)
+        if dense_leaf:
+            return execute_plan_dense_leaf(plan, a, b, c, cfg.alpha, cfg.beta)
+        return execute_plan(plan, a, b, c, cfg)
+
+    x = QuadtreeMatrix.from_dense(bench_purification_start(1024, seed=0), nb)
+    traces = []
+    while len(traces) < 2 or abs(traces[-1] - traces[-2]) >= 1e-3:
+        assert len(traces) < 30
+        traces.append(float(np.trace(x.to_dense().data, dtype=np.float64)))
+        grow = traces[-1] <= 512  # the occupation
+        cfg = MultiplyConfig(tau=1e-8, alpha=-1.0 if grow else 1.0, beta=2.0 if grow else 0.0)
+        y, z = copy_tree(x), copy_tree(x)
+        full, want = step(y, z, y if grow else None, cfg)
+        x, got = step(x, x, x if grow else None, cfg)
+        assert_same_tree(x, full)
+        assert (got.products4, got.skipped4) == (want.products4, want.skipped4)
+        assert want.mirrored == 0 and (got.mirrored > 0) != dense_leaf
+        dense = x.to_dense().data
+        assert np.array_equal(_bits(dense), _bits(dense.T))
+    assert len(traces) == 18
+
+
+def _fallback(case: str):
+    """(a, b, c, cfg) of a square of a purification start, or of a product
+    beside one, that takes the full path."""
+    d = bench_purification_start(128, seed=3)
+    x = QuadtreeMatrix.from_dense(d, 16)
+    assert x._symmetric()
+    cfg = MultiplyConfig(tau=1e-8, alpha=-1.0, beta=2.0)
+    lower = d[40, 20:24]  # elements of the lower triangle, in block (2, 1)
+    if case == "low-bit":
+        lower.view(np.uint32)[np.flatnonzero(lower)[0]] ^= 1
+    if case in ("sign", "reassigned-values"):
+        lower[np.flatnonzero(lower)[0]] *= -1
+    if case == "no-mirror-leaf":
+        d[32:48, 16:32] = 0
+    if case == "reassigned-values":  # after a symmetric verdict
+        x.values = QuadtreeMatrix.from_dense(d, 16).values
+    elif case in ("low-bit", "sign", "no-mirror-leaf"):
+        x = QuadtreeMatrix.from_dense(d, 16)
+    if case == "sign":  # squares, and so every norm, cannot tell the sign
+        assert x._transpose_equal(values=False)
+    if case == "distinct-b":
+        return x, copy_tree(x), None, MultiplyConfig(tau=1e-8)
+    if case == "asymmetric-c":
+        return x, x, QuadtreeMatrix.from_dense(rng_matrix(128, 128, seed=26), 16), cfg
+    return x, x, x, cfg
+
+
+@pytest.mark.parametrize("case", ["low-bit", "sign", "no-mirror-leaf", "distinct-b",
+                                  "asymmetric-c", "reassigned-values"])
+def test_a_product_that_is_not_a_symmetric_square_takes_the_full_path(case):
+    a, b, c, cfg = _fallback(case)
+    y, z = copy_tree(a), copy_tree(b)
+    full, want = execute_plan(build_plan(y, z, cfg.tau), y, z,
+                              y if c is a else None if c is None else copy_tree(c), cfg)
+    out, got = execute_plan(build_plan(a, b, cfg.tau), a, b, c, cfg)
+    assert got.mirrored == 0 and want.mirrored == 0
+    assert_same_tree(out, full)
+    assert (got.products4, got.skipped4) == (want.products4, want.skipped4)
+
+
+def test_a_tree_that_is_not_square_is_not_symmetric():
+    # a 100 x 120 matrix whose leaves hold a symmetric 100 x 100 one: the
+    # same leaves as a 120 x 120 tree are symmetric
+    d = np.zeros((100, 120), np.float32)
+    d[:, :100] = bench_purification_start(100, seed=4)
+    wide = QuadtreeMatrix.from_dense(d, 64)
+    square = QuadtreeMatrix.from_leaves(120, 120, wide.keys, wide.values, 64)
+    assert square._symmetric() and not wide._symmetric()
 
 
 def test_beta_zero_discards_accumulator_content():
