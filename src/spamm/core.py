@@ -245,7 +245,7 @@ class QuadtreeMatrix:
 
     def _store(
         self, keys: np.ndarray, values: np.ndarray, subsq: np.ndarray | None = None,
-        mirrored: bool = False,
+        mirror: np.ndarray | None = None,
     ) -> None:
         """Install a leaf stack (keys ascending) and rebuild every norm from it.
 
@@ -263,9 +263,9 @@ class QuadtreeMatrix:
         holds only finite values: writing into one raises ValueError.
 
         It records the tree's symmetry verdict (_symmetric) with these
-        arrays: unknown, or, given mirrored (values that equal their
-        transpose by construction), the outcome of the norm and sub-norm
-        compare alone.
+        arrays: unknown, or, given mirror (the _mirror_slots of keys, for
+        values that equal their transpose by construction), the outcome of
+        the norm and sub-norm compare alone.
         """
         if subsq is None:
             subsq = _subnorm_squares(values)
@@ -291,7 +291,7 @@ class QuadtreeMatrix:
         self.subnorms = subnorms
         self.norm = float(norm)
         self._symmetry = ((keys, values, norms, subnorms),
-                          self._transpose_equal(values=False) if mirrored else None)
+                          None if mirror is None else self._transpose_equal(mirror, False))
 
     def _symmetric(self) -> bool:
         """Whether the tree equals its transpose bit for bit, norms and
@@ -302,15 +302,15 @@ class QuadtreeMatrix:
         held, verdict = self._symmetry
         arrays = (self.keys, self.values, self.norms, self.subnorms)
         if verdict is None or any(x is not y for x, y in zip(arrays, held)):
-            verdict = self._transpose_equal(values=True)
+            verdict = self.m == self.n and self._transpose_equal(_mirror_slots(self.keys), True)
             self._symmetry = arrays, verdict
         return verdict
 
-    def _transpose_equal(self, values: bool) -> bool:
-        """The symmetry test, cheapest part first: keys closed under
-        mirroring, norms, sub-norm grids, then, with values, the leaves in
-        one C pass over the stack in place."""
-        mirror = _mirror_slots(self.keys) if self.m == self.n else None
+    def _transpose_equal(self, mirror: np.ndarray | None, values: bool) -> bool:
+        """The symmetry test of a square tree given the _mirror_slots of its
+        keys, cheapest part first: keys closed under mirroring (mirror not
+        None), norms, sub-norm grids, then, with values, the leaves in one C
+        pass over the stack in place."""
         if (mirror is None or not np.array_equal(self.norms[mirror], self.norms)
                 or not np.array_equal(self.subnorms[mirror].transpose(0, 2, 1),
                                       self.subnorms)):

@@ -72,9 +72,10 @@ the full product bit for bit: float32 products commute and both sides add
 the same terms in ascending k; the plan's prune test and every 4x4 gate
 decide alike on both sides, as a leaf's norm and sub-norm grid are its
 mirror's, transposed; and alpha S + beta old is symmetric where old is.
-products4 and skipped4 stay the full product's (the executor still matches
-the block loop, counters included), and ExecCounters.mirrored counts the
-leaves written as transposes.  The dense-leaf foil keeps the full path,
+products4, skipped4 and threads stay the full product's (the executor still
+matches the block loop, counters included), and ExecCounters.mirrored
+counts the leaves written as transposes; with alpha = 0 or an empty plan no
+product runs, and nothing is mirrored.  The dense-leaf foil keeps the full path,
 since its library matmul promises no transposed bits.  The symmetry verdict
 (QuadtreeMatrix._symmetric) is taken once per stored leaf stack: a built or
 loaded tree pays one check at its first square; a mirror-path product is
@@ -313,13 +314,6 @@ def _execute(plan, a, b, c, cfg, dense_kernel, threads=None):
     old_slot[slot[T:]] = np.arange(olds.size)
     tasks = slot[:T]
     a_slot, b_slot, mirror = plan.a_slot, plan.b_slot, None
-    # the mirror path: run the leaves on and above the diagonal only
-    if not dense_kernel and b is a and (not cfg.beta or c is a) and a._symmetric():
-        mirror = _mirror_slots(keys)
-    if mirror is not None:
-        upper = mirror[tasks] >= tasks
-        a_slot, b_slot, tasks = a_slot[upper], b_slot[upper], tasks[upper]
-        counters.mirrored = int(np.count_nonzero(mirror < np.arange(keys.size)))
     if dense_kernel:  # numpy sums the foil's products; the kernel only finishes them
         stack = np.zeros((keys.size, nb, nb), np.float32)
         if T:
@@ -329,10 +323,17 @@ def _execute(plan, a, b, c, cfg, dense_kernel, threads=None):
         tasks = tasks[:0]
     else:
         stack = np.empty((keys.size, nb, nb), np.float32)
-        if T:
+        if T:  # the full path's threads, on either path
             counters.kernel = _kernel_isa(nb)
-            counters.threads = _thread_count(tasks.size, nb,
-                                             np.count_nonzero(np.bincount(tasks)), threads)
+            counters.threads = _thread_count(T, nb, np.count_nonzero(np.bincount(tasks)),
+                                             threads)
+            # the mirror path: run the leaves on and above the diagonal only
+            if b is a and (not cfg.beta or c is a) and a._symmetric():
+                mirror = _mirror_slots(keys)
+    if mirror is not None:
+        upper = mirror[tasks] >= tasks
+        a_slot, b_slot, tasks = a_slot[:T][upper], b_slot[:T][upper], tasks[upper]
+        counters.mirrored = int(np.count_nonzero(mirror < np.arange(keys.size)))
     # an overflowing product or sum is caught by _store, which names its leaf
     run, skipped, subsq = _stream_gated(
         a.values, a.subnorms, b.values, b.subnorms, a_slot[:tasks.size],
@@ -340,7 +341,7 @@ def _execute(plan, a, b, c, cfg, dense_kernel, threads=None):
         cfg.alpha, cfg.beta, c.values, old_slot, zero=not dense_kernel, mirror=mirror)
     counters.products4 += run
     counters.skipped4 += skipped
-    c._store(keys, stack, subsq, mirrored=mirror is not None)
+    c._store(keys, stack, subsq, mirror=mirror)
     counters.seconds = time.perf_counter() - t0
     return c, counters
 

@@ -27,7 +27,7 @@ from helpers import (
 )
 from spamm import _kernel, numeric
 from spamm.core import DenseMatrix, QuadtreeMatrix
-from spamm.morton import decode
+from spamm.morton import decode, transpose_keys
 from spamm.numeric import MultiplyConfig, multiply
 from spamm.reference import dense_multiply_single
 from spamm.symbolic import build_plan
@@ -515,6 +515,25 @@ def test_threads_start_at_a_fixed_amount_of_work():
     assert counters.threads == min(cores, c.leaf_count)
 
 
+def test_a_symmetric_square_runs_on_the_full_products_threads():
+    # 16 tasks at n_b = 64, 12 of them into the leaves on or above the
+    # diagonal: the mirror path starts the threads the full product would
+    cores = len(os.sched_getaffinity(0))
+    i = np.arange(256)
+    d = rng_matrix(256, 256, seed=70)
+    d = np.where(i[:, None] <= i[None, :], d, d.T) * (i[:, None] // 128 == i[None, :] // 128)
+    x = QuadtreeMatrix.from_dense(d, 64)
+    y, z = copy_tree(x), copy_tree(x)
+    full, want = numeric.execute_plan(build_plan(y, z, 0.0), y, z, None, MultiplyConfig())
+    plan = build_plan(x, x, 0.0)
+    assert plan.a_slot.size == numeric._MIN_THREAD_TASKS
+    assert np.count_nonzero(transpose_keys(plan.c_key) >= plan.c_key) == 12
+    out, got = numeric.execute_plan(plan, x, x, None, MultiplyConfig())
+    assert got.mirrored == 2 and want.mirrored == 0
+    assert got.threads == want.threads == min(cores, out.leaf_count)
+    assert_same_tree(out, full)
+
+
 def test_old_only_leaves_start_no_thread():
     # 20 tasks of 16^3 micro products into one product leaf, beside three C
     # leaves that take no task: a thread per C leaf would start an idle one
@@ -685,7 +704,8 @@ def test_mirror_path_equals_the_full_path(variant, nb, extra, seed, tau, pair, t
     out, got = numeric._execute(build_plan(x, x, tau), x, x, x if beta else None, cfg,
                                 dense_kernel=False, threads=threads)
     assert want.mirrored == 0 and got.mirrored > 0
-    assert (got.products4, got.skipped4) == (want.products4, want.skipped4)
+    assert (got.products4, got.skipped4, got.kernel, got.threads) == (
+        want.products4, want.skipped4, want.kernel, want.threads)
     assert_same_tree(out, full)
     dense = out.to_dense().data
     assert _same_bits(dense, dense.T)

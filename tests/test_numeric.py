@@ -18,7 +18,7 @@ from helpers import (
     sequential_execute,
     sub_norms,
 )
-from spamm.core import DenseMatrix, QuadtreeMatrix
+from spamm.core import DenseMatrix, QuadtreeMatrix, _mirror_slots
 from spamm.numeric import (
     GRANULARITIES,
     ExecCounters,
@@ -379,16 +379,20 @@ def _fallback(case: str):
     elif case in ("low-bit", "sign", "no-mirror-leaf"):
         x = QuadtreeMatrix.from_dense(d, 16)
     if case == "sign":  # squares, and so every norm, cannot tell the sign
-        assert x._transpose_equal(values=False)
+        assert x._transpose_equal(_mirror_slots(x.keys), values=False)
     if case == "distinct-b":
         return x, copy_tree(x), None, MultiplyConfig(tau=1e-8)
     if case == "asymmetric-c":
         return x, x, QuadtreeMatrix.from_dense(rng_matrix(128, 128, seed=26), 16), cfg
+    if case.startswith("alpha-zero"):  # no product runs, so none is mirrored
+        cfg = MultiplyConfig(tau=1e-8, alpha=0.0, beta=2.0 if case.endswith("beta") else 0.0)
+        return x, x, None if case == "alpha-zero" else x, cfg
     return x, x, x, cfg
 
 
 @pytest.mark.parametrize("case", ["low-bit", "sign", "no-mirror-leaf", "distinct-b",
-                                  "asymmetric-c", "reassigned-values"])
+                                  "asymmetric-c", "reassigned-values", "alpha-zero",
+                                  "alpha-zero-into-x", "alpha-zero-beta"])
 def test_a_product_that_is_not_a_symmetric_square_takes_the_full_path(case):
     a, b, c, cfg = _fallback(case)
     y, z = copy_tree(a), copy_tree(b)
@@ -397,7 +401,8 @@ def test_a_product_that_is_not_a_symmetric_square_takes_the_full_path(case):
     out, got = execute_plan(build_plan(a, b, cfg.tau), a, b, c, cfg)
     assert got.mirrored == 0 and want.mirrored == 0
     assert_same_tree(out, full)
-    assert (got.products4, got.skipped4) == (want.products4, want.skipped4)
+    assert (got.products4, got.skipped4, got.kernel, got.threads) == (
+        want.products4, want.skipped4, want.kernel, want.threads)
 
 
 def test_a_tree_that_is_not_square_is_not_symmetric():
