@@ -13,7 +13,7 @@
  * n_b is its own grid, so a tree is built from the dense rows in one pass.
  * spamm_leaves_to_rows goes the other way, writing each output row once.
  *
- * Tasks are walked in plan order.  The gated kernel works on slabs: W
+ * Each C leaf runs its tasks in plan order.  The gated kernel works on slabs: W
  * adjacent 4x4 tiles of one 4-row strip of a C leaf, held as four 4W-float
  * vector registers (one per row), and it runs the slabs of a strip in
  * adjacent pairs.  For each pair
@@ -42,32 +42,33 @@
  * conversions' loops (finish_leaf, block_squares) get one copy per ISA by
  * target_clones, with their order of operations unchanged.
  *
- * A gated call is split over threads by C leaf: thread i owns the C slots
- * [bounds[i], bounds[i + 1]) and walks the whole plan in order, running only
- * the tasks into its own slots.  So no two threads write one leaf, every C
- * element adds its terms in the same order as on one thread, and results and
- * counters do not depend on the thread count.  Each thread also sets its
- * slots to zero before its tasks and finishes them after, by one expression
- * for every alpha and beta: alpha S + beta old per element in float32, a
- * term whose factor is 0 read as -0, then the leaf's sub-norm squares while
- * it is still in cache.  The threads are started and joined inside the
- * call; the calling thread runs the first range.
+ * The caller groups the tasks by C leaf, each leaf's in plan order: leaf g
+ * takes tasks [starts[g], starts[g + 1]).  A gated call runs on threads that
+ * take the C leaves from one shared counter, 16 KB of them at a time (one
+ * 64 x 64 leaf).  A thread does all of one leaf before the next: it sets the
+ * leaf to zero (unless the caller summed into it already), runs its tasks
+ * into it, finishes it by one expression for every alpha and beta, alpha S +
+ * beta old per element in float32 with a term whose factor is 0 read as -0,
+ * and takes its sub-norm squares, all while the leaf is in cache.  Each
+ * leaf is written whole by the thread that took it and adds its terms in the
+ * same order on any thread, so which thread takes which leaf changes no
+ * result or counter.  The threads are started and joined inside the call,
+ * and the calling thread is one of them.
  *
  * The mirror path squares a symmetric X: the caller passes each C slot's
- * mirror (the slot of its transpose) and only the tasks into slots on or
- * above the diagonal.  The thread that finishes an upper leaf also writes
- * its transpose into the mirror slot and takes that leaf's own sub-norm
- * squares; the owner of the lower slot neither zeroes nor finishes it, so
- * each leaf is still written by one thread.  This is the full product bit
- * for bit: products commute, both sides add the same terms in ascending k,
- * and with transposed sub-norm grids every gate decides alike.  The
- * counters stay the full product's: a task into a leaf with a mirror
- * counts twice.
+ * mirror (the slot of its transpose).  The thread that takes a leaf on or
+ * above the diagonal also writes its transpose into the mirror slot and
+ * takes that leaf's own sub-norm squares; a strict-lower leaf is passed over
+ * and its tasks are not run, so each leaf is still written by one thread.
+ * This is the full product bit for bit: products commute, both sides add the
+ * same terms in ascending k, and with transposed sub-norm grids every gate
+ * decides alike.  The counters stay the full product's: the products of a
+ * leaf with a mirror count twice.
  *
  * Build without FMA contraction (-ffp-contract=off) and without -ffast-math,
  * which would contract, reassociate or flush subnormals, and with -pthread.
  * The Python side checks every dtype, shape and slot range before a call,
- * and computes the bounds.
+ * and groups the tasks.
  */
 
 #include <pthread.h>
@@ -93,9 +94,9 @@ typedef float spamm_v4sf __attribute__((vector_size(16), aligned(4)));
 
 /* The arguments of one gated call, shared by its threads. */
 struct stream {
-    int64_t ntask, nb;
+    int64_t count, nb;
     const float *a, *asub, *b, *bsub;
-    const int64_t *a_slot, *b_slot, *c_slot;
+    const int64_t *a_slot, *b_slot, *starts;
     float *c;
     double gate, alpha, beta;
     const float *old;
@@ -103,85 +104,36 @@ struct stream {
     int64_t zero;
     double *subsq;
     const int64_t *mirror;
+    int64_t next; /* the next C slot to take */
 };
 
-/* Runs the tasks into the C slots [lo, hi) and adds their counters. */
-typedef void stream_body(const struct stream *st, int64_t lo, int64_t hi,
-                         int64_t *counts);
+/* Runs the tasks [t0, t1) into the C leaf at c; returns the products run. */
+typedef int64_t stream_body(const struct stream *st, int64_t t0, int64_t t1,
+                            float *c);
 
-/* One thread's share of a call. */
+/* One thread of a call. */
 struct part {
-    const struct stream *st;
+    struct stream *st;
     stream_body *body;
-    int64_t lo, hi, counts[2];
+    int64_t counts[2];
     pthread_t thread;
     int started;
 };
 
-static void finish(const struct stream *st, int64_t lo, int64_t hi);
-
-/* The slot of C slot g's transpose on the mirror path, g on the diagonal;
- * g on the full path, where every slot stands for itself.  So a slot with
- * mirror_of(g) < g is written as a transpose, one with mirror_of(g) > g
- * writes one. */
-static inline int64_t mirror_of(const struct stream *st, int64_t g)
-{
-    return st->mirror ? st->mirror[g] : g;
-}
-
-/* One thread's range: set to zero unless the caller summed into it already,
- * then the tasks into it, then its finish.  A strict-lower slot on the
- * mirror path is written by the thread of its mirror, so it is left alone. */
-static void *run_part(void *arg)
-{
-    struct part *p = arg;
-    const struct stream *st = p->st;
-    const int64_t leaf = st->nb * st->nb;
-    for (int64_t g = p->lo; st->zero && g < p->hi; g++)
-        if (mirror_of(st, g) >= g)
-            memset(st->c + g * leaf, 0, (size_t)leaf * sizeof(float));
-    p->body(st, p->lo, p->hi, p->counts);
-    finish(st, p->lo, p->hi);
-    return NULL;
-}
-
-/* Runs body over the ranges [bounds[i], bounds[i + 1]), i < nthreads, one
- * thread each; the calling thread takes range 0, and an empty range starts
- * no thread.  A range whose thread cannot be started runs on the calling
- * thread, which changes no result, since the ranges are disjoint. */
-static void run_parts(const struct stream *st, stream_body *body,
-                      int64_t nthreads, const int64_t *bounds, int64_t *counts)
-{
-    struct part parts[nthreads];
-    for (int64_t i = 0; i < nthreads; i++) {
-        parts[i] = (struct part){.st = st, .body = body,
-                                 .lo = bounds[i], .hi = bounds[i + 1]};
-        parts[i].started = i > 0 && parts[i].lo < parts[i].hi &&
-            pthread_create(&parts[i].thread, NULL, run_part, &parts[i]) == 0;
-    }
-    for (int64_t i = 0; i < nthreads; i++) {
-        if (parts[i].started)
-            pthread_join(parts[i].thread, NULL);
-        else
-            run_part(&parts[i]);
-        counts[0] += parts[i].counts[0];
-        counts[1] += parts[i].counts[1];
-    }
-}
-
-/* Gated products: task t adds A[a_slot[t]] B[b_slot[t]] into C[c_slot[t]].
+/* Gated products: task t adds A[a_slot[t]] B[b_slot[t]] into its C leaf.
  * The 4x4x4 product (p, r, q) runs when the float64 product of sub-norms
  * asub[p, r] * bsub[r, q] reaches gate; otherwise it is skipped and adds
- * nothing.  counts[0] and counts[1] gain the products run and skipped.
- * NAME is the W-tile body, which needs a block size that is a multiple of
- * 4W; LANE_BITS(m) packs a W-lane float64 compare m into W bits.
+ * nothing.  NAME, the W-tile body, returns the products run; it needs a
+ * block size that is a multiple of 4W.  LANE_BITS(m) packs a W-lane float64
+ * compare m into W bits.
  *
  * NAME walks each 4-row strip of a task by slab pairs, 2W adjacent tiles.
- * A strip of an odd number of slabs (one, at n_b = 4W) has a lone last
- * slab; those of strips p and p + 1 run as a vertical pair, sharing each B
- * load rather than each A broadcast, and a strip left over runs its lone
- * slab alone.  NAME##_slabs runs NS = 2 or 1 slabs in two steps.  The gate
- * pass goes once over the k
+ * A strip of an odd number of slabs (one, at n_b = 4W, which a tree's
+ * power-of-two n_b gives; three at n_b = 12W, which only a direct call
+ * does) has a lone last slab; those of strips p and p + 1 run as a vertical
+ * pair, sharing each B load rather than each A broadcast, and a strip left
+ * over runs its lone slab alone.  NAME##_slabs runs NS = 2 or 1 slabs in
+ * two steps.  The gate pass goes once over the k
  * blocks r: the gate bits of the slabs' tiles at r come from one float64
  * vector compare per slab, their popcount adds to the products run, and r
  * goes into the open-k list ks, with its bits in open, at a position that
@@ -281,53 +233,41 @@ NAME##_slabs(const int NS, const int V, const int64_t nb, float *cq,          \
     return run;                                                                \
 }                                                                              \
                                                                                \
-static ATTR void NAME(const struct stream *st, int64_t lo, int64_t hi,         \
-                      int64_t *counts)                                         \
+static ATTR int64_t NAME(const struct stream *st, int64_t t0, int64_t t1,      \
+                         float *ct)                                            \
 {                                                                              \
-    if (lo >= hi)                                                              \
-        return;                                                                \
     const int64_t nb = st->nb, s = nb / 4, leaf = nb * nb, grid = s * s;       \
     const int64_t *a_slot = st->a_slot, *b_slot = st->b_slot;                  \
-    const int64_t *c_slot = st->c_slot;                                        \
     const double gate = st->gate;                                              \
     int32_t ks[s];                                                             \
     uint8_t open[s];                                                           \
-    int64_t run = 0, done = 0;                                                 \
-    for (int64_t t = 0; t < st->ntask; t++) {                                  \
-        if (c_slot[t] < lo || c_slot[t] >= hi)                                 \
-            continue;                                                          \
-        /* a task into a leaf with a mirror counts for the mirror's too */    \
-        const int twice = mirror_of(st, c_slot[t]) > c_slot[t];                \
-        int64_t ran = 0;                                                       \
-        done += 1 + twice;                                                     \
+    int64_t run = 0;                                                           \
+    for (int64_t t = t0; t < t1; t++) {                                        \
         const float *at = st->a + a_slot[t] * leaf;                            \
         const float *an = st->asub + a_slot[t] * grid;                         \
         const float *bt = st->b + b_slot[t] * leaf;                            \
         const float *bn = st->bsub + b_slot[t] * grid;                         \
-        float *ct = st->c + c_slot[t] * leaf;                                  \
         for (int64_t p = 0; p < s; p++) {                                      \
             const float *ap = at + 4 * p * nb, *anp = an + p * s;              \
             float *cp = ct + 4 * p * nb;                                       \
             for (int64_t q = 0; q + 2 * (W) <= s; q += 2 * (W))                \
-                ran += NAME##_slabs(2, 0, nb, cp + 4 * q, ap, bt + 4 * q, anp, \
+                run += NAME##_slabs(2, 0, nb, cp + 4 * q, ap, bt + 4 * q, anp, \
                                     bn + q, gate, ks, open);                   \
         }                                                                      \
         if (s / (W) % 2) {                                                     \
             const int64_t q = s - (W);                                         \
             int64_t p = 0;                                                     \
             for (; p + 1 < s; p += 2)                                          \
-                ran += NAME##_slabs(2, 1, nb, ct + 4 * (p * nb + q),           \
+                run += NAME##_slabs(2, 1, nb, ct + 4 * (p * nb + q),           \
                                     at + 4 * p * nb, bt + 4 * q, an + p * s,   \
                                     bn + q, gate, ks, open);                   \
             if (p < s)                                                         \
-                ran += NAME##_slabs(1, 0, nb, ct + 4 * (p * nb + q),           \
+                run += NAME##_slabs(1, 0, nb, ct + 4 * (p * nb + q),           \
                                     at + 4 * p * nb, bt + 4 * q, an + p * s,   \
                                     bn + q, gate, ks, open);                   \
         }                                                                      \
-        run += ran << twice;                                                   \
     }                                                                          \
-    counts[0] += run;                                                          \
-    counts[1] += done * s * grid - run;                                        \
+    return run;                                                                \
 }
 
 /* The LANE_BITS of each body: bit j is set where lane j of compare m held
@@ -437,59 +377,87 @@ static void transpose_leaf(const float *c, float *t, int64_t nb)
         }
 }
 
-/* Finishes the C slots [lo, hi), old being leaf old_slot[g] of the old
- * stack, then takes their sub-norm squares; on the mirror path each upper
- * leaf is then copied, transposed, into its mirror slot, whose squares
- * follow, and a lower slot is left to that copy.  The zero tests are on the
- * float64 alpha and beta, which decided the leaves.  With alpha 1 and beta
- * 0 each leaf is left as summed, 1 S + (-0) = S: that pass over C made
- * perfbench's square-1024 and exact-512 products 3.6% and 5.1% slower (on
- * a 2-vCPU Xeon with AVX-512F). */
-static void finish(const struct stream *st, int64_t lo, int64_t hi)
+/* One thread of a gated call: it takes runs of C slots from the shared
+ * counter until none is left, and does all of a slot g before the next.  A
+ * slot on or above the diagonal of the mirror path, or any slot off it, is
+ * set to +0 unless the caller summed into it already, takes its tasks, is
+ * finished with old being leaf old_slot[g] of the old stack, and gets its
+ * sub-norm squares; on the mirror path an upper leaf is then copied,
+ * transposed, into its mirror slot, whose squares follow.  A strict-lower
+ * slot is left to that copy.  The zero tests are on the float64 alpha and
+ * beta, which decided the leaves.  With alpha 1 and beta 0 each leaf is left
+ * as summed, 1 S + (-0) = S: that pass over C made perfbench's square-1024
+ * and exact-512 products 3.6% and 5.1% slower (on a 2-vCPU Xeon with
+ * AVX-512F). */
+static void *run_part(void *arg)
 {
-    const int64_t nb = st->nb, leaf = nb * nb, grid = (nb / 4) * (nb / 4);
+    struct part *p = arg;
+    struct stream *st = p->st;
+    const int64_t nb = st->nb, leaf = nb * nb, s = nb / 4, grid = s * s;
     const int no_o = st->beta == 0, identity = no_o && (float)st->alpha == 1;
     const float beta = (float)st->beta;
     const float none = no_o ? -0.0f : beta * 0.0f; /* o where no old leaf is read */
-    for (int64_t g = lo; g < hi; g++) {
-        const int64_t h = mirror_of(st, g);
-        if (h < g)
-            continue; /* written below, by the thread of slot h */
-        float *c = st->c + g * leaf;
-        const float *old = no_o || st->old_slot[g] < 0 ? NULL : st->old + st->old_slot[g] * leaf;
-        if (!identity)
-            finish_leaf(c, old, leaf, st->alpha == 0, (float)st->alpha, beta, none);
-        block_squares(c, nb, nb, st->subsq + g * grid);
-        if (h > g) {
-            transpose_leaf(c, st->c + h * leaf, nb);
-            /* its own squares: the transposed grid would sum in another order */
-            block_squares(st->c + h * leaf, nb, nb, st->subsq + h * grid);
+    /* leaves per take from the counter: 16 KB of C, one 64 x 64 leaf or
+     * sixteen 16 x 16 ones.  One 16 x 16 leaf per take made the seed-0
+     * square-1024 kernel call 1.3x slower on two threads (7.2 against 5.6 ms,
+     * a 2-vCPU Xeon), as the threads wrote neighbouring leaves and took the
+     * counter 2290 times. */
+    const int64_t take = leaf < 4096 ? 4096 / leaf : 1;
+    int64_t run = 0, done = 0;
+    for (int64_t g0; (g0 = __atomic_fetch_add(&st->next, take, __ATOMIC_RELAXED)) < st->count;)
+        for (int64_t g = g0; g < g0 + take && g < st->count; g++) {
+            /* the slot of g's transpose on the mirror path, g off it */
+            const int64_t h = st->mirror ? st->mirror[g] : g;
+            if (h < g)
+                continue; /* written below, by the thread that takes slot h */
+            float *c = st->c + g * leaf;
+            const int64_t t0 = st->starts[g], t1 = st->starts[g + 1];
+            if (st->zero)
+                memset(c, 0, (size_t)leaf * sizeof(float));
+            /* a leaf with a mirror counts for the mirror's too */
+            const int twice = h > g;
+            run += p->body(st, t0, t1, c) << twice;
+            done += (t1 - t0) << twice;
+            const float *old = no_o || st->old_slot[g] < 0
+                                   ? NULL : st->old + st->old_slot[g] * leaf;
+            if (!identity)
+                finish_leaf(c, old, leaf, st->alpha == 0, (float)st->alpha, beta, none);
+            block_squares(c, nb, nb, st->subsq + g * grid);
+            if (twice) {
+                transpose_leaf(c, st->c + h * leaf, nb);
+                /* its own squares: the transposed grid would sum in another order */
+                block_squares(st->c + h * leaf, nb, nb, st->subsq + h * grid);
+            }
         }
-    }
+    p->counts[0] = run;
+    p->counts[1] = done * s * grid - run;
+    return NULL;
 }
 
 /* Runs the gated products on slabs of `tiles` tiles, or of the widest that
- * spamm_slab_tiles(nb) allows if that is narrower, on nthreads threads over
- * the C slot ranges of bounds, and finishes every C slot: old is the old
- * leaf stack, old_slot[g] the old leaf of slot g or -1, subsq a float64
- * (G, s, s) stack.  With zero the C slots start as +0; without, they start
- * as the caller left them, holding sums it formed itself.  mirror is NULL,
- * or on the mirror path the slot of each slot's transpose: slot g is
- * written as the transpose of slot mirror[g] where mirror[g] < g. */
-void spamm_stream_gated(int64_t ntask, int64_t nb,
+ * spamm_slab_tiles(nb) allows if that is narrower, and finishes every one
+ * of the count C slots: slot g takes the tasks [starts[g], starts[g + 1]),
+ * old is the old leaf stack, old_slot[g] the old leaf of slot g or -1,
+ * subsq a float64 (count, s, s) stack.  With zero the C slots start as +0;
+ * without, they start as the caller left them, holding sums it formed
+ * itself.  mirror is NULL, or on the mirror path the slot of each slot's
+ * transpose: slot g is written as the transpose of slot mirror[g] where
+ * mirror[g] < g.  counts[0] and counts[1] gain the products run and
+ * skipped.  The call runs on the calling thread and nthreads - 1 more; one
+ * that cannot be started takes no slot, and the others take its share. */
+void spamm_stream_gated(int64_t count, int64_t nb,
                         const float *a, const float *asub,
                         const float *b, const float *bsub,
                         const int64_t *a_slot, const int64_t *b_slot,
-                        const int64_t *c_slot, float *c, double gate,
-                        int64_t *counts, int64_t nthreads,
-                        const int64_t *bounds, int64_t tiles,
+                        const int64_t *starts, float *c, double gate,
+                        int64_t *counts, int64_t nthreads, int64_t tiles,
                         double alpha, double beta, const float *old,
                         const int64_t *old_slot, int64_t zero, double *subsq,
                         const int64_t *mirror)
 {
-    const struct stream st = {ntask, nb, a, asub, b, bsub, a_slot, b_slot,
-                              c_slot, c, gate, alpha, beta, old, old_slot,
-                              zero, subsq, mirror};
+    struct stream st = {count, nb, a, asub, b, bsub, a_slot, b_slot, starts,
+                        c, gate, alpha, beta, old, old_slot, zero, subsq,
+                        mirror, 0};
     const int64_t widest = spamm_slab_tiles(nb);
     if (tiles > widest)
         tiles = widest;
@@ -500,7 +468,19 @@ void spamm_stream_gated(int64_t ntask, int64_t nb,
     else if (tiles >= 2)
         body = slab_avx2;
 #endif
-    run_parts(&st, body, nthreads, bounds, counts);
+    struct part parts[nthreads];
+    for (int64_t i = 0; i < nthreads; i++) {
+        parts[i] = (struct part){.st = &st, .body = body};
+        parts[i].started = i > 0 &&
+            pthread_create(&parts[i].thread, NULL, run_part, &parts[i]) == 0;
+    }
+    run_part(&parts[0]);
+    for (int64_t i = 0; i < nthreads; i++) {
+        if (parts[i].started)
+            pthread_join(parts[i].thread, NULL);
+        counts[0] += parts[i].counts[0];
+        counts[1] += parts[i].counts[1];
+    }
 }
 
 /* The float64 sums of squares of the 4x4 sub-blocks of a rows x cols grid

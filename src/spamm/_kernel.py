@@ -58,7 +58,7 @@ def _load_kernel() -> ctypes.CDLL:
     lib = ctypes.CDLL(str(path))
     ptr, i64 = ctypes.c_void_p, ctypes.c_int64
     f64 = ctypes.c_double
-    lib.spamm_stream_gated.argtypes = ([i64, i64] + [ptr] * 8 + [f64, ptr, i64, ptr, i64]
+    lib.spamm_stream_gated.argtypes = ([i64, i64] + [ptr] * 8 + [f64, ptr, i64, i64]
                                        + [f64, f64, ptr, ptr, i64, ptr, ptr])
     lib.spamm_stream_gated.restype = None
     lib.spamm_slab_tiles.argtypes = [i64]

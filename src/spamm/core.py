@@ -166,7 +166,7 @@ class QuadtreeMatrix:
         aligned = (isinstance(dense, np.ndarray) and dense.dtype == np.float32
                    and dense.ndim == 2 and dense.size > 0
                    and not (dense.shape[0] % n_b or dense.shape[1] % n_b))
-        if isinstance(dense, np.ndarray) and not aligned:
+        if not (aligned or isinstance(dense, DenseMatrix)):
             dense = DenseMatrix(dense)
         data = np.ascontiguousarray(dense) if aligned else dense.data
         q = cls(*data.shape, n_b)

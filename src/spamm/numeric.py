@@ -20,9 +20,9 @@ bits stay the same, products4 may grow.  So the 4x4 gate decides the work
 and the leaf only schedules it; larger leaves mean fewer tasks, plan rows
 and product leaves.  C = alpha A B + beta C is laid out once, by one
 np.unique over the product's keys and, when beta != 0, C's old keys, into
-one uninitialised stack that the kernel call writes whole.  Each thread
-sets its own C leaves to zero, adds its tasks' products into them and then
-finishes them while they are still in cache, by one expression: each
+one uninitialised stack that the kernel call writes whole.  A kernel
+thread sets a C leaf to zero, adds its tasks' products into it and then
+finishes it while it is still in cache, by one expression: each
 element becomes alpha S + beta old in float32, the products rounded before
 the add, a side with no leaf read as +0, as where no leaf is stored, and a
 term whose float64 factor is 0 as -0.  As x + (-0) = x, beta = 0 gives
@@ -33,7 +33,7 @@ alpha < 0 and beta <= 0 make alpha (+0) + beta (+0) a -0 in a stored leaf.
 Accumulation order is fixed for reproducibility: tasks accumulate into
 their product leaf in plan order, and each block product adds its rank-1
 terms in ascending k, as a separate float32 multiply and add.  The
-executor is one C function (_kernel.c) that walks the plan's tasks in that
+executor is one C function (_kernel.c) that runs each leaf's tasks in that
 order into a (G, n_b, n_b) float32 stack, one block per leaf of C.
 Within a task it takes each 4-row strip as pairs of slabs, a slab being
 1, 2 or 4 adjacent 4x4 C tiles held in registers.  For each pair one gate
@@ -55,9 +55,11 @@ width's variant, and _kernel_isa(n_b) the one that runs at n_b.
 The gated kernel runs on the usable cores (os.sched_getaffinity, else
 os.cpu_count), at most one per product leaf, and on one thread for a plan
 of fewer than _MIN_THREAD_TASKS tasks or _MIN_THREAD_PRODUCTS micro
-products.  Each thread owns a contiguous range of C's leaves, balanced
-by task count, and walks the whole plan, running only the tasks into its
-own leaves; so results and counters do not depend on the thread count.
+products.  _stream_gated groups the tasks by C leaf with one stable sort,
+and the threads take C's leaves from one shared counter, 16 KB of leaves
+at a time, each doing all of a leaf before the next; as each leaf is
+written whole by one thread in the same order, results and counters do
+not depend on the thread count or on which thread takes which leaf.
 The dense-leaf foil forms its block products with numpy's matmul and sums
 them into a zeroed stack with a numpy add, on one thread; then the same
 kernel call, with no tasks, finishes its leaves.
@@ -65,8 +67,8 @@ kernel call, with no tasks, finishes its leaves.
 A symmetric square takes the mirror path: X X, or alpha X X + beta X into
 X, where b is a, the tree is square and it equals its transpose bit for
 bit, norms and sub-norm grids included.  The operands choose it; there is
-no option.  The plan stays whole; the executor runs only its tasks into C
-leaves with block row <= column, in plan order, and the kernel thread that
+no option.  The plan stays whole; the kernel runs only its tasks into C
+leaves with block row <= column, in plan order, and the thread that
 finishes each such leaf writes its transpose into the mirror leaf.  That is
 the full product bit for bit: float32 products commute and both sides add
 the same terms in ascending k; the plan's prune test and every 4x4 gate
@@ -146,16 +148,6 @@ def _acc_pointer(acc: np.ndarray) -> int:
     return _pointer(acc, np.float32, (len(acc), nb, nb), "accumulator stack")
 
 
-def _slot_ranges(c_slot: np.ndarray, slots: int, threads: int) -> np.ndarray:
-    """Bounds of `threads` contiguous ranges of the C slots [0, slots) with
-    about equal task counts: range i is [out[i], out[i + 1]), and each slot
-    goes to the range that holds the middle of its tasks."""
-    per = np.bincount(c_slot, minlength=slots)
-    middle = per.cumsum() - per / 2
-    cuts = np.searchsorted(middle, c_slot.size * np.arange(1, threads) / threads)
-    return np.concatenate(([0], cuts, [slots])).astype(np.int64)
-
-
 def _stream_gated(a_values, a_sub, b_values, b_sub, a_slot, b_slot, c_slot,
                   acc, gate: float, threads: int = 1, alpha: float = 1.0,
                   beta: float = 0.0, old=None, old_slot=None,
@@ -163,13 +155,13 @@ def _stream_gated(a_values, a_sub, b_values, b_sub, a_slot, b_slot, c_slot,
     """acc[c_slot[t]] += gated A[a_slot[t]] B[b_slot[t]] for every task t in
     order, then each leaf g of acc becomes alpha acc[g] + beta
     old[old_slot[g]] in float32 (old_slot[g] = -1: no old leaf, read as
-    +0; a zero factor's term is -0), on `threads` threads that each own a
-    range of acc's leaves.  With zero, acc starts as +0 and may be
+    +0; a zero factor's term is -0), on `threads` threads that take acc's
+    leaves from one shared counter.  With zero, acc starts as +0 and may be
     uninitialised.  Given mirror, the slot of each leaf's transpose, a
-    leaf g with mirror[g] < g takes no task and becomes the transpose of
-    leaf mirror[g] once that is finished, and a task into a leaf g with
-    mirror[g] > g counts twice.  Returns the micro products run and skipped
-    and acc's float64 (G, s, s) sub-block square sums."""
+    leaf g with mirror[g] < g runs none of its tasks and becomes the
+    transpose of leaf mirror[g] once that is finished, and the products of
+    a leaf g with mirror[g] > g count twice.  Returns the micro products run
+    and skipped and acc's float64 (G, s, s) sub-block square sums."""
     c_ptr = _acc_pointer(acc)
     nb = acc.shape[-1]
     s = nb // 4
@@ -180,26 +172,33 @@ def _stream_gated(a_values, a_sub, b_values, b_sub, a_slot, b_slot, c_slot,
         old = np.empty((0, nb, nb), np.float32)
     if old_slot is None:
         old_slot = np.full(len(acc), -1, np.int64)
-    pointers = (
+    stacks = (
         _pointer(a_values, np.float32, (la, nb, nb), "A values"),
         _pointer(a_sub, np.float32, (la, s, s), "A subnorms"),
         _pointer(b_values, np.float32, (lb, nb, nb), "B values"),
         _pointer(b_sub, np.float32, (lb, s, s), "B subnorms"),
-        _slot_pointer(a_slot, count, la, "a_slot"),
-        _slot_pointer(b_slot, count, lb, "b_slot"),
-        _slot_pointer(c_slot, count, len(acc), "c_slot"),
     )
+    _slot_pointer(a_slot, count, la, "a_slot")
+    _slot_pointer(b_slot, count, lb, "b_slot")
+    _slot_pointer(c_slot, count, len(acc), "c_slot")
     finish = (
         _pointer(old, np.float32, (len(old), nb, nb), "old C values"),
         _slot_pointer(old_slot, len(acc), len(old), "old_slot", least=-1),
     )
     mirror_ptr = None if mirror is None else _slot_pointer(mirror, len(acc), len(acc), "mirror")
-    bounds = _slot_ranges(c_slot, len(acc), threads)
+    # each leaf's tasks in stream order: leaf g runs tasks [starts[g], starts[g + 1])
+    # numpy sorts a 16-bit key by radix: 0.4 ms against 2.7 ms for int64 on
+    # the 46441 tasks of perfbench's square-1024 operand at n_b = 16
+    key = c_slot.astype(np.uint16) if len(acc) <= 1 << 16 else c_slot
+    order = np.argsort(key, kind="stable")
+    a_slot, b_slot = a_slot[order], b_slot[order]
+    starts = np.zeros(len(acc) + 1, np.int64)
+    np.cumsum(np.bincount(c_slot, minlength=len(acc)), out=starts[1:])
     counts = np.zeros(2, np.int64)
     subsq = np.empty((len(acc), s, s), np.float64)
-    _lib.spamm_stream_gated(count, nb, *pointers, c_ptr, float(gate),
-                            counts.ctypes.data, threads, bounds.ctypes.data,
-                            _slab_tiles(nb), float(alpha), float(beta), *finish,
+    _lib.spamm_stream_gated(len(acc), nb, *stacks, a_slot.ctypes.data, b_slot.ctypes.data,
+                            starts.ctypes.data, c_ptr, float(gate), counts.ctypes.data,
+                            threads, _slab_tiles(nb), float(alpha), float(beta), *finish,
                             int(zero), subsq.ctypes.data, mirror_ptr)
     return int(counts[0]), int(counts[1]), subsq
 
@@ -313,7 +312,7 @@ def _execute(plan, a, b, c, cfg, dense_kernel, threads=None):
     old_slot = np.full(keys.size, -1, np.int64)
     old_slot[slot[T:]] = np.arange(olds.size)
     tasks = slot[:T]
-    a_slot, b_slot, mirror = plan.a_slot, plan.b_slot, None
+    mirror = None
     if dense_kernel:  # numpy sums the foil's products; the kernel only finishes them
         stack = np.zeros((keys.size, nb, nb), np.float32)
         if T:
@@ -331,13 +330,11 @@ def _execute(plan, a, b, c, cfg, dense_kernel, threads=None):
             if b is a and (not cfg.beta or c is a) and a._symmetric():
                 mirror = _mirror_slots(keys)
     if mirror is not None:
-        upper = mirror[tasks] >= tasks
-        a_slot, b_slot, tasks = a_slot[:T][upper], b_slot[:T][upper], tasks[upper]
         counters.mirrored = int(np.count_nonzero(mirror < np.arange(keys.size)))
     # an overflowing product or sum is caught by _store, which names its leaf
     run, skipped, subsq = _stream_gated(
-        a.values, a.subnorms, b.values, b.subnorms, a_slot[:tasks.size],
-        b_slot[:tasks.size], tasks, stack, _gate(cfg), counters.threads or 1,
+        a.values, a.subnorms, b.values, b.subnorms, plan.a_slot[:tasks.size],
+        plan.b_slot[:tasks.size], tasks, stack, _gate(cfg), counters.threads or 1,
         cfg.alpha, cfg.beta, c.values, old_slot, zero=not dense_kernel, mirror=mirror)
     counters.products4 += run
     counters.skipped4 += skipped

@@ -13,6 +13,7 @@ from hypothesis.extra.numpy import arrays
 from helpers import (
     LEAF_SIZES,
     assert_norm_invariant,
+    assert_same_tree,
     decay_matrix,
     padded_from_dense,
     padded_to_dense,
@@ -108,6 +109,16 @@ def test_from_dense_skips_zero_blocks():
     assert q.leaf_count == 2
     assert q.keys.tolist() == [encode(0, 0), encode(3, 3)]
     assert_norm_invariant(q)
+
+
+def test_from_dense_checks_any_other_input_as_a_dense_matrix():
+    # a nested list is the matrix it spells; a scalar or a vector fails at the shape
+    rows = [[1.0, 2.0], [3.0, 4.0]]
+    assert_same_tree(QuadtreeMatrix.from_dense(rows, 4),
+                     QuadtreeMatrix.from_dense(np.array(rows), 4))
+    for bad in (np.float32(3.0), 3.0, [1.0, 2.0], np.ones(4, np.float32)):
+        with pytest.raises(ValueError, match="expected a nonempty 2-D matrix"):
+            QuadtreeMatrix.from_dense(bad, 4)
 
 
 def test_from_dense_all_zero_builds_empty_tree():
