@@ -300,30 +300,14 @@ int spamm_slab_tiles(int64_t nb)
 }
 
 /* The float64 sums of squares of the 4x4 sub-blocks of one n_b x n_b block
- * whose rows are ld floats apart, into out[p * s + q], added in the order of
- * numpy's sum(axis=(2, 4)) over the block's squares as (s, 4, s, 4): each
- * 4-element row left to right, then the four row sums top to bottom.  At
- * n_b = 4 the sub-block is the whole block, whose 16 squares numpy sums as
- * one run in its pairwise order: value j plus value j + 8 for each j < 8
- * (value j being row j / 4, column j % 4), then those eight sums as a
- * balanced tree.  Squares of float32 values are exact in float64, so only
- * the order of the additions matters. */
+ * whose rows are ld floats apart, into out[p * s + q], added in one order at
+ * every n_b: each 4-element row left to right, then the four row sums top
+ * to bottom.  Squares of float32 values are exact in float64, so only the
+ * order of the additions matters. */
 static SPAMM_CLONES void block_squares(const float *v, int64_t nb, int64_t ld,
                                        double *out)
 {
     const int64_t s = nb / 4;
-    if (s == 1) {
-        const float *row[4] = {v, v + ld, v + 2 * ld, v + 3 * ld};
-        double r[8];
-        for (int j = 0; j < 4; j++) {
-            r[j] = (double)row[0][j] * (double)row[0][j] +
-                   (double)row[2][j] * (double)row[2][j];
-            r[j + 4] = (double)row[1][j] * (double)row[1][j] +
-                       (double)row[3][j] * (double)row[3][j];
-        }
-        *out = ((r[0] + r[1]) + (r[2] + r[3])) + ((r[4] + r[5]) + (r[6] + r[7]));
-        return;
-    }
     for (int64_t p = 0; p < s; p++) {
         for (int64_t q = 0; q < s; q++) {
             double total = 0.0;

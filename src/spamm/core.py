@@ -3,18 +3,20 @@
 A QuadtreeMatrix stores an m x n single-precision matrix as n_b x n_b leaf
 blocks on a 2^depth x 2^depth block grid, with zeros past m x n.  The
 tree is columnar: four parallel arrays over the stored leaves in ascending
-Morton key order (keys, blocks, block norms, 4x4 sub-block norms) plus the
-norm of the whole matrix.  An absent key means an exactly zero submatrix.
-The multiply phases prune against the block and sub-block norms; interior
-nodes exist only as key arithmetic and store no norms.  All norms are
-built by one routine, _store, once per tree and once per execute_plan for
-its accumulator, so they are never stale, and _store makes the arrays
-read-only.  The float64 sub-block square sums come from one C routine of
-_kernel.c: a strided pass over the dense rows in from_dense, so that it
-copies only the nonzero blocks, and the kernel threads' finish of each
-product leaf in execute_plan.  The block and matrix norms, their float32
-rounding and the overflow checks are numpy.  to_dense writes each output
-row once, in one C pass over the leaves.
+Morton key order (keys, blocks, block norms, 4x4 sub-block norms).  An
+absent key means an exactly zero submatrix.  The multiply phases prune
+against the block and sub-block norms; interior nodes exist only as key
+arithmetic, and neither they nor the whole matrix store a norm.  All norms
+are built by one routine, _store, once per tree and once per execute_plan
+for its accumulator, so they are never stale, and _store makes the arrays
+read-only.  Every norm follows one rule at every n_b: a 4x4 sub-block sums
+its float64 squares row by row, left to right, then the four row sums top
+to bottom, and a block's square is the sum of its sub-block squares.  The
+sub-block sums come from one C routine of _kernel.c: a strided pass over
+the dense rows in from_dense, so that it copies only the nonzero blocks,
+and the kernel threads' finish of each product leaf in execute_plan.  The
+block sums, the float32 rounding and the overflow check are numpy.
+to_dense writes each output row once, in one C pass over the leaves.
 """
 
 from __future__ import annotations
@@ -34,11 +36,11 @@ def _validate_block_size(n_b: int) -> None:
 
 def _subnorm_squares(values: np.ndarray, nb: int | None = None) -> np.ndarray:
     """float64 sums of squares of the 4x4 sub-blocks of n_b x n_b float32
-    blocks, added in the order of numpy's sum(axis=(2, 4)) over each block's
-    squares as (s, 4, s, 4), s = n_b / 4.  The blocks are an (L, n_b, n_b)
-    leaf stack, giving (L, s, s), or, given nb, the nb x nb blocks of a
-    (br * nb, bc * nb) dense grid, giving (br, bc, s, s).  Either way one
-    strided C pass reads them in place."""
+    blocks, s = n_b / 4 to a side, added in one order at every n_b: each
+    sub-block row left to right, then the four row sums top to bottom.  The
+    blocks are an (L, n_b, n_b) leaf stack, giving (L, s, s), or, given nb,
+    the nb x nb blocks of a (br * nb, bc * nb) dense grid, giving
+    (br, bc, s, s).  Either way one strided C pass reads them in place."""
     if nb is None:  # a leaf stack is a grid one block wide
         rows, cols, nb = len(values), 1, values.shape[-1]
         shape, name, lead = (rows, nb, nb), "leaf values", (rows,)
@@ -101,15 +103,11 @@ class DenseMatrix:
     def n(self) -> int:
         return self.data.shape[1]
 
-    @property
-    def precision(self) -> str:
-        return "single" if self.data.dtype == np.float32 else "double"
-
     def frobenius(self) -> float:
         return float(np.linalg.norm(self.data.astype(np.float64)))
 
     def __repr__(self) -> str:
-        return f"DenseMatrix({self.m}x{self.n}, {self.precision})"
+        return f"DenseMatrix({self.m}x{self.n}, {self.data.dtype})"
 
 
 class QuadtreeMatrix:
@@ -123,7 +121,8 @@ class QuadtreeMatrix:
         values    (L, n_b, n_b) float32 leaf stack, row-major blocks
         norms     (L,) float32 Frobenius norms of the leaf blocks
         subnorms  (L, n_b/4, n_b/4) float32 norms of their 4x4 sub-blocks
-        norm      Frobenius norm of the whole matrix, a float32 value
+
+    The norm of the whole matrix is DenseMatrix.frobenius of to_dense.
 
     A tree is built whole, by from_dense, from_leaves or io.load_quadtree.
     Its arrays are read-only; they are replaced whole only by _store, and
@@ -249,16 +248,15 @@ class QuadtreeMatrix:
     ) -> None:
         """Install a leaf stack (keys ascending) and rebuild every norm from it.
 
-        Sub-block and block norms come from exact float64 square sums of the
-        leaf values, the matrix norm from the float64 total of the block
-        square sums; each is rounded to float32 once.  The sub-block square
-        sums are computed here by _subnorm_squares unless the caller passes
-        them: from_dense's pass over the dense rows and the gated kernel's
-        finish of each C leaf form them by the same C routine.  A norm that
-        is not finite in float32 (a non-finite value, or finite values whose
-        norm exceeds float32 max) raises OverflowError and leaves the tree as
-        it was: a leaf names its block row and column, and a matrix norm that
-        overflows with every leaf norm finite names the matrix.  The stored
+        Sub-block norms come from the float64 square sums of the leaf
+        values, block norms from the float64 sum of each block's sub-block
+        squares; each is rounded to float32 once.  The sub-block square sums
+        are computed here by _subnorm_squares unless the caller passes them:
+        from_dense's pass over the dense rows and the gated kernel's finish
+        of each C leaf form them by the same C routine.  A leaf norm that is
+        not finite in float32 (a non-finite value, or finite values whose
+        norm exceeds float32 max) raises OverflowError naming the leaf's
+        block row and column, and leaves the tree as it was.  The stored
         keys, values, norms and subnorms are made read-only, so a stored tree
         holds only finite values: writing into one raises ValueError.
 
@@ -272,7 +270,6 @@ class QuadtreeMatrix:
         sq = subsq.sum(axis=(1, 2))
         with np.errstate(over="ignore"):  # a norm that overflows is named below
             norms = np.sqrt(sq).astype(np.float32)
-            norm = np.sqrt(sq.sum()).astype(np.float32)
         bad = np.flatnonzero(~np.isfinite(norms))
         if bad.size:
             r, c = decode(int(keys[bad[0]]))
@@ -280,8 +277,6 @@ class QuadtreeMatrix:
                 f"leaf at block row {r}, column {c} has a norm that is not "
                 "finite in float32"
             )
-        if np.isinf(norm):
-            raise OverflowError("matrix norm is not finite in float32")
         subnorms = np.sqrt(subsq).astype(np.float32)
         for arr in (keys, values, norms, subnorms):
             arr.flags.writeable = False
@@ -289,7 +284,6 @@ class QuadtreeMatrix:
         self.values = values
         self.norms = norms
         self.subnorms = subnorms
-        self.norm = float(norm)
         self._symmetry = ((keys, values, norms, subnorms),
                           None if mirror is None else self._transpose_equal(mirror, False))
 
@@ -341,5 +335,5 @@ class QuadtreeMatrix:
     def __repr__(self) -> str:
         return (
             f"QuadtreeMatrix({self.m}x{self.n}, n_b={self.n_b}, "
-            f"depth={self.depth}, leaves={self.leaf_count}, norm={self.norm:.6g})"
+            f"depth={self.depth}, leaves={self.leaf_count})"
         )

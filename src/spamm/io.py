@@ -58,7 +58,9 @@ def load_matrix(path) -> DenseMatrix:
     """Read a MatrixMarket file into a dense double-precision matrix.
 
     Symmetric files are expanded to full storage.  Header or body problems
-    raise MatrixFormatError; missing files raise the usual OSError.
+    raise MatrixFormatError; the body is checked once, as a DenseMatrix,
+    whose message the error carries after the path.  Missing files raise
+    the usual OSError.
     """
     with open(path, "rb") as fh:
         head = fh.readline().decode("latin1")
@@ -70,33 +72,24 @@ def load_matrix(path) -> DenseMatrix:
             raise MatrixFormatError(f"{path}: malformed MatrixMarket body: {exc}") from exc
     if scipy.sparse.issparse(mat):
         mat = mat.toarray()
-    mat = np.asarray(mat, np.float64)
-    if mat.ndim != 2 or mat.size == 0:
-        raise MatrixFormatError(f"{path}: expected a nonempty 2-d matrix")
-    if not np.isfinite(mat).all():
-        raise MatrixFormatError(f"{path}: matrix contains non-finite values")
-    return DenseMatrix(mat)
+    try:
+        return DenseMatrix(np.asarray(mat, np.float64))
+    except ValueError as exc:
+        raise MatrixFormatError(f"{path}: {exc}") from exc
 
 
-def save_matrix(path, mat: DenseMatrix, layout: str = "array", symmetry=None) -> None:
+def save_matrix(path, mat: DenseMatrix, layout: str = "array") -> None:
     """Write a matrix as MatrixMarket with full round-trip precision.
 
     layout "array" stores every element, "coordinate" only the nonzeros.
-    symmetry None lets the writer detect it; "general" or "symmetric"
-    force the tag, and forcing "symmetric" on an asymmetric matrix is an
-    error rather than silent truncation to the lower triangle.
+    The writer tags the file symmetric when the values are, and then
+    stores only the lower triangle.
     """
     if layout not in ("array", "coordinate"):
         raise ValueError(f"unsupported layout {layout!r}")
-    if symmetry not in (None, "general", "symmetric"):
-        raise ValueError(f"unsupported symmetry {symmetry!r}")
-    data = mat.data
-    if symmetry == "symmetric":
-        if mat.m != mat.n or not np.array_equal(data, data.T):
-            raise ValueError("matrix is not symmetric")
-    out = scipy.sparse.coo_matrix(data) if layout == "coordinate" else data
+    out = scipy.sparse.coo_matrix(mat.data) if layout == "coordinate" else mat.data
     with open(path, "wb") as fh:
-        scipy.io.mmwrite(fh, out, field="real", precision=17, symmetry=symmetry)
+        scipy.io.mmwrite(fh, out, field="real", precision=17, symmetry=None)
 
 
 def _record_dtype(n_b: int) -> np.dtype:

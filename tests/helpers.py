@@ -51,16 +51,17 @@ def sub_norms(values: np.ndarray) -> np.ndarray:
     """float32 Frobenius norms of the 4x4 sub-blocks of one leaf block."""
     vals = values.astype(np.float64)
     s = vals.shape[0] // 4
-    return np.sqrt((vals * vals).reshape(s, 4, s, 4).sum(axis=(1, 3))).astype(np.float32)
+    return np.sqrt((vals * vals).reshape(s, 4, s, 4).sum(axis=3).sum(axis=1)).astype(np.float32)
 
 
 def subnorm_squares(values: np.ndarray) -> np.ndarray:
     """float64 sums of squares of the 4x4 sub-blocks of an (L, n_b, n_b) leaf
-    stack, by the numpy expression the library used before its C routine."""
+    stack in the library's one order: each sub-block row left to right, then
+    the four row sums top to bottom."""
     s = values.shape[-1] // 4
     seg = values.astype(np.float64)
     seg *= seg
-    return seg.reshape(-1, s, 4, s, 4).sum(axis=(2, 4))
+    return seg.reshape(-1, s, 4, s, 4).sum(axis=4).sum(axis=2)
 
 
 def padded_from_dense(data: np.ndarray, n_b: int) -> QuadtreeMatrix:
@@ -103,22 +104,18 @@ def assert_norm_invariant(q: QuadtreeMatrix) -> None:
     """Check every stored norm against a direct scan of the leaf stack.
 
     Leaf keys must ascend strictly and the keys, values, norms and subnorms
-    stacks agree in length.  Each block norm must equal the float32 norm of
-    its values, each sub-block norm grid must equal sub_norms, and the
-    matrix norm must be the float32 rounding of the float64 total of the
-    leaf squares.
+    stacks agree in length.  Each block norm must be the float32 root of
+    the sum of its sub-block squares (subnorm_squares), and each sub-block
+    norm grid must equal sub_norms.
     """
     keys = q.keys.tolist()
     assert all(x < y for x, y in zip(keys, keys[1:])), "leaf keys not strictly ascending"
     assert q.values.shape[0] == q.norms.shape[0] == q.subnorms.shape[0] == q.keys.size
     assert q.norms.dtype == np.float32
-    squares = []
-    for vals, norm, sub in zip(q.values, q.norms, q.subnorms):
-        v = vals.astype(np.float64)
-        squares.append(float((v * v).sum()))
-        assert norm == np.float32(math.sqrt(squares[-1]))
+    want = np.sqrt(subnorm_squares(q.values).sum(axis=(1, 2))).astype(np.float32)
+    assert want.tobytes() == q.norms.tobytes()
+    for vals, sub in zip(q.values, q.subnorms):
         assert np.array_equal(sub, sub_norms(vals))
-    assert q.norm == float(np.float32(math.sqrt(math.fsum(squares))))
 
 
 def copy_tree(q: QuadtreeMatrix) -> QuadtreeMatrix:
@@ -132,7 +129,6 @@ def assert_same_tree(got: QuadtreeMatrix, want: QuadtreeMatrix) -> None:
     for x, y in ((got.values, want.values), (got.norms, want.norms),
                  (got.subnorms, want.subnorms)):
         assert np.array_equal(x.view(np.uint32), y.view(np.uint32))
-    assert got.norm == want.norm
 
 
 def matched_pairs(a: QuadtreeMatrix, b: QuadtreeMatrix, tau: float) -> set:

@@ -335,7 +335,7 @@ def test_criterion_11_round_trips_bit_exact(tmp_path):
             (tree.m, tree.n, tree.n_b, tree.depth)
         assert np.array_equal(loaded.keys, tree.keys)
         assert np.array_equal(loaded.values, tree.values)
-        assert loaded.norm == tree.norm
+        assert np.array_equal(loaded.norms, tree.norms)
         mm_path = tmp_path / f"m{idx}.mtx"
         save_matrix(mm_path, DenseMatrix(x))
         assert np.array_equal(load_matrix(mm_path).data, x.astype(np.float64))

@@ -22,7 +22,7 @@ from helpers import (
 )
 from spamm.core import DEFAULT_BLOCK, DenseMatrix, QuadtreeMatrix, _subnorm_squares, tree_depth
 from spamm.io import load_quadtree, save_quadtree
-from spamm.morton import decode, encode
+from spamm.morton import decode, decode_array, encode
 from spamm.numeric import MultiplyConfig, execute_plan
 from spamm.symbolic import build_plan
 
@@ -64,8 +64,8 @@ def test_tree_depth_validation():
 def test_dense_matrix_basics():
     d = DenseMatrix(np.array([[1, 2], [3, 4]]))
     assert (d.m, d.n) == (2, 2)
-    assert d.precision == "double"
-    assert DenseMatrix(np.zeros((3, 5), np.float32)).precision == "single"
+    assert d.data.dtype == np.float64 and repr(d) == "DenseMatrix(2x2, float64)"
+    assert DenseMatrix(np.zeros((3, 5), np.float32)).data.dtype == np.float32
     assert DenseMatrix(np.eye(9, dtype=np.float32)).frobenius() == pytest.approx(3.0)
 
 
@@ -96,7 +96,7 @@ def test_single_leaf_diagonal_norm():
     q = QuadtreeMatrix.from_dense(np.array([[3.0, 0.0], [0.0, 4.0]]), n_b=4)
     assert q.depth == 0
     assert q.leaf_count == 1
-    assert q.norm == 5.0
+    assert q.norms.tolist() == [5.0]
     assert np.array_equal(q.to_dense().data, [[3.0, 0.0], [0.0, 4.0]])
 
 
@@ -125,14 +125,13 @@ def test_from_dense_all_zero_builds_empty_tree():
     q = QuadtreeMatrix.from_dense(np.zeros((40, 200), np.float32), 16)
     assert q.depth == 4
     assert q.leaf_count == 0 and q.norms.size == 0
-    assert q.norm == 0.0
     assert np.array_equal(q.to_dense().data, np.zeros((40, 200), np.float32))
 
 
 def test_identity_norm():
     q = QuadtreeMatrix.from_dense(np.eye(32, dtype=np.float32), 16)
     assert q.leaf_count == 2
-    assert q.norm == float(np.float32(math.sqrt(32.0)))
+    assert q.norms.tolist() == [4.0, 4.0]
     assert_norm_invariant(q)
 
 
@@ -156,7 +155,6 @@ def test_scaling_by_two_scales_all_norms_exactly():
         assert np.array_equal(q1.keys, q2.keys)
         assert np.array_equal(q2.norms.astype(np.float64), 2.0 * q1.norms.astype(np.float64))
         assert np.array_equal(q2.subnorms.astype(np.float64), 2.0 * q1.subnorms.astype(np.float64))
-        assert q2.norm == 2.0 * q1.norm
 
 
 def test_norm_invariant_on_generated_matrices():
@@ -184,7 +182,6 @@ def test_from_leaves_matches_from_dense():
     assert np.array_equal(q.keys, ref.keys)
     assert np.array_equal(q.norms, ref.norms)
     assert np.array_equal(q.subnorms, ref.subnorms)
-    assert q.norm == ref.norm
     assert np.array_equal(q.to_dense().data, a)
     assert_norm_invariant(q)
 
@@ -211,7 +208,7 @@ def test_from_leaves_validation():
     with pytest.raises(ValueError, match="integers"):
         QuadtreeMatrix.from_leaves(32, 32, [0.0], leaf, 16)
     empty = QuadtreeMatrix.from_leaves(32, 32, [], np.zeros((0, 16, 16)), 16)
-    assert empty.leaf_count == 0 and empty.norms.size == 0 and empty.norm == 0.0
+    assert empty.leaf_count == 0 and empty.norms.size == 0
     # padding rows and columns of an edge leaf must hold zeros: the multiply
     # would read them, but to_dense drops them
     v = np.zeros((1, 16, 16), np.float32)
@@ -226,8 +223,8 @@ def test_from_leaves_validation():
     v = np.zeros((4, 16, 16), np.float32)
     v[:, 3, 3] = 1.0  # inside the 20 x 20 region in every leaf
     v[0, 15, 15] = v[1, 15, 3] = v[2, 3, 15] = 1.0  # interior rows and columns
-    assert QuadtreeMatrix.from_leaves(20, 20, [0, 1, 2, 3], v, 16).norm == float(
-        np.float32(math.sqrt(7.0)))
+    assert QuadtreeMatrix.from_leaves(20, 20, [0, 1, 2, 3], v, 16).norms.tolist() == [
+        float(np.float32(math.sqrt(2.0)))] * 3 + [1.0]
     with pytest.raises(ValueError, match="at least 4"):
         QuadtreeMatrix.from_leaves(4, 4, [0], np.zeros((1, 2, 2)), 2)
 
@@ -263,11 +260,13 @@ def test_norm_above_float32_max_is_rejected():
     # finite float32 values whose leaf norm rounds to inf in float32
     with pytest.raises(OverflowError, match="block row 1, column 0"):
         QuadtreeMatrix.from_dense(np.vstack([np.eye(16), np.ones((16, 16)) * 1e38]), 16)
-    # every leaf norm finite, the root norm not
+    # every leaf norm finite, the whole matrix's not: the tree stores no
+    # whole-matrix norm, so it builds and holds the values as given
     a = np.zeros((64, 64), np.float32)
     a[0, 0] = a[16, 16] = 3e38
-    with pytest.raises(OverflowError, match="matrix norm"):
-        QuadtreeMatrix.from_dense(a, 16)
+    q = QuadtreeMatrix.from_dense(a, 16)
+    assert q.norms.tolist() == [float(np.float32(3e38))] * 2
+    assert q.to_dense().data.tobytes() == a.tobytes()
 
 
 F32 = np.finfo(np.float32)
@@ -324,6 +323,30 @@ def test_subnorm_squares_of_random_leaves_equal_the_numpy_sum():
     values = np.random.default_rng(5).standard_normal((64, 16, 16)).astype(np.float32)
     want = subnorm_squares(values)
     assert np.array_equal(_subnorm_squares(values).view(np.uint64), want.view(np.uint64))
+
+
+def test_sub_block_squares_do_not_depend_on_the_leaf_size():
+    # one 4x4 block has the same float64 square sum whether it is a whole
+    # n_b = 4 leaf or one sub-block of a larger leaf, read from the dense
+    # rows or from the tree's leaf stack
+    rng = np.random.default_rng(31)
+    a = np.ldexp(rng.uniform(-2.0, 2.0, (128, 128)), rng.integers(-70, 60, (128, 128)))
+    a = a.astype(np.float32)
+    a[rng.random(a.shape) < 0.1] = 0.0
+    a[rng.random(a.shape) < 0.1] = -0.0
+    tiny = rng.random(a.shape) < 0.1
+    a[tiny] = rng.integers(-2**22, 2**22, tiny.sum()).astype(np.float32) * F32.smallest_subnormal
+    assert np.signbit(a[a == 0]).any() and ((a != 0) & (np.abs(a) < F32.tiny)).any()
+    want = _subnorm_squares(a, 4).reshape(32, 32)
+    for nb in (4, 8, 16, 64):
+        s = nb // 4
+        dense = _subnorm_squares(a, nb).transpose(0, 2, 1, 3).reshape(32, 32)
+        assert dense.tobytes() == want.tobytes(), nb
+        q = QuadtreeMatrix.from_dense(a, nb)
+        rows, cols = (x.astype(np.intp) for x in decode_array(q.keys))
+        stack = _subnorm_squares(q.values)
+        tiles = want.reshape(128 // nb, s, 128 // nb, s).transpose(0, 2, 1, 3)[rows, cols]
+        assert stack.tobytes() == tiles.tobytes(), nb
 
 
 @pytest.mark.filterwarnings("error")
@@ -383,7 +406,6 @@ def test_conversions_equal_the_padded_grid_bit_for_bit(nb, double, data):
         x, y = getattr(got, name), getattr(want, name)
         assert x.dtype == y.dtype and x.shape == y.shape, name
         assert x.tobytes() == y.tobytes(), name
-    assert np.float64(got.norm).tobytes() == np.float64(want.norm).tobytes()
     dense = got.to_dense().data
     assert dense.flags.c_contiguous and dense.tobytes() == padded_to_dense(want).tobytes()
     stored = {(i, j) for (i, j), kind in zip(np.ndindex(br, bc), layout)
@@ -468,7 +490,6 @@ def test_empty_tree_stacks():
     assert q.keys.size == 0 and q.keys.dtype == np.uint64
     assert q.values.shape == (0, 16, 16) and q.subnorms.shape == (0, 4, 4)
     assert q.norms.shape == (0,) and q.norms.dtype == np.float32
-    assert q.norm == 0.0
 
 
 def test_counts():
@@ -484,4 +505,4 @@ def test_leaf_block_from_values_small_block():
     q = QuadtreeMatrix.from_dense(np.full((2, 2), 3.0, np.float32), n_b=4)
     assert q.subnorms.shape == (1, 1, 1)
     assert q.subnorms[0, 0, 0] == 6.0
-    assert q.norm == 6.0
+    assert q.norms.tolist() == [6.0]

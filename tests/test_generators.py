@@ -14,7 +14,7 @@ def test_generate_is_deterministic():
     spec = GeneratorSpec(kind="exponential", n=200, lam=0.7, seed=42)
     a = generate(spec)
     b = generate(spec)
-    assert a.precision == "single"
+    assert a.data.dtype == np.float32
     assert np.array_equal(a.data, b.data)
     other = generate(GeneratorSpec(kind="exponential", n=200, lam=0.7, seed=43))
     assert not np.array_equal(a.data, other.data)
