@@ -72,16 +72,20 @@ def tree_depth(m: int, n: int, n_b: int = DEFAULT_BLOCK) -> int:
     return (q - 1).bit_length()
 
 
+def _set_once(self, name, value):
+    raise AttributeError(f"{type(self).__name__}.{name} is set once, where it is made")
+
+
 class DenseMatrix:
     """Dense 2-D matrix with explicit storage precision.
 
     Thin wrapper over a C-contiguous numpy array in float32 or float64.
-    Construction checks that it is real, 2-D, nonempty and finite.  The
-    quadtree side of the package is single precision; double precision
-    exists for the oracles.
+    Construction checks that it is real, 2-D, nonempty and finite, and data
+    is set once.  The quadtree side of the package is single precision;
+    double precision exists for the oracles.
     """
 
-    __slots__ = ("data",)
+    __setattr__ = _set_once
 
     def __init__(self, data):
         arr = np.ascontiguousarray(data)
@@ -93,7 +97,7 @@ class DenseMatrix:
             raise ValueError(f"expected a nonempty 2-D matrix, got shape {arr.shape}")
         if not np.isfinite(arr).all():
             raise ValueError("matrix elements must be finite")
-        self.data = arr
+        object.__setattr__(self, "data", arr)
 
     @property
     def m(self) -> int:
@@ -125,20 +129,18 @@ class QuadtreeMatrix:
     The norm of the whole matrix is DenseMatrix.frobenius of to_dense.
 
     A tree is built whole, by from_dense, from_leaves or io.load_quadtree.
-    Its arrays are read-only; they are replaced whole only by _store, and
+    Its attributes are set once: assigning one raises AttributeError, and
+    its arrays are read-only.  They are replaced whole only by _store, and
     only when the tree is the accumulator of numeric.execute_plan, which
     stores once after its pass over the operands.
     """
 
     def __init__(self, m: int, n: int, n_b: int = DEFAULT_BLOCK):
-        _validate_block_size(n_b)
-        if m < 1 or n < 1:
-            raise ValueError(f"matrix dimensions must be positive, got {m} x {n}")
-        self.m = int(m)
-        self.n = int(n)
-        self.n_b = int(n_b)
-        self.depth = tree_depth(m, n, n_b)
+        depth = tree_depth(m, n, n_b)  # checks the block size and the dimensions
+        self.__dict__.update(m=int(m), n=int(n), n_b=int(n_b), depth=depth)
         self._store(np.empty(0, np.uint64), np.empty((0, n_b, n_b), np.float32))
+
+    __setattr__ = _set_once
 
     # -- basic queries ---------------------------------------------------
 
@@ -260,10 +262,10 @@ class QuadtreeMatrix:
         keys, values, norms and subnorms are made read-only, so a stored tree
         holds only finite values: writing into one raises ValueError.
 
-        It records the tree's symmetry verdict (_symmetric) with these
-        arrays: unknown, or, given mirror (the _mirror_slots of keys, for
-        values that equal their transpose by construction), the outcome of
-        the norm and sub-norm compare alone.
+        It sets the tree's symmetry verdict (_symmetric): unknown, or, given
+        mirror (the _mirror_slots of keys, for values that equal their
+        transpose by construction), the outcome of the norm and sub-norm
+        compare alone.
         """
         if subsq is None:
             subsq = _subnorm_squares(values)
@@ -280,25 +282,19 @@ class QuadtreeMatrix:
         subnorms = np.sqrt(subsq).astype(np.float32)
         for arr in (keys, values, norms, subnorms):
             arr.flags.writeable = False
-        self.keys = keys
-        self.values = values
-        self.norms = norms
-        self.subnorms = subnorms
-        self._symmetry = ((keys, values, norms, subnorms),
-                          None if mirror is None else self._transpose_equal(mirror, False))
+        self.__dict__.update(keys=keys, values=values, norms=norms, subnorms=subnorms)
+        self.__dict__["_symmetry"] = (None if mirror is None
+                                      else self._transpose_equal(mirror, False))
 
     def _symmetric(self) -> bool:
         """Whether the tree equals its transpose bit for bit, norms and
         sub-norm grids included: square, every leaf's mirror stored, with the
         same norm, the transposed sub-norm grid and the transposed values.
-        Decided once for the arrays _store installed, so reassigning one of
-        them drops the verdict."""
-        held, verdict = self._symmetry
-        arrays = (self.keys, self.values, self.norms, self.subnorms)
-        if verdict is None or any(x is not y for x, y in zip(arrays, held)):
-            verdict = self.m == self.n and self._transpose_equal(_mirror_slots(self.keys), True)
-            self._symmetry = arrays, verdict
-        return verdict
+        Decided once for the leaf stack _store installed."""
+        if self._symmetry is None:
+            self.__dict__["_symmetry"] = self.m == self.n and self._transpose_equal(
+                _mirror_slots(self.keys), True)
+        return self._symmetry
 
     def _transpose_equal(self, mirror: np.ndarray | None, values: bool) -> bool:
         """The symmetry test of a square tree given the _mirror_slots of its
@@ -329,7 +325,7 @@ class QuadtreeMatrix:
             _pointer(self.values, np.float32, (self.leaf_count, nb, nb), "leaf values"),
             out.ctypes.data)
         dense = DenseMatrix.__new__(DenseMatrix)
-        dense.data = out
+        object.__setattr__(dense, "data", out)
         return dense
 
     def __repr__(self) -> str:

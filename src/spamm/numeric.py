@@ -203,7 +203,7 @@ def _stream_gated(a_values, a_sub, b_values, b_sub, a_slot, b_slot, c_slot,
     return int(counts[0]), int(counts[1]), subsq
 
 
-@dataclass
+@dataclass(frozen=True)
 class MultiplyConfig:
     tau: float = 0.0
     granularity: str = "fine4"
@@ -302,7 +302,6 @@ def _execute(plan, a, b, c, cfg, dense_kernel, threads=None):
         )
     if not (np.array_equal(a.keys, plan.a_keys) and np.array_equal(b.keys, plan.b_keys)):
         raise ValueError("plan was built for operands with other leaves (stale handles)")
-    plan.check()  # its arrays may have been reassigned since it was built
     counters = ExecCounters()
     # C's leaves, laid out once: the product's and, when beta != 0, the old ones
     products = plan.c_key if cfg.alpha else np.empty(0, np.uint64)

@@ -42,14 +42,17 @@ class PlanStats:
     pruned: int = 0
 
 
-@dataclass(eq=False)
+@dataclass(eq=False, frozen=True)
 class MultiplyPlan:
     """Ordered surviving block products for one (A, B, tau).
 
     a_slot and b_slot are int64 slots into a_keys and b_keys, the leaf key
     arrays of the operands the plan was built from (held, not copied), and
     norm_product the float64 product of the stored A and B leaf norms.  The
-    uint64 keys a, b and c_key of A, B and the product are derived.
+    uint64 keys a, b and c_key of A, B and the product are derived.  A plan
+    is checked where it is made and set once: assigning a field raises
+    AttributeError, and the three arrays are stored read-only.
+    dataclasses.replace makes an edited plan, checked again.
     """
 
     a_slot: np.ndarray
@@ -61,12 +64,8 @@ class MultiplyPlan:
     stats: PlanStats = field(default_factory=PlanStats)
 
     def __post_init__(self):
-        self.check()
-
-    def check(self) -> None:
         """Raise ValueError unless the arrays are 1-D of one length and the
-        slots are int64 slots into a_keys and b_keys.  The fields stay
-        assignable, so the executor checks again before it reads a slot."""
+        slots are int64 slots into a_keys and b_keys."""
         arrays = (self.a_slot, self.b_slot, self.norm_product)
         if (not all(isinstance(x, np.ndarray) and x.ndim == 1 for x in arrays)
                 or len({x.size for x in arrays}) > 1):
@@ -77,6 +76,8 @@ class MultiplyPlan:
             if slots.dtype != np.int64 or (
                     slots.size and (slots.min() < 0 or slots.max() >= keys.size)):
                 raise ValueError(f"{name} must hold int64 slots in [0, {keys.size})")
+        for x in arrays:
+            x.flags.writeable = False
 
     a = property(lambda self: self.a_keys[self.a_slot])
     b = property(lambda self: self.b_keys[self.b_slot])
@@ -109,8 +110,9 @@ class PlanTasks:
                              & (p.norm_product == task.norm_product))
         if hit.size == 0:
             raise ValueError(f"{task} is not in the plan")
-        for name in ("a_slot", "b_slot", "norm_product"):
-            setattr(p, name, np.delete(getattr(p, name), hit[0]))
+        for name in ("a_slot", "b_slot", "norm_product"):  # every slot stays valid
+            object.__setattr__(p, name, np.delete(getattr(p, name), hit[0]))
+            getattr(p, name).flags.writeable = False
 
 
 def _lanes(lanes: np.ndarray, q: QuadtreeMatrix):

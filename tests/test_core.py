@@ -1,6 +1,7 @@
 """Dense wrapper, depth arithmetic, columnar quadtree storage."""
 
 import math
+import pickle
 import re
 import tracemalloc
 
@@ -466,8 +467,9 @@ def test_from_dense_rejects_non_finite_elements(bad):
 
 
 def test_stored_arrays_are_read_only(tmp_path):
-    # _store refuses non-finite leaves and stores its arrays read-only, so no
-    # tree, built, multiplied or loaded, can be edited into a non-finite one
+    # _store refuses non-finite leaves and stores its arrays read-only, and
+    # no attribute can be reassigned, so no tree, built, multiplied or
+    # loaded, can be edited into a non-finite one or one with stale norms
     built = QuadtreeMatrix.from_dense(rng_matrix(64, 64, seed=14), 16)
     product, _ = execute_plan(build_plan(built, built, 0.0), built, built, None, MultiplyConfig())
     save_quadtree(tmp_path / "tree.qt", built)
@@ -480,7 +482,32 @@ def test_stored_arrays_are_read_only(tmp_path):
                 arr[...] = 0
             with pytest.raises(ValueError, match="read-only"):
                 arr += arr
+        for name in ("keys", "values", "norms", "subnorms", "m", "n", "n_b", "depth"):
+            with pytest.raises(AttributeError, match=f"QuadtreeMatrix.{name} is set once"):
+                setattr(tree, name, getattr(tree, name))
     assert_norm_invariant(built)
+
+
+def test_reassignment_is_refused_at_the_assignment():
+    dense = DenseMatrix(rng_matrix(8, 8, seed=1))
+    for x in (dense, QuadtreeMatrix.from_dense(dense.data, 4).to_dense()):
+        with pytest.raises(AttributeError, match="DenseMatrix.data is set once"):
+            x.data = np.full((8, 8), np.nan)
+        assert np.array_equal(x.data, dense.data)
+        assert np.array_equal(pickle.loads(pickle.dumps(x)).data, x.data)  # copies still work
+    # 1000x larger values under the old norms once squared to an all-zero C:
+    # the plan pruned every product on the norms of the small values
+    small = rng_matrix(64, 64, seed=1) * np.float32(1e-3)
+    q = QuadtreeMatrix.from_dense(small, 16)
+    fresh = QuadtreeMatrix.from_dense(small * 1000, 16)
+    with pytest.raises(AttributeError, match="values is set once"):
+        q.values = fresh.values
+    assert_same_tree(q, QuadtreeMatrix.from_dense(small, 16))
+    assert_same_tree(pickle.loads(pickle.dumps(q)), q)
+    cfg = MultiplyConfig(tau=1e-4)
+    assert execute_plan(build_plan(q, q, 1e-4), q, q, None, cfg)[1].products4 == 0
+    assert execute_plan(build_plan(fresh, fresh, 1e-4), fresh, fresh, None,
+                        cfg)[1].products4 == 4096
 
 
 # -- stacks and bookkeeping --------------------------------------------------

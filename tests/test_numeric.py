@@ -2,6 +2,7 @@
 
 import itertools
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -370,13 +371,11 @@ def _fallback(case: str):
     lower = d[40, 20:24]  # elements of the lower triangle, in block (2, 1)
     if case == "low-bit":
         lower.view(np.uint32)[np.flatnonzero(lower)[0]] ^= 1
-    if case in ("sign", "reassigned-values"):
+    if case == "sign":
         lower[np.flatnonzero(lower)[0]] *= -1
     if case == "no-mirror-leaf":
         d[32:48, 16:32] = 0
-    if case == "reassigned-values":  # after a symmetric verdict
-        x.values = QuadtreeMatrix.from_dense(d, 16).values
-    elif case in ("low-bit", "sign", "no-mirror-leaf"):
+    if case in ("low-bit", "sign", "no-mirror-leaf"):
         x = QuadtreeMatrix.from_dense(d, 16)
     if case == "sign":  # squares, and so every norm, cannot tell the sign
         assert x._transpose_equal(_mirror_slots(x.keys), values=False)
@@ -391,7 +390,7 @@ def _fallback(case: str):
 
 
 @pytest.mark.parametrize("case", ["low-bit", "sign", "no-mirror-leaf", "distinct-b",
-                                  "asymmetric-c", "reassigned-values", "alpha-zero",
+                                  "asymmetric-c", "alpha-zero",
                                   "alpha-zero-into-x", "alpha-zero-beta"])
 def test_a_product_that_is_not_a_symmetric_square_takes_the_full_path(case):
     a, b, c, cfg = _fallback(case)
@@ -472,7 +471,10 @@ def test_stale_plan_handles_are_rejected():
 
 @pytest.mark.parametrize("dense", [False, True], ids=["gated", "dense-leaf"])
 def test_reassigned_plan_arrays_are_rejected_before_a_slot_is_read(dense):
+    # a corrupt plan fails where it is made, and a made plan's arrays cannot
+    # be reassigned: the executor runs the plan as it was checked
     a = QuadtreeMatrix.from_dense(decay_matrix(64, seed=28).data, 16)  # 16 leaves
+    plan = build_plan(a, a, 0.0)
     cases = (
         ("a_slot", lambda v: v + 100, r"a_slot must hold int64 slots in \[0, 16\)"),
         ("b_slot", lambda v: v - 100, r"b_slot must hold int64 slots in \[0, 16\)"),
@@ -481,13 +483,17 @@ def test_reassigned_plan_arrays_are_rejected_before_a_slot_is_read(dense):
         ("a_slot", lambda v: v.tolist(), "1-D"),
     )
     for name, corrupt, match in cases:
-        plan = build_plan(a, a, 0.0)
-        setattr(plan, name, corrupt(getattr(plan, name)))
         with pytest.raises(ValueError, match=match):
-            if dense:
-                execute_plan_dense_leaf(plan, a, a, None)
-            else:
-                execute_plan(plan, a, a, None, MultiplyConfig())
+            replace(plan, **{name: corrupt(getattr(plan, name))})
+        with pytest.raises(AttributeError, match=name):
+            setattr(plan, name, corrupt(getattr(plan, name)))
+
+    def run(p):
+        if dense:
+            return execute_plan_dense_leaf(p, a, a, None)[0]
+        return execute_plan(p, a, a, None, MultiplyConfig())[0]
+
+    assert_same_tree(run(plan), run(build_plan(a, a, 0.0)))
 
 
 def test_execute_plan_validation():

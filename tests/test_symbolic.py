@@ -1,6 +1,7 @@
 """Symbolic phase: lane and norm order, pruned convolution, plan text."""
 
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -76,6 +77,28 @@ def test_plan_names_leaves_by_slot():
         for name in ("a", "b", "c_key"):  # derived, so they cannot disagree
             with pytest.raises(AttributeError):
                 setattr(plan, name, np.zeros_like(plan.c_key))
+
+
+def test_plans_and_configs_are_set_once():
+    q = QuadtreeMatrix.from_dense(decay_matrix(64, seed=6).data, 16)
+    plan = build_plan(q, q, 1e-2)
+    for name in ("a_slot", "b_slot", "norm_product", "a_keys", "b_keys", "tau", "stats"):
+        with pytest.raises(AttributeError, match=name):
+            setattr(plan, name, getattr(plan, name))
+    built = [plan.a_slot, plan.b_slot, plan.norm_product]
+    plan.tasks.remove(next(iter(plan.tasks)))  # the one edit a plan takes
+    for row in built + [plan.a_slot, plan.b_slot, plan.norm_product]:
+        with pytest.raises(ValueError, match="read-only"):
+            row[0] = 0
+    cfg = MultiplyConfig(tau=1e-2)
+    for name, value in (("tau", 0.0), ("granularity", "Fine4"), ("alpha", 2.0), ("beta", 1.0)):
+        with pytest.raises(AttributeError, match=name):
+            setattr(cfg, name, value)
+    # dataclasses.replace makes an edited copy and checks it again
+    assert replace(cfg, granularity="coarse16").granularity == "coarse16"
+    with pytest.raises(ValueError, match="granularity"):
+        replace(cfg, granularity="Fine4")
+    assert cfg == MultiplyConfig(tau=1e-2)
 
 
 def test_plan_order_and_dump_pinned():
