@@ -22,9 +22,11 @@ Trees built here have the paper's 16x16 leaves (BENCH_BLOCK), not the
 library default of 64: coarse16 gates at the leaf, so 16x16 leaves make
 spamm16 the paper's 16x16 gate, and both gates run on one tree.
 
-CSV output is one fixed header plus one row per run; work ratios
-between the two gating granularities go in a separate small table rather
-than extra columns.
+_product maps a scenario to the code that runs it, for run_scenario and
+for the CLI's multiply and verify alike, and _csv writes every table here
+and in the CLI, each cell by one rule.  CSV output is one fixed header
+plus one row per run; work ratios between the two gating granularities go
+in a separate small table rather than extra columns.
 """
 
 from __future__ import annotations
@@ -32,7 +34,7 @@ from __future__ import annotations
 import math
 import statistics
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import astuple, dataclass, field, replace
 from typing import Callable, Iterable, Sequence
 
 from .core import DenseMatrix, QuadtreeMatrix
@@ -61,8 +63,6 @@ __all__ = [
     "calibrate_tau",
 ]
 
-SCENARIOS = ("spamm4", "spamm16", "spamm-dense-leaf", "dense-single", "dense-double")
-
 _GRAIN = {
     "spamm4": "fine4",
     "spamm16": "coarse16",
@@ -70,6 +70,8 @@ _GRAIN = {
     "dense-single": "none",
     "dense-double": "none",
 }
+
+SCENARIOS = tuple(_GRAIN)
 
 CSV_HEADER = (
     "scenario,n,tau,granularity,seconds,products4,"
@@ -97,31 +99,44 @@ class RunReport:
     max_norm_error: float
 
     def csv_row(self) -> str:
-        return (
-            f"{self.scenario},{self.n},{self.tau:.6g},{self.granularity},"
-            f"{self.seconds:.6g},{self.products4},"
-            f"{self.flops_model},{self.effective_rate:.6g},{self.max_norm_error:.6g}"
-        )
+        return _csv_row(astuple(self))
 
 
-def _tree_product(scenario, a, b, c, tau, alpha=1.0, beta=0.0):
-    """Plan and execute C = alpha A B + beta C on trees under a spamm scenario.
+def _csv_row(cells: Iterable) -> str:
+    """One CSV line: a float cell by %.6g, a bool in lower case, any other by str."""
+    return ",".join(f"{x:.6g}" if isinstance(x, float) else
+                    str(x).lower() if isinstance(x, bool) else str(x) for x in cells)
 
-    Returns (plan, C tree, counters); c is the accumulator tree or None.
+
+def _csv(header: str, rows: Iterable[Iterable]) -> str:
+    """A table: the header line, then one _csv_row line per row."""
+    return "".join(line + "\n" for line in [header, *map(_csv_row, rows)])
+
+
+def _product(scenario, a, b, tau, alpha=1.0, beta=0.0, c=None):
+    """C = alpha A B + beta C under a scenario, as (C, plan, counters).
+
+    The spamm scenarios take and return trees; the dense ones take and
+    return DenseMatrix, ignore tau and return no plan or counters.
     """
+    if scenario == "dense-double":
+        return dense_multiply_double(a, b, alpha, beta, c), None, None
+    if scenario == "dense-single":
+        if alpha != 1.0 or beta != 0.0:
+            raise ValueError("dense-single supports only alpha=1, beta=0")
+        return dense_multiply_single(a, b), None, None
+    # plan first, so a shape fault is reported before a bad tau, alpha or beta
     plan = build_plan(a, b, tau)
     if scenario == "spamm-dense-leaf":
         c, counters = execute_plan_dense_leaf(plan, a, b, c, alpha, beta)
     else:
-        cfg = MultiplyConfig(tau=tau, granularity=_GRAIN[scenario], alpha=alpha, beta=beta)
+        cfg = MultiplyConfig(tau, _GRAIN[scenario], alpha, beta)
         c, counters = execute_plan(plan, a, b, c, cfg)
-    return plan, c, counters
+    return c, plan, counters
 
 
 def reports_to_csv(reports: Iterable[RunReport]) -> str:
-    lines = [CSV_HEADER]
-    lines.extend(r.csv_row() for r in reports)
-    return "\n".join(lines) + "\n"
+    return _csv(CSV_HEADER, map(astuple, reports))
 
 
 def run_scenario(
@@ -147,26 +162,19 @@ def run_scenario(
     if repeats < 1:
         raise ValueError(f"repeats must be positive, got {repeats}")
     n = a.n
-    times = []
+    x = a
     if scenario.startswith("spamm"):
-        if tree is None:
-            tree = QuadtreeMatrix.from_dense(a.data, BENCH_BLOCK)
-        for _ in range(repeats):
-            t0 = time.perf_counter()
-            _, c, counters = _tree_product(scenario, tree, tree, None, tau)
-            times.append(time.perf_counter() - t0)
-        result = c.to_dense()
-        products4 = counters.products4
-    else:
-        for _ in range(repeats):
-            t0 = time.perf_counter()
-            if scenario == "dense-single":
-                result = dense_multiply_single(a, a)
-            else:
-                result = dense_multiply_double(a, a)
-            times.append(time.perf_counter() - t0)
+        x = QuadtreeMatrix.from_dense(a.data, BENCH_BLOCK) if tree is None else tree
+    times = []
+    for _ in range(repeats):
+        t0 = time.perf_counter()
+        c, _, counters = _product(scenario, x, x, tau)
+        times.append(time.perf_counter() - t0)
+    if counters is None:
         # classical work, expressed in the same 4x4x4 product unit
-        products4 = (n * n * n) // 64
+        result, products4 = c, (n * n * n) // 64
+    else:
+        result, products4 = c.to_dense(), counters.products4
     seconds = statistics.median(times)
     err = float("nan")
     if compute_error:
@@ -177,7 +185,7 @@ def run_scenario(
     return RunReport(
         scenario=scenario,
         n=n,
-        tau=tau,
+        tau=float(tau),
         granularity=_GRAIN[scenario],
         seconds=seconds,
         products4=products4,
@@ -214,7 +222,7 @@ def sweep(
         for tau in taus:
             for s in scenarios:
                 if s in dense:
-                    reports.append(replace(dense[s], tau=tau))
+                    reports.append(replace(dense[s], tau=float(tau)))
                     continue
                 report = run_scenario(
                     s, a, tau=tau, repeats=repeats,
@@ -246,9 +254,7 @@ def ratio_table(reports: Iterable[RunReport]) -> list[tuple[int, float, float, f
 
 
 def ratios_to_csv(rows: Iterable[tuple[int, float, float, float]]) -> str:
-    lines = [RATIO_HEADER]
-    lines.extend(f"{n},{tau:.6g},{c:.6g},{t:.6g}" for n, tau, c, t in rows)
-    return "\n".join(lines) + "\n"
+    return _csv(RATIO_HEADER, rows)
 
 
 @dataclass

@@ -24,7 +24,8 @@ from . import __version__
 from .bench import (
     BENCH_BLOCK,
     SCENARIOS,
-    _tree_product,
+    _csv,
+    _product,
     calibrate_tau,
     ratio_table,
     ratios_to_csv,
@@ -35,7 +36,7 @@ from .core import DEFAULT_BLOCK, QuadtreeMatrix
 from .generators import KINDS, GeneratorSpec, generate
 from .io import MatrixFormatError, load_matrix, save_matrix, save_quadtree
 from .numeric import GRANULARITIES
-from .reference import dense_multiply_double, dense_multiply_single, max_norm_error
+from .reference import dense_multiply_double, max_norm_error
 
 __all__ = ["main", "build_parser", "CALIBRATION_HEADER"]
 
@@ -77,6 +78,18 @@ def _add_generator_args(p: argparse.ArgumentParser) -> None:
                    help="mirror the upper triangle onto the lower")
 
 
+def _add_product_args(p: argparse.ArgumentParser) -> None:
+    p.add_argument("a", help="left operand, MatrixMarket")
+    p.add_argument("b", nargs="?", default=None,
+                   help="right operand (default: reuse A, computing A A)")
+    p.add_argument("--scenario", choices=SCENARIOS, default="spamm4",
+                   help="product path (default: spamm4)")
+    p.add_argument("--tau", type=float, default=0.0,
+                   help="norm-product tolerance (default: 0, exact)")
+    p.add_argument("--block-size", type=int, default=DEFAULT_BLOCK,
+                   help=f"quadtree leaf size (default: {DEFAULT_BLOCK})")
+
+
 def _spec_from_args(args, n: int) -> GeneratorSpec:
     return GeneratorSpec(
         kind=args.kind, n=n, lam=args.lam, c=args.c,
@@ -100,29 +113,16 @@ def build_parser() -> argparse.ArgumentParser:
                    help="MatrixMarket layout (default: array)")
 
     m = sub.add_parser("multiply", help="C = alpha A B + beta C from files")
-    m.add_argument("a", help="left operand, MatrixMarket")
-    m.add_argument("b", nargs="?", default=None,
-                   help="right operand (default: reuse A, computing A A)")
-    m.add_argument("--scenario", choices=SCENARIOS, default="spamm4",
-                   help="product path (default: spamm4)")
-    m.add_argument("--tau", type=float, default=0.0,
-                   help="norm-product tolerance (default: 0, exact)")
+    _add_product_args(m)
     m.add_argument("--alpha", type=float, default=1.0)
     m.add_argument("--beta", type=float, default=0.0)
     m.add_argument("--c-in", default=None,
                    help="accumulator matrix, required when beta is nonzero")
-    m.add_argument("--block-size", type=int, default=DEFAULT_BLOCK,
-                   help=f"quadtree leaf size (default: {DEFAULT_BLOCK})")
     m.add_argument("--out", default=None, help="write C as MatrixMarket")
     m.add_argument("--tree-out", default=None, help="write C as a binary tree dump")
 
     v = sub.add_parser("verify", help="compare a product to float64")
-    v.add_argument("a", help="left operand, MatrixMarket")
-    v.add_argument("b", nargs="?", default=None,
-                   help="right operand (default: reuse A)")
-    v.add_argument("--scenario", choices=SCENARIOS, default="spamm4")
-    v.add_argument("--tau", type=float, default=0.0)
-    v.add_argument("--block-size", type=int, default=DEFAULT_BLOCK)
+    _add_product_args(v)
     v.add_argument("--limit", type=float, default=None,
                    help="exit 1 when the max-norm error exceeds this")
 
@@ -160,24 +160,21 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _run_product(args, a, b, alpha=1.0, beta=0.0, c_in=None):
-    """Product of dense operands under args.scenario.
+    """Product of dense operands under args.scenario, by bench._product.
 
     `c_in` is the dense accumulator, or None; when `b is a` the tree scenarios
     build one tree for both sides.  Returns (result dense, result tree or
     None, plan or None, counters or None).
     """
-    scenario = args.scenario
-    if scenario.startswith("spamm"):
+    if args.scenario.startswith("spamm"):
         qa = QuadtreeMatrix.from_dense(a, args.block_size)
-        qb = qa if b is a else QuadtreeMatrix.from_dense(b, args.block_size)
-        c_tree = None if c_in is None else QuadtreeMatrix.from_dense(c_in, args.block_size)
-        plan, c, counters = _tree_product(scenario, qa, qb, c_tree, args.tau, alpha, beta)
-        return c.to_dense(), c, plan, counters
-    if scenario == "dense-single":
-        if alpha != 1.0 or beta != 0.0:
-            raise ValueError("dense-single supports only alpha=1, beta=0")
-        return dense_multiply_single(a, b), None, None, None
-    return dense_multiply_double(a, b, alpha, beta, c_in), None, None, None
+        b = qa if b is a else QuadtreeMatrix.from_dense(b, args.block_size)
+        c_in = None if c_in is None else QuadtreeMatrix.from_dense(c_in, args.block_size)
+        a = qa
+    c, plan, counters = _product(args.scenario, a, b, args.tau, alpha, beta, c_in)
+    if plan is None:
+        return c, None, None, None
+    return c.to_dense(), c, plan, counters
 
 
 def _write_text(path: str, text: str) -> None:
@@ -210,7 +207,7 @@ def _cmd_multiply(args) -> int:
                       else QuadtreeMatrix.from_dense(result.data, args.block_size))
     if plan is not None:
         st = plan.stats
-        print(f"plan: tasks={st.emitted} examined={st.examined} pruned={st.pruned}")
+        print(f"plan: tasks={len(plan.a_slot)} examined={st.examined} pruned={st.pruned}")
         print(f"exec: products4={counters.products4} skipped4={counters.skipped4} "
               f"mirrored={counters.mirrored} seconds={counters.seconds:.6g} "
               f"kernel={counters.kernel} threads={counters.threads}")
@@ -258,15 +255,13 @@ def _cmd_sweep_tau(args) -> int:
     a = generate(spec)
     tree = QuadtreeMatrix.from_dense(a.data, BENCH_BLOCK)
     oracle = dense_multiply_double(a, a)
-    lines = [CALIBRATION_HEADER]
-    taus = {}
+    rows, taus = [], {}
     for g in args.granularity:
         r = calibrate_tau(tree, oracle, args.target, g,
                           lo=args.tau_lo, hi=args.tau_hi, iters=args.iters)
         taus[g] = r.tau
-        lines.append(f"{g},{args.n},{r.target:.6g},{r.tau:.6g},"
-                     f"{r.error:.6g},{str(r.converged).lower()}")
-    _write_text(args.out, "\n".join(lines) + "\n")
+        rows.append((g, args.n, r.target, r.tau, r.error, r.converged))
+    _write_text(args.out, _csv(CALIBRATION_HEADER, rows))
     if "fine4" in taus and "coarse16" in taus and taus["fine4"] > 0:
         print(f"tau(coarse16)/tau(fine4) = {taus['coarse16'] / taus['fine4']:.3g}",
               file=sys.stderr)

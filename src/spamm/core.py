@@ -132,7 +132,9 @@ class QuadtreeMatrix:
     Its attributes are set once: assigning one raises AttributeError, and
     its arrays are read-only.  They are replaced whole only by _store, and
     only when the tree is the accumulator of numeric.execute_plan, which
-    stores once after its pass over the operands.
+    stores once after its pass over the operands.  A copy or a pickle of a
+    tree is rebuilt by from_leaves from its keys and values, so its arrays
+    are read-only too and its norms are its own.
     """
 
     def __init__(self, m: int, n: int, n_b: int = DEFAULT_BLOCK):
@@ -141,6 +143,9 @@ class QuadtreeMatrix:
         self._store(np.empty(0, np.uint64), np.empty((0, n_b, n_b), np.float32))
 
     __setattr__ = _set_once
+
+    def __reduce__(self):
+        return QuadtreeMatrix.from_leaves, (self.m, self.n, self.keys, self.values, self.n_b)
 
     # -- basic queries ---------------------------------------------------
 

@@ -37,7 +37,11 @@ class ProductTask:
 
 @dataclass(slots=True)
 class PlanStats:
-    emitted: int = 0
+    """The search build_plan ran: the block products it examined, and those
+    it pruned (one per A leaf whose B prefix stopped short).  The plan's
+    row count is a_slot.size; neither field is recounted when
+    PlanTasks.remove deletes a row."""
+
     examined: int = 0
     pruned: int = 0
 
@@ -184,6 +188,6 @@ def build_plan(a: QuadtreeMatrix, b: QuadtreeMatrix, tau: float) -> MultiplyPlan
     a_pos = np.repeat(rows, count)
     # B position of each product: its lane's B start plus its place in the row
     b_pos = np.arange(total) + np.repeat(first - (np.cumsum(count) - count), count)
-    stats = PlanStats(emitted=total, examined=total + pruned, pruned=pruned)
+    stats = PlanStats(examined=total + pruned, pruned=pruned)
     return MultiplyPlan(a_order[a_pos], b_order[b_pos], a_norm[a_pos] * b_norm[b_pos],
                         a.keys, b.keys, float(tau), stats)

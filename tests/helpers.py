@@ -262,7 +262,6 @@ def sequential_plan(a: QuadtreeMatrix, b: QuadtreeMatrix, tau: float) -> Multipl
                 break
         ia += 1
         ib += 1
-    stats.emitted = len(products)
     return MultiplyPlan(np.array(task_a, np.int64), np.array(task_b, np.int64),
                         np.array(products, np.float64), a.keys, b.keys, float(tau), stats)
 

@@ -49,6 +49,9 @@ def test_csv_row_format_pinned():
     out = reports_to_csv([r])
     assert out.splitlines()[0] == CSV_HEADER
     assert out.endswith("\n")
+    assert ratios_to_csv([(256, 1e-08, 1.25, 0.5)]) == (
+        RATIO_HEADER + "\n256,1e-08,1.25,0.5\n"
+    )
 
 
 def test_dense_single_work_pinned():

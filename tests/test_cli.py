@@ -10,7 +10,13 @@ import pytest
 
 import spamm.cli
 from spamm import numeric
-from spamm.bench import BENCH_BLOCK, CSV_HEADER, RATIO_HEADER, calibrate_tau
+from spamm.bench import (
+    BENCH_BLOCK,
+    CSV_HEADER,
+    RATIO_HEADER,
+    CalibrationResult,
+    calibrate_tau,
+)
 from spamm.cli import CALIBRATION_HEADER, main
 from spamm.core import DEFAULT_BLOCK, DenseMatrix, QuadtreeMatrix
 from spamm.generators import GeneratorSpec, generate
@@ -214,7 +220,7 @@ def test_multiply_pinned_to_one_cpu_runs_one_thread(tmp_path, capsys):
     cores = len(os.sched_getaffinity(0))
     qa = QuadtreeMatrix.from_dense(load_matrix(a), 16)
     c, plan, _ = multiply(qa, qa, MultiplyConfig(1e-8))
-    assert plan.stats.emitted > 1000
+    assert plan.a_slot.size > 1000
     assert _exec_threads(capsys.readouterr().out) == min(cores, c.leaf_count)
     # the child pins itself, and only itself, to one of the CPUs it may use
     pin = ("import os, sys; os.sched_setaffinity(0, {min(os.sched_getaffinity(0))}); "
@@ -322,6 +328,25 @@ def test_sweep_tau_calibration_table(tmp_path, capsys):
     want = calibrate_tau(QuadtreeMatrix.from_dense(a.data, BENCH_BLOCK),
                          dense_multiply_double(a, a), 1e-6, "coarse16", iters=6)
     assert rows["coarse16"][3] == f"{want.tau:.6g}"
+
+
+def test_sweep_tau_rows_pinned(tmp_path, monkeypatch):
+    # the table's format alone: each granularity gets a fixed result
+    results = {
+        "fine4": CalibrationResult(3.0517578125e-05, 2.5e-07, 1e-06, "fine4",
+                                   [(1e-12, 0.0), (1e-03, 4e-06)]),
+        "coarse16": CalibrationResult(1e-12, 0.00125, 1e-06, "coarse16",
+                                      [(1e-12, 0.00125)]),
+    }
+    monkeypatch.setattr(spamm.cli, "calibrate_tau",
+                        lambda tree, oracle, target, g, **kw: results[g])
+    out = tmp_path / "taus.csv"
+    assert main(["sweep-tau", "--n", "32", "--out", str(out)]) == 0
+    assert out.read_text() == (
+        CALIBRATION_HEADER + "\n"
+        "fine4,32,1e-06,3.05176e-05,2.5e-07,true\n"
+        "coarse16,32,1e-06,1e-12,0.00125,false\n"
+    )
 
 
 def test_missing_subcommand_exits_2():

@@ -1,5 +1,6 @@
 """Dense wrapper, depth arithmetic, columnar quadtree storage."""
 
+import copy
 import math
 import pickle
 import re
@@ -24,7 +25,7 @@ from helpers import (
 from spamm.core import DEFAULT_BLOCK, DenseMatrix, QuadtreeMatrix, _subnorm_squares, tree_depth
 from spamm.io import load_quadtree, save_quadtree
 from spamm.morton import decode, decode_array, encode
-from spamm.numeric import MultiplyConfig, execute_plan
+from spamm.numeric import MultiplyConfig, execute_plan, multiply
 from spamm.symbolic import build_plan
 
 
@@ -508,6 +509,30 @@ def test_reassignment_is_refused_at_the_assignment():
     assert execute_plan(build_plan(q, q, 1e-4), q, q, None, cfg)[1].products4 == 0
     assert execute_plan(build_plan(fresh, fresh, 1e-4), fresh, fresh, None,
                         cfg)[1].products4 == 4096
+
+
+def test_copies_and_pickles_of_a_tree_are_read_only(tmp_path):
+    # numpy copies and unpickles arrays writable, so a copy made field by
+    # field could be given values under stale norms
+    built = QuadtreeMatrix.from_dense(rng_matrix(64, 64, seed=15), 16)
+    acc = QuadtreeMatrix.from_dense(rng_matrix(64, 64, seed=16), 16)
+    product, _, _ = multiply(acc, acc, MultiplyConfig(alpha=-1.0, beta=2.0), c=acc)
+    save_quadtree(tmp_path / "tree.qt", built)
+    loaded = load_quadtree(tmp_path / "tree.qt")
+    for tree in (built, product, loaded, QuadtreeMatrix(16, 16, 16)):
+        for copied in (copy.copy(tree), copy.deepcopy(tree),
+                       pickle.loads(pickle.dumps(tree))):
+            assert copied is not tree
+            assert_same_tree(copied, tree)
+            assert ((copied.m, copied.n, copied.n_b, copied.depth)
+                    == (tree.m, tree.n, tree.n_b, tree.depth))
+            for name in ("keys", "values", "norms", "subnorms"):
+                assert not getattr(copied, name).flags.writeable, name
+    q = QuadtreeMatrix.from_dense(2 * np.eye(64, dtype=np.float32), 16)
+    for y in (copy.copy(q), copy.deepcopy(q), pickle.loads(pickle.dumps(q))):
+        with pytest.raises(ValueError, match="read-only"):
+            y.values[0, 0, 0] = 1e3
+        assert y.norms[0] == 8.0 and y.to_dense().data[0, 0] == 2.0
 
 
 # -- stacks and bookkeeping --------------------------------------------------

@@ -57,7 +57,7 @@ def test_dense_plan_is_complete():
     plan = build_plan(a, b, 0.0)
     assert plan.a.size == 64  # 4^3 block triples
     st = plan.stats
-    assert (st.emitted, st.examined, st.pruned) == (64, 64, 0)
+    assert (plan.a_slot.size, st.examined, st.pruned) == (64, 64, 0)
     assert set(zip(plan.a.tolist(), plan.b.tolist())) == matched_pairs(a, b, 0.0)
     for ka, kb, ck in zip(plan.a.tolist(), plan.b.tolist(), plan.c_key.tolist()):
         assert ck == c_index(ka, kb)
@@ -119,7 +119,7 @@ def test_plan_order_and_dump_pinned():
         "1 3 1 6.400000000e+01\n"
     )
     st = pruned.stats
-    assert (st.emitted, st.examined, st.pruned) == (2, 4, 2)
+    assert (pruned.a_slot.size, st.examined, st.pruned) == (2, 4, 2)
 
 
 def test_convolve_outer_break_loses_nothing():
@@ -132,7 +132,7 @@ def test_convolve_outer_break_loses_nothing():
         (encode(0, 0), encode(0, 1), 30.0),
     ]
     st = plan.stats
-    assert (st.emitted, st.examined, st.pruned) == (2, 3, 1)
+    assert (plan.a_slot.size, st.examined, st.pruned) == (2, 3, 1)
 
 
 def test_tau_boundary_is_kept():
@@ -164,7 +164,7 @@ def test_plan_equals_brute_force_on_random_sparse_trees():
                 assert pairs == matched_pairs(qa, qb, tau)
                 assert len(pairs) == plan.a.size
                 st = plan.stats
-                assert st.examined == st.emitted + st.pruned
+                assert st.examined == plan.a_slot.size + st.pruned
 
 
 def test_plan_deterministic_and_insertion_order_free():
@@ -187,7 +187,7 @@ def test_empty_operands_give_empty_plan():
     assert len(plan.tasks) == 0
     assert plan_dump(plan) == ""
     st = plan.stats
-    assert (st.emitted, st.examined, st.pruned) == (0, 0, 0)
+    assert (plan.a_slot.size, st.examined, st.pruned) == (0, 0, 0)
 
 
 def test_build_plan_validation():
