@@ -338,26 +338,21 @@ finish_leaf(float *c, const float *old, int64_t leaf, int no_s, float alpha,
         c[i] = (no_s ? -0.0f : alpha * c[i]) + (old ? beta * old[i] : none);
 }
 
-/* t[k] = row k of the transpose of the 4x4 tile at c, whose rows are nb
- * floats apart. */
-static inline void transpose_tile(const float *c, int64_t nb, spamm_v4sf t[4])
-{
-    spamm_v4sf r[4];
-    for (int k = 0; k < 4; k++)
-        r[k] = *(const spamm_v4sf *)(c + k * nb);
-    for (int k = 0; k < 4; k++)
-        t[k] = (spamm_v4sf){r[0][k], r[1][k], r[2][k], r[3][k]};
-}
-
-/* t = the transpose of the n_b x n_b leaf c, by 4x4 tiles. */
+/* t = the transpose of the n_b x n_b leaf c, by 4x4 tiles: the tile at
+ * row i, column j of c is read as four rows r and written as four columns
+ * of t at row j, column i.  The kernel's one leaf transpose: the mirror
+ * path writes each lower leaf with it, and spamm_leaves_symmetric
+ * transposes each upper leaf with it before its byte compare. */
 static void transpose_leaf(const float *c, float *t, int64_t nb)
 {
     for (int64_t i = 0; i < nb; i += 4)
         for (int64_t j = 0; j < nb; j += 4) {
             spamm_v4sf r[4];
-            transpose_tile(c + i * nb + j, nb, r);
             for (int k = 0; k < 4; k++)
-                *(spamm_v4sf *)(t + (j + k) * nb + i) = r[k];
+                r[k] = *(const spamm_v4sf *)(c + (i + k) * nb + j);
+            for (int k = 0; k < 4; k++)
+                *(spamm_v4sf *)(t + (j + k) * nb + i) =
+                    (spamm_v4sf){r[0][k], r[1][k], r[2][k], r[3][k]};
         }
 }
 
@@ -485,27 +480,18 @@ void spamm_subnorm_squares(int64_t rows, int64_t cols, int64_t nb, int64_t ld,
 
 /* 1 if each of the count leaves of the stack values equals the transpose of
  * leaf mirror[g] bit for bit, else 0: the value test of a tree's symmetry,
- * read in place.  Each pair is compared once, from its upper leaf, by the
- * 4x4 tiles of transpose_tile; the compare is on the bits, so -0
- * differs from +0. */
+ * read in place.  Each pair is compared once, from its upper leaf, which
+ * transpose_leaf writes into t, the caller's n_b x n_b float32 scratch
+ * leaf; memcmp compares the bytes, so -0 differs from +0. */
 int spamm_leaves_symmetric(int64_t count, int64_t nb, const int64_t *mirror,
-                           const float *values)
+                           const float *values, float *t)
 {
-    typedef uint32_t v4u __attribute__((vector_size(16)));
     const int64_t leaf = nb * nb;
     for (int64_t g = 0; g < count; g++) {
         if (mirror[g] < g)
             continue;
-        const float *u = values + g * leaf, *t = values + mirror[g] * leaf;
-        v4u diff = {0, 0, 0, 0};
-        for (int64_t i = 0; i < nb; i += 4)
-            for (int64_t j = 0; j < nb; j += 4) {
-                spamm_v4sf r[4];
-                transpose_tile(u + i * nb + j, nb, r);
-                for (int k = 0; k < 4; k++)
-                    diff |= (v4u)r[k] ^ (v4u)*(const spamm_v4sf *)(t + (j + k) * nb + i);
-            }
-        if (diff[0] | diff[1] | diff[2] | diff[3])
+        transpose_leaf(values + g * leaf, t, nb);
+        if (memcmp(t, values + mirror[g] * leaf, (size_t)leaf * sizeof(float)))
             return 0;
     }
     return 1;

@@ -67,7 +67,7 @@ def _load_kernel() -> ctypes.CDLL:
     lib.spamm_subnorm_squares.restype = None
     lib.spamm_leaves_to_rows.argtypes = [i64] * 3 + [ptr] * 3
     lib.spamm_leaves_to_rows.restype = None
-    lib.spamm_leaves_symmetric.argtypes = [i64, i64, ptr, ptr]
+    lib.spamm_leaves_symmetric.argtypes = [i64, i64] + [ptr] * 3
     lib.spamm_leaves_symmetric.restype = ctypes.c_int
     return lib
 

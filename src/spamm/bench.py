@@ -46,7 +46,7 @@ from .reference import (
     flop_model,
     max_norm_error,
 )
-from .symbolic import build_plan
+from .symbolic import _check_tau, build_plan
 
 __all__ = [
     "SCENARIOS",
@@ -98,9 +98,6 @@ class RunReport:
     effective_rate: float
     max_norm_error: float
 
-    def csv_row(self) -> str:
-        return _csv_row(astuple(self))
-
 
 def _csv_row(cells: Iterable) -> str:
     """One CSV line: a float cell by %.6g, a bool in lower case, any other by str."""
@@ -117,8 +114,12 @@ def _product(scenario, a, b, tau, alpha=1.0, beta=0.0, c=None):
     """C = alpha A B + beta C under a scenario, as (C, plan, counters).
 
     The spamm scenarios take and return trees; the dense ones take and
-    return DenseMatrix, ignore tau and return no plan or counters.
+    return DenseMatrix and return no plan or counters.  Every scenario
+    rejects a bad tau, the dense ones too, though they do not read it; a
+    shape fault is reported first.
     """
+    if scenario.startswith("dense") and a.n == b.m:  # else the product names the shapes
+        _check_tau(tau)
     if scenario == "dense-double":
         return dense_multiply_double(a, b, alpha, beta, c), None, None
     if scenario == "dense-single":
@@ -152,8 +153,8 @@ def run_scenario(
 
     `tree` and `oracle` let callers reuse the quadtree of A and the double
     precision product of A A across runs; both are derived from `a` when
-    absent.  The dense baselines ignore tau (it is only recorded in the
-    report).
+    absent.  The dense baselines check tau but do not read it (it is only
+    recorded in the report).
     """
     if scenario not in SCENARIOS:
         raise ValueError(f"unknown scenario {scenario!r}")
@@ -206,12 +207,15 @@ def sweep(
     """All (n, tau, scenario) runs, n-major then tau then scenario order.
 
     The matrix, its tree, and the error oracle are built once per n and
-    shared across the whole tau grid.  The dense baselines ignore tau, so
-    each runs once per n and its report is repeated at every tau.
+    shared across the whole tau grid.  The dense baselines do not read tau,
+    so each runs once per n and its report is repeated at every tau; every
+    tau of the grid is checked first.
     """
     for s in scenarios:
         if s not in SCENARIOS:
             raise ValueError(f"unknown scenario {s!r}")
+    for tau in taus:
+        _check_tau(tau)
     reports = []
     needs_tree = any(s.startswith("spamm") for s in scenarios)
     for n in ns:

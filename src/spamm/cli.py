@@ -8,8 +8,8 @@
 
 Exit codes: 0 on success, also when the reader of stdout closes it early
 (`spamm ... | head`), 1 when a verify limit is exceeded, 2 for bad
-arguments and for values or products that overflow float32, 3 for I/O and
-file format problems.
+arguments, for values or products that overflow float32 and for arrays too
+large to allocate, 3 for I/O and file format problems.
 """
 
 from __future__ import annotations
@@ -293,7 +293,7 @@ def main(argv=None) -> int:
     except (OSError, MatrixFormatError) as exc:
         print(f"spamm: {exc}", file=sys.stderr)
         return 3
-    except (ValueError, OverflowError) as exc:
+    except (ValueError, OverflowError, MemoryError) as exc:
         print(f"spamm: {exc}", file=sys.stderr)
         return 2
 

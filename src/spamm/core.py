@@ -305,15 +305,20 @@ class QuadtreeMatrix:
         """The symmetry test of a square tree given the _mirror_slots of its
         keys, cheapest part first: keys closed under mirroring (mirror not
         None), norms, sub-norm grids, then, with values, the leaves in one C
-        pass over the stack in place."""
+        pass over the stack in place, each upper leaf transposed into one
+        scratch leaf and compared by its bytes."""
         if (mirror is None or not np.array_equal(self.norms[mirror], self.norms)
                 or not np.array_equal(self.subnorms[mirror].transpose(0, 2, 1),
                                       self.subnorms)):
             return False
+        if not values:
+            return True
         nb, count = self.n_b, self.leaf_count
-        return not values or bool(_lib.spamm_leaves_symmetric(
+        scratch = np.empty((nb, nb), np.float32)  # named, so it lives through the call
+        return bool(_lib.spamm_leaves_symmetric(
             count, nb, mirror.ctypes.data,
-            _pointer(self.values, np.float32, (count, nb, nb), "leaf values")))
+            _pointer(self.values, np.float32, (count, nb, nb), "leaf values"),
+            scratch.ctypes.data))
 
     def to_dense(self) -> DenseMatrix:
         """The matrix as dense float32 rows, each written once: one C pass

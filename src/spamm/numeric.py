@@ -101,7 +101,7 @@ import numpy as np
 from ._kernel import _lib, _pointer
 from .core import QuadtreeMatrix, _mirror_slots
 from .morton import k_of_a
-from .symbolic import MultiplyPlan, build_plan
+from .symbolic import MultiplyPlan, _check_tau, build_plan
 
 GRANULARITIES = ("fine4", "coarse16")
 
@@ -215,8 +215,7 @@ class MultiplyConfig:
             raise ValueError(
                 f"granularity must be one of {GRANULARITIES}, got {self.granularity!r}"
             )
-        if np.isnan(self.tau) or self.tau < 0:
-            raise ValueError(f"tau must be nonnegative, got {self.tau}")
+        _check_tau(self.tau)
         if not (np.isfinite(self.alpha) and np.isfinite(self.beta)):
             raise ValueError("alpha and beta must be finite")
 

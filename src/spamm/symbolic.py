@@ -56,7 +56,11 @@ class MultiplyPlan:
     uint64 keys a, b and c_key of A, B and the product are derived.  A plan
     is checked where it is made and set once: assigning a field raises
     AttributeError, and the three arrays are stored read-only.
-    dataclasses.replace makes an edited plan, checked again.
+    dataclasses.replace makes an edited plan, checked again.  The check
+    holds a plan to its tau as far as the plan alone can: no row's
+    norm_product is below tau, and a plan at tau = 0 pruned nothing, so an
+    edited copy cannot claim the exactness of tau = 0.  Lowering tau to
+    another positive value stays undetectable without the operands.
     """
 
     a_slot: np.ndarray
@@ -68,8 +72,9 @@ class MultiplyPlan:
     stats: PlanStats = field(default_factory=PlanStats)
 
     def __post_init__(self):
-        """Raise ValueError unless the arrays are 1-D of one length and the
-        slots are int64 slots into a_keys and b_keys."""
+        """Raise ValueError unless the arrays are 1-D of one length, the
+        slots are int64 slots into a_keys and b_keys, and the rows and stats
+        fit tau as above."""
         arrays = (self.a_slot, self.b_slot, self.norm_product)
         if (not all(isinstance(x, np.ndarray) and x.ndim == 1 for x in arrays)
                 or len({x.size for x in arrays}) > 1):
@@ -80,6 +85,12 @@ class MultiplyPlan:
             if slots.dtype != np.int64 or (
                     slots.size and (slots.min() < 0 or slots.max() >= keys.size)):
                 raise ValueError(f"{name} must hold int64 slots in [0, {keys.size})")
+        _check_tau(self.tau)
+        if self.norm_product.size and self.norm_product.min() < self.tau:
+            raise ValueError(f"plan rows must have norm products of at least tau={self.tau}, "
+                             f"got {self.norm_product.min()}")
+        if self.tau == 0 and self.stats.pruned:
+            raise ValueError(f"a plan at tau=0 prunes nothing, got pruned={self.stats.pruned}")
         for x in arrays:
             x.flags.writeable = False
 
@@ -117,6 +128,12 @@ class PlanTasks:
         for name in ("a_slot", "b_slot", "norm_product"):  # every slot stays valid
             object.__setattr__(p, name, np.delete(getattr(p, name), hit[0]))
             getattr(p, name).flags.writeable = False
+
+
+def _check_tau(tau: float) -> None:
+    """Raise ValueError unless tau is a nonnegative number."""
+    if math.isnan(tau) or tau < 0:
+        raise ValueError(f"tau must be nonnegative, got {tau}")
 
 
 def _lanes(lanes: np.ndarray, q: QuadtreeMatrix):
@@ -170,8 +187,7 @@ def build_plan(a: QuadtreeMatrix, b: QuadtreeMatrix, tau: float) -> MultiplyPlan
         raise ValueError(f"block sizes differ: {a.n_b} vs {b.n_b}")
     if a.n != b.m:
         raise ValueError(f"inner dimensions differ: {a.m}x{a.n} times {b.m}x{b.n}")
-    if math.isnan(tau) or tau < 0:
-        raise ValueError(f"tau must be nonnegative, got {tau}")
+    _check_tau(tau)
     a_order, a_norm, a_k, a_start, a_stop = _lanes(k_of_a(a.keys), a)
     b_order, b_norm, b_k, b_start, b_stop = _lanes(k_of_b(b.keys) >> np.uint64(1), b)
     _, ia, ib = np.intersect1d(a_k, b_k, assume_unique=True, return_indices=True)

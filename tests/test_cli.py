@@ -14,6 +14,7 @@ from spamm.bench import (
     BENCH_BLOCK,
     CSV_HEADER,
     RATIO_HEADER,
+    SCENARIOS,
     CalibrationResult,
     calibrate_tau,
 )
@@ -156,6 +157,40 @@ def test_multiply_float32_overflow_exits_2(tmp_path, capsys):
     assert "block row 0, column 0" in capsys.readouterr().err
     save_matrix(p, DenseMatrix(np.eye(32) * 1e39))  # operand overflows on load
     assert main(["multiply", str(p), "--scenario", "spamm4"]) == 2
+
+
+@pytest.mark.parametrize("command", ["generate", "multiply"])
+def test_an_allocation_that_cannot_be_made_exits_2(tmp_path, capsys, command):
+    # 16777216^2 float32 is 1 PiB, more than any address space holds
+    out = tmp_path / "out.mtx"
+    if command == "generate":
+        argv = ["generate", "--n", "16777216", "--out", str(out)]
+    else:
+        argv = ["multiply", str(_gen(tmp_path)), "--block-size", "16777216",
+                "--out", str(out)]
+    capsys.readouterr()
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("spamm: ") and err.count("\n") == 1
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("scenario", SCENARIOS)
+def test_every_scenario_rejects_a_bad_tau(tmp_path, capsys, scenario):
+    a = _gen(tmp_path)
+    b = _gen(tmp_path, "b.mtx", n=32)
+    for argv in (["multiply", str(a), "--tau", "nan"],
+                 ["verify", str(a), "--tau", "-1"],
+                 ["bench", "--n", "32", "--tau", "0,-1", "--repeats", "1"]):
+        capsys.readouterr()
+        assert main([*argv, "--scenario", scenario]) == 2
+        out = capsys.readouterr()
+        assert out.out == ""
+        bad = "nan" if "nan" in argv else "-1.0"
+        assert out.err == f"spamm: tau must be nonnegative, got {bad}\n"
+    # a shape fault is reported before a bad tau
+    assert main(["multiply", str(a), str(b), "--tau", "-1", "--scenario", scenario]) == 2
+    assert "inner dimensions differ" in capsys.readouterr().err
 
 
 def test_multiply_missing_file_exits_3(tmp_path, capsys):

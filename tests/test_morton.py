@@ -74,9 +74,9 @@ def test_lane_extraction():
 
 
 def test_child_parent_algebra():
-    # the tier layout QuadtreeMatrix._store and recursive_spamm rely on: the
-    # children of key are 4 key + q for row-major quadrant q, and key >> 2
-    # is the parent
+    # the quadtree order of the keys: the children of key are 4 key + q for
+    # row-major quadrant q, and key >> 2 is the parent, so sorted leaf keys
+    # walk the blocks in Z order
     rng = np.random.default_rng(5)
     for _ in range(200):
         key = int(rng.integers(0, 1 << 40))

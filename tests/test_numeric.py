@@ -375,9 +375,12 @@ def _fallback(case: str):
         lower[np.flatnonzero(lower)[0]] *= -1
     if case == "no-mirror-leaf":
         d[32:48, 16:32] = 0
-    if case in ("low-bit", "sign", "no-mirror-leaf"):
+    if case == "negative-zero":  # a float compare calls this symmetric
+        d[40, 20], d[20, 40] = -0.0, 0.0
+        assert np.array_equal(d, d.T)
+    if case in ("low-bit", "sign", "no-mirror-leaf", "negative-zero"):
         x = QuadtreeMatrix.from_dense(d, 16)
-    if case == "sign":  # squares, and so every norm, cannot tell the sign
+    if case in ("sign", "negative-zero"):  # squares, and so every norm, cannot tell the sign
         assert x._transpose_equal(_mirror_slots(x.keys), values=False)
     if case == "distinct-b":
         return x, copy_tree(x), None, MultiplyConfig(tau=1e-8)
@@ -389,8 +392,8 @@ def _fallback(case: str):
     return x, x, x, cfg
 
 
-@pytest.mark.parametrize("case", ["low-bit", "sign", "no-mirror-leaf", "distinct-b",
-                                  "asymmetric-c", "alpha-zero",
+@pytest.mark.parametrize("case", ["low-bit", "sign", "negative-zero", "no-mirror-leaf",
+                                  "distinct-b", "asymmetric-c", "alpha-zero",
                                   "alpha-zero-into-x", "alpha-zero-beta"])
 def test_a_product_that_is_not_a_symmetric_square_takes_the_full_path(case):
     a, b, c, cfg = _fallback(case)

@@ -101,6 +101,29 @@ def test_plans_and_configs_are_set_once():
     assert cfg == MultiplyConfig(tau=1e-2)
 
 
+def test_a_plan_cannot_claim_an_exactness_it_lacks():
+    q = QuadtreeMatrix.from_dense(decay_matrix(256, seed=1).data, 16)
+    pruned, exact = build_plan(q, q, 1e-2), build_plan(q, q, 0.0)
+    assert pruned.stats.pruned > 0 and exact.stats.pruned == 0
+    # a pruned plan relabelled tau = 0 ran 8576 micro products where the
+    # exact plan runs 207744, and its C was not dense_multiply_single's
+    with pytest.raises(ValueError, match="prunes nothing"):
+        replace(pruned, tau=0.0)
+    with pytest.raises(ValueError, match="at least tau"):
+        replace(exact, tau=1e-2)
+    with pytest.raises(ValueError, match="nonnegative"):
+        replace(exact, tau=-1.0)
+    # lowering tau to another positive value keeps every row above it: the
+    # plan alone cannot tell
+    assert replace(pruned, tau=1e-3).tau == 1e-3
+    # every plan the search and the loop make passes, and so does one that
+    # lost rows to remove
+    for tau in (0.0, 1e-6, 1e-2):
+        for plan in (build_plan(q, q, tau), sequential_plan(q, q, tau)):
+            plan.tasks.remove(next(iter(plan.tasks)))
+            replace(plan)
+
+
 def test_plan_order_and_dump_pinned():
     a = _block_constant({(0, 0): 0.25, (0, 1): 0.5, (1, 0): 1.0})
     b = _block_constant({(0, 0): 0.25, (1, 0): 0.125, (1, 1): 0.5})
